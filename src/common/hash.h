@@ -68,8 +68,7 @@ class CompactHash {
  public:
   explicit CompactHash(uint64_t seed);
 
-  /// \brief 64-bit hash of \p key. Inline: the sketch ingest path calls
-  /// this depth-times per key per level.
+  /// \brief 64-bit hash of \p key.
   uint64_t Hash(uint64_t key) const { return multiplier_ * Mix64(key ^ salt_); }
 
   /// \brief Hash reduced to a bucket in [0, range).
@@ -78,6 +77,10 @@ class CompactHash {
   }
 
   size_t MemoryBytes() const { return sizeof(*this); }
+
+  /// \brief The two seed words, for simd::HashBuckets.
+  uint64_t multiplier() const { return multiplier_; }
+  uint64_t salt() const { return salt_; }
 
  private:
   uint64_t multiplier_;

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 
+#include "common/random.h"
 #include "common/simd_kernels.h"
 
 namespace privhp {
@@ -48,6 +49,14 @@ size_t FindOutOfBoundsScalar(const double* x, size_t n, const double* lo_pat,
     if (++k == tile) k = 0;
   }
   return n;
+}
+
+void HashBucketsScalar(const uint64_t* keys, size_t n, uint64_t multiplier,
+                       uint64_t salt, uint64_t mask, uint32_t* out) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] =
+        static_cast<uint32_t>((multiplier * Mix64(keys[i] ^ salt)) & mask);
+  }
 }
 
 }  // namespace simd_detail
@@ -189,6 +198,23 @@ size_t FindOutOfBounds(const double* x, size_t n, const double* lo_pat,
 #endif
     default:
       return simd_detail::FindOutOfBoundsScalar(x, n, lo_pat, hi_pat, tile);
+  }
+}
+
+void HashBuckets(const uint64_t* keys, size_t n, uint64_t multiplier,
+                 uint64_t salt, uint64_t mask, uint32_t* out) {
+  switch (ActiveSimdLevel()) {
+#if PRIVHP_SIMD_ENABLED
+    case SimdLevel::kAvx512:
+      simd_detail::HashBucketsAvx512(keys, n, multiplier, salt, mask, out);
+      return;
+    case SimdLevel::kAvx2:
+      simd_detail::HashBucketsAvx2(keys, n, multiplier, salt, mask, out);
+      return;
+#endif
+    default:
+      simd_detail::HashBucketsScalar(keys, n, multiplier, salt, mask, out);
+      return;
   }
 }
 

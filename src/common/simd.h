@@ -9,13 +9,14 @@
 // the widest vectors the host offers.
 //
 // Bit-identity contract: every kernel is REQUIRED to produce bit-identical
-// output across scalar/AVX2/AVX-512. The kernels only use add/sub/mul/div
-// and comparisons — all correctly rounded per IEEE-754, hence identical
-// per lane to scalar — and the SIMD translation units are compiled with
-// -ffp-contract=off so the compiler cannot fuse mul+add into an FMA
-// (which rounds once instead of twice) in scalar tails. This is what lets
-// the batched-vs-scalar bit-equality gates stay always-on regardless of
-// which kernel ran.
+// output across scalar/AVX2/AVX-512. The floating-point kernels only use
+// add/sub/mul/div and comparisons — all correctly rounded per IEEE-754,
+// hence identical per lane to scalar — and the SIMD translation units are
+// compiled with -ffp-contract=off so the compiler cannot fuse mul+add
+// into an FMA (which rounds once instead of twice) in scalar tails.
+// HashBuckets is integer-exact: wrapping 64-bit add/xor/shift/multiply
+// has one answer on every tier. This is what lets the batched-vs-scalar
+// bit-equality gates stay always-on regardless of which kernel ran.
 //
 // Overrides, strongest first:
 //   * ForceSimdLevel()            — test/bench hook (clamped to detected);
@@ -90,6 +91,15 @@ void ScaledCutPositions(const double* x, size_t n, const double* lo_pat,
 /// in ScaledCutPositions.
 size_t FindOutOfBounds(const double* x, size_t n, const double* lo_pat,
                        const double* hi_pat, size_t tile);
+
+/// \brief Count-Min row buckets for a run of keys (UpdateBatch hot path).
+///
+/// out[i] = (multiplier * Mix64(keys[i] ^ salt)) & mask, with wrapping
+/// 64-bit arithmetic — the value CompactHash::Hash(keys[i]) & mask for
+/// the CompactHash holding (multiplier, salt). \p mask must be below
+/// 2^32 so every bucket fits its uint32_t slot.
+void HashBuckets(const uint64_t* keys, size_t n, uint64_t multiplier,
+                 uint64_t salt, uint64_t mask, uint32_t* out);
 
 }  // namespace simd
 

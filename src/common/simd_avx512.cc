@@ -22,7 +22,54 @@ inline void ScaledCut8(const double* x, const double* lo_pat,
   _mm512_storeu_pd(out, _mm512_mul_pd(t, _mm512_loadu_pd(cells_pat + k)));
 }
 
+inline __m512i Set1U64(uint64_t v) {
+  return _mm512_set1_epi64(static_cast<long long>(v));
+}
+
+// z ^ (z >> shift) per lane. The zero-masked shift, like the masked
+// gathers above, avoids the plain intrinsic's undefined pass-through
+// operand, which trips -Wmaybe-uninitialized under -Werror.
+inline __m512i XorShiftRight(__m512i z, unsigned shift) {
+  return _mm512_xor_si512(z, _mm512_maskz_srli_epi64(0xFF, z, shift));
+}
+
+// Eight lanes of (multiplier * Mix64(key ^ salt)) & mask: Mix64 is the
+// SplitMix64 finalizer of common/random.h, step for step, and
+// vpmullq (AVX-512DQ) gives the low 64 bits of each product, as the
+// scalar wrapping multiply does. mask < 2^32 keeps only bits the low
+// 32 bits of both factors determine, so the last product is a 1-uop
+// 32x32->64 vpmuludq instead of a 3-uop vpmullq (zero-masked for the
+// same warning as XorShiftRight).
+inline __m512i HashBuckets8(__m512i key, __m512i salt, __m512i multiplier,
+                            __m512i mask) {
+  __m512i z = _mm512_add_epi64(_mm512_xor_si512(key, salt),
+                               Set1U64(0x9e3779b97f4a7c15ULL));
+  z = _mm512_mullo_epi64(XorShiftRight(z, 30),
+                         Set1U64(0xbf58476d1ce4e5b9ULL));
+  z = _mm512_mullo_epi64(XorShiftRight(z, 27),
+                         Set1U64(0x94d049bb133111ebULL));
+  z = XorShiftRight(z, 31);
+  return _mm512_and_si512(_mm512_maskz_mul_epu32(0xFF, z, multiplier), mask);
+}
+
 }  // namespace
+
+void HashBucketsAvx512(const uint64_t* keys, size_t n, uint64_t multiplier,
+                       uint64_t salt, uint64_t mask, uint32_t* out) {
+  const __m512i vsalt = Set1U64(salt);
+  const __m512i vmult = Set1U64(multiplier);
+  const __m512i vmask = Set1U64(mask);
+  for (size_t i = 0; i < n; i += 8) {
+    // Lanes past n are neither loaded nor stored.
+    const __mmask8 lanes = n - i >= 8
+                               ? static_cast<__mmask8>(0xFF)
+                               : static_cast<__mmask8>((1u << (n - i)) - 1);
+    const __m512i b = HashBuckets8(_mm512_maskz_loadu_epi64(lanes, keys + i),
+                                   vsalt, vmult, vmask);
+    // mask < 2^32, so narrowing each lane to 32 bits is exact.
+    _mm512_mask_cvtepi64_storeu_epi32(out + i, lanes, b);
+  }
+}
 
 void InCellTransformAvx512(const double* lo_tab, const double* ext_tab,
                            const uint32_t* slots, int dim, size_t m,

@@ -25,6 +25,8 @@ void ScaledCutPositionsScalar(const double* x, size_t n,
                               double* out);
 size_t FindOutOfBoundsScalar(const double* x, size_t n, const double* lo_pat,
                              const double* hi_pat, size_t tile);
+void HashBucketsScalar(const uint64_t* keys, size_t n, uint64_t multiplier,
+                       uint64_t salt, uint64_t mask, uint32_t* out);
 
 #if PRIVHP_SIMD_ENABLED
 void InCellTransformAvx2(const double* lo_tab, const double* ext_tab,
@@ -35,6 +37,8 @@ void ScaledCutPositionsAvx2(const double* x, size_t n, const double* lo_pat,
                             size_t tile, double* out);
 size_t FindOutOfBoundsAvx2(const double* x, size_t n, const double* lo_pat,
                            const double* hi_pat, size_t tile);
+void HashBucketsAvx2(const uint64_t* keys, size_t n, uint64_t multiplier,
+                     uint64_t salt, uint64_t mask, uint32_t* out);
 
 void InCellTransformAvx512(const double* lo_tab, const double* ext_tab,
                            const uint32_t* slots, int dim, size_t m,
@@ -45,6 +49,8 @@ void ScaledCutPositionsAvx512(const double* x, size_t n,
                               double* out);
 size_t FindOutOfBoundsAvx512(const double* x, size_t n, const double* lo_pat,
                              const double* hi_pat, size_t tile);
+void HashBucketsAvx512(const uint64_t* keys, size_t n, uint64_t multiplier,
+                       uint64_t salt, uint64_t mask, uint32_t* out);
 #endif  // PRIVHP_SIMD_ENABLED
 
 }  // namespace simd_detail

@@ -73,7 +73,7 @@ void PrivHPShard::ApplyChunk(const double* flat, size_t n) {
       tree_.node(CompleteNodeId(l, row[i])).count += 1.0;
     }
   }
-  // Sketch levels: one row-major vectorizable update per level.
+  // Sketch levels: one UpdateBatch per level.
   for (int l = plan_.l_star + 1; l <= plan_.l_max; ++l) {
     sketches_[l - plan_.l_star - 1].UpdateBatch(
         batch_scratch_.data() + static_cast<size_t>(l) * n, n, 1.0);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/macros.h"
+#include "common/simd.h"
 
 namespace privhp {
 
@@ -10,7 +11,8 @@ CountMinSketch::CountMinSketch(size_t width, size_t depth, uint64_t seed)
     : width_(width),
       depth_(depth),
       seed_(seed),
-      width_pow2_((width & (width - 1)) == 0),
+      width_pow2_((width & (width - 1)) == 0 &&
+                  width <= (uint64_t{1} << 32)),
       hashes_(),
       cells_(width * depth, 0.0) {
   PRIVHP_CHECK(width_ >= 1);
@@ -31,18 +33,31 @@ Result<CountMinSketch> CountMinSketch::Make(size_t width, size_t depth,
 }
 
 void CountMinSketch::Update(uint64_t key, double delta) {
-  UpdateBatch(&key, 1, delta);
+  for (size_t row = 0; row < depth_; ++row) {
+    cells_[row * width_ + Column(row, key)] += delta;
+  }
 }
+
+namespace {
+
+// Keys per simd::HashBuckets call: one PrivHPShard::AddBatch chunk, and
+// a 1 KiB bucket buffer that stays in L1 between hashing and scatter.
+constexpr size_t kHashRun = 256;
+
+}  // namespace
 
 void CountMinSketch::UpdateBatch(const uint64_t* keys, size_t count,
                                  double delta) {
   if (width_pow2_) {
     const uint64_t mask = width_ - 1;
-    for (size_t row = 0; row < depth_; ++row) {
-      const CompactHash hash = hashes_[row];
-      double* cells = cells_.data() + row * width_;
-      for (size_t i = 0; i < count; ++i) {
-        cells[hash.Hash(keys[i]) & mask] += delta;
+    uint32_t buckets[kHashRun];
+    for (size_t base = 0; base < count; base += kHashRun) {
+      const size_t n = std::min(kHashRun, count - base);
+      for (size_t row = 0; row < depth_; ++row) {
+        simd::HashBuckets(keys + base, n, hashes_[row].multiplier(),
+                          hashes_[row].salt(), mask, buckets);
+        double* cells = cells_.data() + row * width_;
+        for (size_t i = 0; i < n; ++i) cells[buckets[i]] += delta;
       }
     }
     return;
@@ -57,10 +72,9 @@ void CountMinSketch::UpdateBatch(const uint64_t* keys, size_t count,
 }
 
 double CountMinSketch::Estimate(uint64_t key) const {
-  double est = cells_[hashes_[0].Bucket(key, width_)];
+  double est = cells_[Column(0, key)];
   for (size_t row = 1; row < depth_; ++row) {
-    est = std::min(est,
-                   cells_[row * width_ + hashes_[row].Bucket(key, width_)]);
+    est = std::min(est, cells_[row * width_ + Column(row, key)]);
   }
   return est;
 }

@@ -34,15 +34,19 @@ class CountMinSketch : public FrequencyOracle {
   static Result<CountMinSketch> Make(size_t width, size_t depth,
                                      uint64_t seed);
 
+  /// \brief Adds \p delta to \p key's cell in every row. Hashes one key at
+  /// a time; it is the per-key reference UpdateBatch must match.
   void Update(uint64_t key, double delta) override;
 
   /// \brief Adds \p delta for each of \p count keys, one hash row at a
-  /// time: the inner loop hashes a contiguous key run and writes into one
-  /// row of `cells_`, which keeps the working set to a single row and
-  /// lets the compiler vectorize the hashing. For integer-valued deltas
-  /// (the ingest path's +1.0) the result is bit-identical to calling
-  /// Update() per key — whole-number double sums are exact, so the
-  /// row-major reordering cannot perturb the cells.
+  /// time. With a power-of-two width the keys go in runs of at most 256:
+  /// per row, one simd::HashBuckets call computes the run's buckets
+  /// (eight keys per vpmullq on AVX-512; x86 has no 64-bit vector
+  /// multiply below AVX-512DQ, so the compiler cannot vectorize the hash
+  /// at the baseline ISA and the AVX2 kernel emulates it), then a scalar
+  /// loop adds \p delta to each bucket in key order. Every cell thus receives the same additions in the same
+  /// order as per-key Update() calls, so the cells are bit-identical to
+  /// them for any \p delta. Other widths reduce each hash with `%`.
   void UpdateBatch(const uint64_t* keys, size_t count, double delta);
 
   double Estimate(uint64_t key) const override;
@@ -76,13 +80,20 @@ class CountMinSketch : public FrequencyOracle {
   uint64_t seed() const { return seed_; }
 
  private:
+  // Bucket of \p key in \p row, one key at a time: the reduction
+  // UpdateBatch applies to whole key runs.
+  uint64_t Column(size_t row, uint64_t key) const {
+    const uint64_t hash = hashes_[row].Hash(key);
+    return width_pow2_ ? hash & (width_ - 1) : hash % width_;
+  }
+
   size_t width_;
   size_t depth_;
   uint64_t seed_;
-  // True when width_ is a power of two: bucket reduction is then
-  // `hash & (width_ - 1)`, which equals `hash % width_` bit-for-bit but
-  // costs one AND instead of a 64-bit divide — the ingest hot path does
-  // depth_ reductions per key per level.
+  // True when width_ is a power of two no larger than 2^32: bucket
+  // reduction is then `hash & (width_ - 1)`, which equals `hash % width_`
+  // bit-for-bit, costs one AND instead of a 64-bit divide, and yields
+  // buckets that fit simd::HashBuckets' uint32_t output.
   bool width_pow2_;
   std::vector<CompactHash> hashes_;
   std::vector<double> cells_;  // row-major depth_ x width_

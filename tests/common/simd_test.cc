@@ -15,6 +15,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "domain/hypercube_domain.h"
 #include "hierarchy/compiled_sampler.h"
@@ -203,6 +204,47 @@ TEST_P(SimdKernelTest, FindOutOfBoundsAgreesAcrossLevels) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, SimdKernelTest, ::testing::Values(1, 2, 3, 5));
+
+// The hash kernel sees only keys, so it is not swept over dimensions.
+// The reference is CompactHash::Hash itself — the hash Estimate() reads
+// with — and a sentinel past the end catches a tail written too far.
+TEST(SimdKernelTest, HashBucketsBitIdenticalAcrossLevels) {
+  const CompactHash hash(77);
+  const uint32_t kSentinel = 0xDEADBEEFu;
+  RandomEngine rng(94);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                   size_t{255}, size_t{256}, size_t{257}, size_t{1000}}) {
+    std::vector<uint64_t> keys(n);
+    for (size_t i = 0; i < n; ++i) {
+      switch (i % 4) {
+        case 0:
+          keys[i] = i % 8 == 0 ? 0 : UINT64_MAX;
+          break;
+        case 1:
+          keys[i] = rng.NextUint64() | (uint64_t{1} << 63);
+          break;
+        default:
+          keys[i] = rng.NextUint64() >> rng.UniformInt(64);
+      }
+    }
+    for (uint64_t width : {uint64_t{1}, uint64_t{2}, uint64_t{64},
+                           uint64_t{1} << 20}) {
+      const uint64_t mask = width - 1;
+      std::vector<uint32_t> reference(n + 1, kSentinel);
+      for (size_t i = 0; i < n; ++i) {
+        reference[i] = static_cast<uint32_t>(hash.Hash(keys[i]) & mask);
+      }
+      for (SimdLevel level : RunnableLevels()) {
+        ScopedSimdLevel force(level);
+        std::vector<uint32_t> out(n + 1, kSentinel);
+        simd::HashBuckets(keys.data(), n, hash.multiplier(), hash.salt(),
+                          mask, out.data());
+        ASSERT_EQ(out, reference) << "level " << SimdLevelName(level)
+                                  << ", n=" << n << ", width=" << width;
+      }
+    }
+  }
+}
 
 // ---------------------------------------------------------------------
 // Distribution gate: the batched sampling path (slot draw + SIMD in-cell

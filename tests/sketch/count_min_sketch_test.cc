@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/simd.h"
 #include "eval/workloads.h"
 
 namespace privhp {
@@ -150,6 +151,44 @@ TEST(CountMinSketchTest, MergeEqualsCombinedStream) {
   for (size_t row = 0; row < 4; ++row) {
     for (size_t col = 0; col < 32; ++col) {
       EXPECT_DOUBLE_EQ(a.CellValue(row, col), combined.CellValue(row, col));
+    }
+  }
+}
+
+// UpdateBatch hashes key runs through simd::HashBuckets and then adds in
+// key order, so each cell gets exactly the additions per-key Update()
+// (which hashes one key at a time, no kernel) makes, in the same order:
+// cells match bit for bit at every SIMD tier.
+// delta = 0.3 is not exact in binary, so an implementation that folded
+// repeated hits into one `delta * hits` add would round differently and
+// fail; the noise start makes every cell a non-trivial running sum.
+TEST(CountMinSketchTest, UpdateBatchMatchesPerKeyUpdateAtEverySimdLevel) {
+  RandomEngine rng(21);
+  std::vector<uint64_t> keys(1000);  // several 256-key runs plus a tail
+  for (uint64_t& key : keys) key = Mix64(rng.UniformInt(300));
+  for (size_t width : {size_t{1}, size_t{64}, size_t{48}}) {
+    for (double delta : {1.0, 0.3}) {
+      CountMinSketch reference(width, 5, 17);
+      RandomEngine noise_rng(4);
+      reference.AddLaplaceNoise(&noise_rng, 2.0);
+      CountMinSketch start = reference;
+      for (uint64_t key : keys) reference.Update(key, delta);
+      for (int level = 0; level <= static_cast<int>(DetectedSimdLevel());
+           ++level) {
+        ForceSimdLevel(static_cast<SimdLevel>(level));
+        CountMinSketch batched = start;
+        batched.UpdateBatch(keys.data(), keys.size(), delta);
+        ClearForcedSimdLevel();
+        for (size_t row = 0; row < 5; ++row) {
+          for (size_t col = 0; col < width; ++col) {
+            ASSERT_EQ(batched.CellValue(row, col),
+                      reference.CellValue(row, col))
+                << "level " << SimdLevelName(static_cast<SimdLevel>(level))
+                << ", width " << width << ", delta " << delta << ", cell ("
+                << row << ", " << col << ")";
+          }
+        }
+      }
     }
   }
 }
