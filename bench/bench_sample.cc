@@ -192,8 +192,8 @@ int RunBench(const Config& config) {
       if (hist_walk.find(cell) == hist_walk.end()) l1 += count / draws;
     }
     RandomEngine det_a(55), det_b(55);
-    const bool deterministic =
-        compiled.SampleBatch(1000, &det_a) == compiled.SampleBatch(1000, &det_b);
+    const bool deterministic = compiled.SampleBatch(1000, &det_a) ==
+                               compiled.SampleBatch(1000, &det_b);
     // The columnar path (SIMD in-cell transform) must be bit-identical
     // to per-point Sample() under the same seed, not just statistically
     // close.

@@ -1,6 +1,8 @@
 // EXP-PERF — Corollary 1's cost model, self-timed (bench_util.h):
 //   * stream update cost vs n        (scalar Add vs batched AddBatch;
 //                                     claimed O(log(eps n)) per update)
+//   * AddBatch cost vs batch size    (zipf and uniform streams, sorted
+//                                     and per-point windows)
 //   * sharded parallel ingestion     (--threads sweep; the merged build
 //                                     is bit-identical to 1 thread)
 //   * generator build (Finish)       (claimed O(M log n))
@@ -9,11 +11,13 @@
 //
 // Always-on correctness gate (sized for --smoke): the batched ingest
 // path must leave tree counters and sketch cells bit-identical to the
-// scalar path, and the released artifacts (scalar / batched /
+// scalar path, also for a batch of one repeated point, a batch one point
+// past the AddBatch window, one just below its sort threshold and a
+// uniform window, and the released artifacts (scalar / batched /
 // BuildParallel) must serialize byte-identically — a perf regression
-// fix can't silently fork the two paths. --smoke shrinks the workload
-// so the run doubles as a ctest / TSan check of concurrent batched
-// ingestion.
+// fix can't silently fork the two paths. --smoke shrinks the
+// workload so the run doubles as a ctest / TSan check of concurrent
+// batched ingestion.
 //
 // usage: bench_throughput [--smoke] [--log2n B] [--threads "1,2,4"]
 //                         [--repeats R]
@@ -60,11 +64,59 @@ double TimedMedian(int repeats, const std::function<double()>& fn) {
   return times[times.size() / 2];
 }
 
+// What AddBatch does with \p data fed in batches of \p batch points: the
+// sketch-level updates it makes per point, and the share of its windows
+// it sorts. A sorted window (PrivHPShard::SortsWindow) makes one update
+// per distinct (level, key) pair at levels L*+1..L; any other window
+// makes L - L* per point, as per-point Add does. Each update costs j row
+// hashes.
+struct WindowStats {
+  double sketch_updates_per_point = 0;
+  double sorted_share = 0;
+};
+
+WindowStats AddBatchWindowStats(const Domain& domain, const PointBatch& data,
+                                const ResolvedPlan& plan, size_t batch) {
+  const int levels = plan.l_max - plan.l_star;
+  std::vector<uint64_t> keys(PrivHPShard::kWindow);
+  size_t updates = 0;
+  size_t windows = 0;
+  size_t sorted = 0;
+  for (size_t start = 0; start < data.size(); start += batch) {
+    const size_t end = std::min(data.size(), start + batch);
+    for (size_t base = start; base < end; base += keys.size()) {
+      const size_t n = std::min(keys.size(), end - base);
+      domain.LocateBatch(data.row(base), data.dim(), n, plan.l_max,
+                         keys.data());
+      ++windows;
+      if (!PrivHPShard::SortsWindow(plan, keys.data(), n)) {
+        updates += n * static_cast<size_t>(levels);
+        continue;
+      }
+      ++sorted;
+      std::sort(keys.begin(), keys.begin() + n);
+      for (int shift = 0; shift < levels; ++shift) {
+        for (size_t i = 0; i < n; ++i) {
+          updates += i == 0 || (keys[i] >> shift) != (keys[i - 1] >> shift);
+        }
+      }
+    }
+  }
+  WindowStats stats;
+  stats.sketch_updates_per_point =
+      static_cast<double>(updates) / static_cast<double>(data.size());
+  stats.sorted_share =
+      static_cast<double>(sorted) / static_cast<double>(windows);
+  return stats;
+}
+
 void StreamUpdateSweep(int repeats, bool smoke) {
   TablePrinter table(
       "stream update (1 thread, scalar Add vs batched AddBatch vs "
-      "columnar PointBatch)",
-      {"domain", "n", "path", "Mpts/s", "ns/point", "speedup"});
+      "columnar PointBatch; sketch updates and row hashes per point, "
+      "after AddBatch's run aggregation for the batch paths)",
+      {"domain", "n", "path", "Mpts/s", "ns/point", "speedup",
+       "sketch upd/pt", "hashes/pt"});
   struct Case {
     const char* name;
     int dim;
@@ -121,7 +173,15 @@ void StreamUpdateSweep(int repeats, bool smoke) {
       }
       return watch.Seconds();
     });
+    auto plan = PlanParameters(domain, BenchOptions(c.n));
+    PRIVHP_CHECK(plan.ok());
+    const double scalar_updates = plan->l_max - plan->l_star;
+    const WindowStats batch_stats =
+        AddBatchWindowStats(domain, staged, *plan, staged.size());
+    const double batch_updates = batch_stats.sketch_updates_per_point;
     const double secs_for[3] = {scalar_secs, batched_secs, columnar_secs};
+    const double updates_for[3] = {scalar_updates, batch_updates,
+                                   batch_updates};
     const char* path_name[3] = {"scalar", "batched", "columnar"};
     for (int path = 0; path < 3; ++path) {
       const double secs = secs_for[path];
@@ -132,10 +192,108 @@ void StreamUpdateSweep(int repeats, bool smoke) {
       table.Cell(c.n / secs / 1e6);
       table.Cell(secs / c.n * 1e9);
       table.Cell(scalar_secs / secs, 3);
+      table.Cell(updates_for[path], 3);
+      table.Cell(updates_for[path] * static_cast<double>(plan->sketch_depth),
+                 3);
     }
   }
   table.Print(std::cout);
   std::cout << "\n";
+}
+
+// Single-thread columnar AddBatch against batch size, on a skewed and a
+// uniform stream. A window is sorted only if it has at least
+// PrivHPShard::kMinSortedWindow points and its keys repeat
+// (PrivHPShard::SortsWindow), so the table covers both sides of that
+// choice: small batches, and large ones of keys that repeat and of keys
+// that do not.
+void BatchSizeSweep(int repeats, bool smoke) {
+  constexpr size_t kWindow = PrivHPShard::kWindow;
+  constexpr size_t kSorted = PrivHPShard::kMinSortedWindow;
+  const size_t n = smoke ? size_t{1} << 14 : size_t{1} << 20;
+  TablePrinter table(
+      "AddBatch against batch size (1 thread, one shard, interval; share "
+      "of windows sorted, sketch updates per point after run aggregation)",
+      {"stream", "n", "batch", "Mpts/s", "ns/point", "sorted",
+       "sketch upd/pt"});
+  IntervalDomain domain;
+  auto plan = PlanParameters(domain, BenchOptions(n));
+  PRIVHP_CHECK(plan.ok());
+  RandomEngine rng(3);
+  const PointBatch zipf =
+      PointBatch::FromPoints(GenerateZipfCells(1, n, 16, 1.1, &rng));
+  const PointBatch uniform =
+      PointBatch::FromPoints(GenerateUniform(1, n, &rng));
+  struct Stream {
+    const char* name;
+    const PointBatch* data;
+  };
+  const Stream streams[] = {{"zipf", &zipf}, {"uniform", &uniform}};
+  const std::vector<size_t> batch_sizes =
+      smoke ? std::vector<size_t>{64, kWindow}
+            : std::vector<size_t>{64, kSorted - 1, kSorted, 1024, kWindow};
+  for (const Stream& stream : streams) {
+    for (size_t batch : batch_sizes) {
+      std::vector<PointBatch> batches;
+      for (size_t base = 0; base < n; base += batch) {
+        PointBatch b(1);
+        b.AppendFlat(stream.data->row(base), std::min(batch, n - base));
+        batches.push_back(std::move(b));
+      }
+      const double secs = TimedMedian(repeats, [&] {
+        auto builder = PrivHPBuilder::Make(&domain, BenchOptions(n));
+        PRIVHP_CHECK(builder.ok());
+        auto shard = builder->NewShard();
+        PRIVHP_CHECK(shard.ok());
+        bench::Stopwatch watch;
+        for (const PointBatch& b : batches) {
+          PRIVHP_CHECK(shard->AddBatch(b).ok());
+        }
+        return watch.Seconds();
+      });
+      const WindowStats stats =
+          AddBatchWindowStats(domain, *stream.data, *plan, batch);
+      table.BeginRow();
+      table.Cell(std::string(stream.name));
+      table.Cell(static_cast<uint64_t>(n));
+      table.Cell(static_cast<uint64_t>(batch));
+      table.Cell(n / secs / 1e6);
+      table.Cell(secs / n * 1e9);
+      table.Cell(stats.sorted_share, 3);
+      table.Cell(stats.sketch_updates_per_point, 3);
+    }
+  }
+  table.Print(std::cout);
+  std::cout << "\n";
+}
+
+// True iff \p a and \p b hold bit-identical counters and sketch cells;
+// otherwise prints the first divergence, naming \p label's path.
+bool ShardStateEqual(const PrivHPShard& a, const PrivHPShard& b,
+                     const std::string& label) {
+  for (size_t i = 0; i < a.tree().num_nodes(); ++i) {
+    const double x = a.tree().node(static_cast<NodeId>(i)).count;
+    const double y = b.tree().node(static_cast<NodeId>(i)).count;
+    if (x != y) {
+      std::cerr << "gate: tree node " << i << " scalar=" << x << " " << label
+                << "=" << y << "\n";
+      return false;
+    }
+  }
+  for (size_t s = 0; s < a.sketches().size(); ++s) {
+    const CountMinSketch& sa = a.sketches()[s];
+    const CountMinSketch& sb = b.sketches()[s];
+    for (size_t row = 0; row < sa.depth(); ++row) {
+      for (size_t col = 0; col < sa.width(); ++col) {
+        if (sa.CellValue(row, col) != sb.CellValue(row, col)) {
+          std::cerr << "gate: " << label << " sketch " << s << " cell ("
+                    << row << ", " << col << ") diverges\n";
+          return false;
+        }
+      }
+    }
+  }
+  return true;
 }
 
 // Always-on gate: every batch flavour must be bit-identical to the
@@ -169,30 +327,40 @@ bool BatchedEqualsScalarGate() {
   for (const Point& x : data) PRIVHP_CHECK(scalar_shard->Add(x).ok());
   PRIVHP_CHECK(batched_shard->AddBatch(data).ok());
   PRIVHP_CHECK(columnar_shard->AddBatch(staged).ok());
-  for (size_t i = 0; i < scalar_shard->tree().num_nodes(); ++i) {
-    const double a = scalar_shard->tree().node(static_cast<NodeId>(i)).count;
-    const double b = batched_shard->tree().node(static_cast<NodeId>(i)).count;
-    const double c = columnar_shard->tree().node(static_cast<NodeId>(i)).count;
-    if (a != b || a != c) {
-      std::cerr << "gate: tree node " << i << " scalar=" << a
-                << " batched=" << b << " columnar=" << c << "\n";
-      return false;
-    }
+  if (!ShardStateEqual(*scalar_shard, *batched_shard, "batched") ||
+      !ShardStateEqual(*scalar_shard, *columnar_shard, "columnar")) {
+    return false;
   }
-  for (size_t s = 0; s < scalar_shard->sketches().size(); ++s) {
-    const CountMinSketch& sa = scalar_shard->sketches()[s];
-    const CountMinSketch& sb = batched_shard->sketches()[s];
-    const CountMinSketch& sc = columnar_shard->sketches()[s];
-    for (size_t row = 0; row < sa.depth(); ++row) {
-      for (size_t col = 0; col < sa.width(); ++col) {
-        if (sa.CellValue(row, col) != sb.CellValue(row, col) ||
-            sa.CellValue(row, col) != sc.CellValue(row, col)) {
-          std::cerr << "gate: sketch " << s << " cell (" << row << ", "
-                    << col << ") diverges\n";
-          return false;
-        }
-      }
+  // Window edges of the columnar path: one repeated point, so a single
+  // run carries the whole window; a batch one point past a window; and
+  // two that take the per-point path, one point short of the sort
+  // threshold and a full window of uniform points, whose keys rarely
+  // repeat.
+  const PointBatch repeated = PointBatch::FromPoints(
+      std::vector<Point>(PrivHPShard::kWindow, data.front()));
+  PointBatch past_window(staged.dim());
+  past_window.AppendFlat(staged.data(), PrivHPShard::kWindow + 1);
+  PointBatch below_sort(staged.dim());
+  below_sort.AppendFlat(staged.data(), PrivHPShard::kMinSortedWindow - 1);
+  const PointBatch uniform =
+      PointBatch::FromPoints(GenerateUniform(2, PrivHPShard::kWindow, &rng));
+  struct Edge {
+    const PointBatch* batch;
+    const char* label;
+  };
+  const Edge edges[] = {{&repeated, "columnar (repeated point)"},
+                        {&past_window, "columnar (window + 1)"},
+                        {&below_sort, "columnar (sort threshold - 1)"},
+                        {&uniform, "columnar (uniform window)"}};
+  for (const Edge& edge : edges) {
+    auto scalar = scalar_builder->NewShard();
+    auto columnar = columnar_builder->NewShard();
+    PRIVHP_CHECK(scalar.ok() && columnar.ok());
+    for (size_t i = 0; i < edge.batch->size(); ++i) {
+      PRIVHP_CHECK(scalar->Add(edge.batch->At(i)).ok());
     }
+    PRIVHP_CHECK(columnar->AddBatch(*edge.batch).ok());
+    if (!ShardStateEqual(*scalar, *columnar, edge.label)) return false;
   }
 
   // Artifact-level: released trees must serialize byte-identically.
@@ -235,7 +403,10 @@ bool BatchedEqualsScalarGate() {
   }
   std::cout << "checks: batched-vs-scalar equality OK (shard state + "
             << "released artifact, scalar/batched/columnar/parallel, n="
-            << n << ")\n\n";
+            << n << "; window edges: repeated point, "
+            << PrivHPShard::kWindow + 1 << " and "
+            << PrivHPShard::kMinSortedWindow - 1 << " points, uniform "
+            << "window)\n\n";
   return true;
 }
 
@@ -431,6 +602,7 @@ int Run(int argc, char** argv) {
     return 1;
   }
   StreamUpdateSweep(repeats, smoke);
+  BatchSizeSweep(repeats, smoke);
   ThreadSweep(size_t{1} << log2n, threads, repeats);
   FinishAndSample(repeats);
   PmmContrast(repeats);

@@ -201,9 +201,11 @@ Result<PrivHPGenerator> PrivHPBuilder::BuildParallel(
   // framed source's decoded frames go into the queue as-is — no
   // per-point re-staging — and each worker feeds its batch straight
   // into the shard's AddBatch. Any worker failure drains the queue and
-  // stops the reader; the first error wins.
-  constexpr size_t kBatchSize = 512;
-  const size_t max_queued = static_cast<size_t>(num_threads) * 4;
+  // stops the reader; the first error wins. One batch is one AddBatch
+  // window; the queue holds one batch per worker, so the points still
+  // queued at end-of-stream (the drain before Finish) stay few.
+  constexpr size_t kBatchSize = PrivHPShard::kWindow;
+  const size_t max_queued = static_cast<size_t>(num_threads);
   // Local pipeline state, all guarded by mu (locals cannot carry
   // GUARDED_BY, so the waits below are explicit while loops by the
   // sync.h convention and every access stays visibly under a MutexLock).

@@ -61,8 +61,8 @@ class PrivHPBuilder : public PointSink {
 
   /// \brief Processes a batch of points through the shard's batched
   /// ingest path (PrivHPShard::AddBatch): validated up front — a failed
-  /// batch leaves the build state untouched — then applied with one
-  /// LocatePathBatch call and row-major sketch updates per chunk.
+  /// batch leaves the build state untouched — then applied in sorted
+  /// windows, one update per distinct (level, key) per window.
   Status AddAll(const std::vector<Point>& points) override;
 
   /// \brief Columnar form: the arena goes straight to the shard's flat
@@ -87,9 +87,11 @@ class PrivHPBuilder : public PointSink {
   Result<PrivHPGenerator> Finish() &&;
 
   /// \brief One-call parallel build: drains \p source, dispatching
-  /// batches to \p num_threads worker threads each owning one shard,
-  /// then absorbs all shards and finishes. Deterministic: the result is
-  /// bit-for-bit identical to a sequential build with the same options.
+  /// window-sized batches (PrivHPShard::kWindow points) through a queue
+  /// of one batch per worker to \p num_threads worker threads each
+  /// owning one shard, then absorbs all shards and finishes.
+  /// Deterministic: the result is bit-for-bit identical to a sequential
+  /// build with the same options.
   static Result<PrivHPGenerator> BuildParallel(const Domain* domain,
                                                const PrivHPOptions& options,
                                                PointSource* source,

@@ -1,8 +1,10 @@
 #include "core/shard.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
+#include "common/bits.h"
 #include "common/macros.h"
 
 namespace privhp {
@@ -52,32 +54,146 @@ Status PrivHPShard::Add(const Point& x) {
 
 namespace {
 
-// AddBatch chunk size: large enough that the per-chunk LocatePathBatch
-// virtual call and the per-level loop overheads amortize away, small
-// enough that the reused path matrix (kAddBatchChunk * (l_max+1) keys)
-// stays a bounded scratch allocation no matter how large a batch is.
-constexpr size_t kAddBatchChunk = 256;
+// Sorts keys[0..n), each below 2^bits, ascending: a stable LSD radix sort
+// on 8-bit digits that ping-pongs between \p keys and \p tmp. One pass
+// over the keys builds every digit's histogram, and a digit every key
+// shares costs no pass. Returns whichever buffer holds the sorted keys.
+uint64_t* RadixSortKeys(uint64_t* keys, uint64_t* tmp, size_t n, int bits) {
+  constexpr int kDigitBits = 8;
+  constexpr size_t kBuckets = size_t{1} << kDigitBits;
+  constexpr uint64_t kMask = kBuckets - 1;
+  const int passes = (bits + kDigitBits - 1) / kDigitBits;
+  PRIVHP_DCHECK(passes <= 8);
+  uint32_t hist[8][kBuckets] = {};
+  for (size_t i = 0; i < n; ++i) {
+    for (int p = 0; p < passes; ++p) {
+      ++hist[p][(keys[i] >> (p * kDigitBits)) & kMask];
+    }
+  }
+  for (int p = 0; p < passes; ++p) {
+    const int shift = p * kDigitBits;
+    uint32_t* offsets = hist[p];
+    if (offsets[(keys[0] >> shift) & kMask] == n) continue;
+    uint32_t sum = 0;
+    for (size_t b = 0; b < kBuckets; ++b) {
+      const uint32_t c = offsets[b];
+      offsets[b] = sum;
+      sum += c;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      tmp[offsets[(keys[i] >> shift) & kMask]++] = keys[i];
+    }
+    std::swap(keys, tmp);
+  }
+  return keys;
+}
+
+// Merges runs of equal keys: key i is in[i] >> shift with run length
+// runs[i], and the shifted keys are sorted, so equal ones are adjacent.
+// Writes the distinct keys to \p out and their summed runs back into
+// \p runs, and returns their number. \p out may be \p in: the write index
+// never passes the read index. Branch-free, because whether a key starts
+// a new run is a coin flip at the middle levels.
+size_t MergeRuns(const uint64_t* in, int shift, size_t m, uint64_t* out,
+                 double* runs) {
+  uint64_t key = in[0] >> shift;
+  double run = runs[0];
+  size_t last = 0;
+  for (size_t i = 1; i < m; ++i) {
+    const uint64_t next = in[i] >> shift;
+    const double next_run = runs[i];
+    out[last] = key;
+    runs[last] = run;
+    const bool starts = next != key;
+    last += starts;
+    run = starts ? next_run : run + next_run;
+    key = next;
+  }
+  out[last] = key;
+  runs[last] = run;
+  return last + 1;
+}
 
 }  // namespace
 
-void PrivHPShard::ApplyChunk(const double* flat, size_t n) {
-  // One virtual call locates the whole chunk, level-major: row l holds
-  // the chunk's level-l cell keys contiguously.
-  domain_->LocatePathBatch(flat, domain_->dimension(), n, plan_.l_max,
-                           batch_scratch_.data());
-  // Counter levels: each row's bumps land in one contiguous arena
-  // stretch (level l occupies slots [2^l - 1, 2^{l+1} - 1)).
-  for (int l = 0; l <= plan_.l_star; ++l) {
-    const uint64_t* row = batch_scratch_.data() + static_cast<size_t>(l) * n;
-    for (size_t i = 0; i < n; ++i) {
-      tree_.node(CompleteNodeId(l, row[i])).count += 1.0;
+bool PrivHPShard::SortsWindow(const ResolvedPlan& plan,
+                              const uint64_t* leaf_keys, size_t n) {
+  PRIVHP_DCHECK(n <= kWindow);
+  if (n < kMinSortedWindow) return false;
+  // Probe the shallowest sketch level: it repeats most among the levels
+  // whose updates are expensive (with no sketch levels, the deepest
+  // counters). Linear counting: each key at that level sets one bit of a
+  // bitmap, and with Z of its B bits still clear, -B ln(Z / B) estimates
+  // the number of distinct keys.
+  constexpr double kMaxDistinctShare = 0.9;
+  constexpr int kLogBits = 14;
+  constexpr size_t kBits = size_t{1} << kLogBits;
+  const int shift = std::max(0, plan.l_max - plan.l_star - 1);
+  uint64_t bitmap[kBits / 64] = {};
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t bit =
+        ((leaf_keys[i] >> shift) * 0x9e3779b97f4a7c15ULL) >> (64 - kLogBits);
+    bitmap[bit / 64] |= uint64_t{1} << (bit % 64);
+  }
+  size_t set = 0;
+  for (uint64_t word : bitmap) set += static_cast<size_t>(PopCount64(word));
+  // Distinct < share * n  <=>  Z > B exp(-share * n / B).
+  const double bits = static_cast<double>(kBits);
+  const double clear = static_cast<double>(kBits - set);
+  const double max_distinct = kMaxDistinctShare * static_cast<double>(n);
+  return clear > bits * std::exp(-max_distinct / bits);
+}
+
+void PrivHPShard::AddWindow(const double* flat, size_t n) {
+  PRIVHP_DCHECK(n >= 1 && n <= keys_.size());
+  uint64_t* keys = keys_.data();
+  domain_->LocateBatch(flat, domain_->dimension(), n, plan_.l_max, keys);
+  if (!SortsWindow(plan_, keys, n)) {
+    // Update every level once per point, as Add() does, shifting the
+    // keys up one level at a time.
+    for (int l = plan_.l_max;; --l) {
+      if (l > plan_.l_star) {
+        sketches_[l - plan_.l_star - 1].UpdateBatch(keys, n, 1.0);
+      } else {
+        for (size_t i = 0; i < n; ++i) {
+          tree_.node(CompleteNodeId(l, keys[i])).count += 1.0;
+        }
+      }
+      if (l == 0) break;
+      for (size_t i = 0; i < n; ++i) keys[i] >>= 1;
     }
+    return;
   }
-  // Sketch levels: one UpdateBatch per level.
-  for (int l = plan_.l_star + 1; l <= plan_.l_max; ++l) {
-    sketches_[l - plan_.l_star - 1].UpdateBatch(
-        batch_scratch_.data() + static_cast<size_t>(l) * n, n, 1.0);
+  // Sort and run-length encode the leaf keys, then walk up the levels:
+  // each distinct (level, key) gets one update of its run length. Keys
+  // stay sorted under the shift, so merging equal neighbours yields the
+  // next level's distinct keys. The order only groups: each run still
+  // carries its exact count, so an unmerged repeat would cost an extra
+  // update, never a wrong one.
+  double* runs = runs_.data();
+  std::fill(runs, runs + n, 1.0);
+  const uint64_t* sorted =
+      RadixSortKeys(keys, sort_scratch_.data(), n, plan_.l_max);
+  size_t m = MergeRuns(sorted, 0, n, keys, runs);
+  for (int l = plan_.l_max;; --l) {
+    if (l > plan_.l_star) {
+      sketches_[l - plan_.l_star - 1].AddCounts(keys, runs, m);
+    } else {
+      for (size_t i = 0; i < m; ++i) {
+        tree_.node(CompleteNodeId(l, keys[i])).count += runs[i];
+      }
+    }
+    if (l == 0) break;
+    m = MergeRuns(keys, 1, m, keys, runs);
   }
+}
+
+void PrivHPShard::ReserveWindow(size_t count) {
+  const size_t window = std::min(count, kWindow);
+  if (keys_.size() >= window) return;
+  keys_.resize(window);
+  sort_scratch_.resize(window);
+  runs_.resize(window);
 }
 
 Status PrivHPShard::AddBatch(const PointBatch& batch) {
@@ -88,12 +204,10 @@ Status PrivHPShard::AddBatch(const PointBatch& batch) {
   // half-mutated (the old AddRange bug). On box domains this is one
   // SIMD bounds scan over the arena.
   PRIVHP_RETURN_NOT_OK(domain_->ValidateBatch(batch));
-  const size_t levels = static_cast<size_t>(plan_.l_max) + 1;
-  batch_scratch_.resize(std::min(count, kAddBatchChunk) * levels);
+  ReserveWindow(count);
   const size_t d = static_cast<size_t>(batch.dim());
-  for (size_t base = 0; base < count; base += kAddBatchChunk) {
-    const size_t n = std::min(kAddBatchChunk, count - base);
-    ApplyChunk(batch.data() + base * d, n);
+  for (size_t base = 0; base < count; base += kWindow) {
+    AddWindow(batch.data() + base * d, std::min(kWindow, count - base));
   }
   num_processed_ += count;
   return Status::OK();
@@ -105,19 +219,18 @@ Status PrivHPShard::AddBatch(const Point* points, size_t count) {
     return Status::InvalidArgument("AddBatch requires points");
   }
   // Same all-or-nothing contract as the columnar form: validate every
-  // point up front, then stage chunks into the reused arena and run the
+  // point up front, then stage windows into the reused arena and run the
   // identical flat path (one locate/update implementation for all batch
   // flavours).
   PRIVHP_RETURN_NOT_OK(domain_->ValidateBatch(points, count));
-  const size_t levels = static_cast<size_t>(plan_.l_max) + 1;
-  batch_scratch_.resize(std::min(count, kAddBatchChunk) * levels);
+  ReserveWindow(count);
   stage_.Reset(domain_->dimension());
-  stage_.Reserve(std::min(count, kAddBatchChunk));
-  for (size_t base = 0; base < count; base += kAddBatchChunk) {
-    const size_t n = std::min(kAddBatchChunk, count - base);
+  stage_.Reserve(std::min(count, kWindow));
+  for (size_t base = 0; base < count; base += kWindow) {
+    const size_t n = std::min(kWindow, count - base);
     stage_.Clear();
     for (size_t i = 0; i < n; ++i) stage_.AppendPoint(points[base + i]);
-    ApplyChunk(stage_.data(), n);
+    AddWindow(stage_.data(), n);
   }
   num_processed_ += count;
   return Status::OK();

@@ -14,6 +14,13 @@
 // identical to Algorithm 1's noise-at-init, and an S-shard build is
 // bit-for-bit identical to the 1-shard build under a fixed seed.
 //
+// Invariant: every counter and sketch cell of a shard holds an
+// integer-valued double far below 2^53 (a count of points; noise enters
+// only at Finish). Additions of integers in that range are exact, so
+// grouping and reordering a batch's +1.0 additions into one +c per
+// distinct (level, key) cannot change a single bit. AddBatch relies on
+// this; Merge relies on it too.
+//
 // DANGER: a shard's state is NOT private. Never release shard contents;
 // only the builder's Finish() output is an eps-DP artifact.
 
@@ -38,6 +45,27 @@ uint64_t SketchHashSeed(uint64_t plan_seed, int level);
 /// \brief Exact (pre-noise) accumulation state for one stream partition.
 class PrivHPShard : public PointSink {
  public:
+  /// \brief Points per AddBatch window. Large enough that keys repeat
+  /// within a window under skew (the Zipf bench stream keeps 56% of its
+  /// deep-level (level, key) updates distinct at 4096 points), small
+  /// enough that the window scratch stays bounded and cache-resident.
+  static constexpr size_t kWindow = 4096;
+
+  /// \brief Smallest window AddBatch sorts. Below it sorting saves
+  /// little or nothing even on skewed streams: too few keys repeat to
+  /// pay for the sort's fixed cost.
+  static constexpr size_t kMinSortedWindow = 512;
+
+  /// \brief Whether AddBatch sorts a window whose points have the
+  /// \p n <= kWindow leaf keys (level plan.l_max) \p leaf_keys, under
+  /// \p plan. Sorting pays only when keys repeat, so it sorts when the
+  /// window has at least kMinSortedWindow points and an estimated fewer
+  /// than 90% of its keys at the shallowest sketch level are distinct.
+  /// The estimate is one hashed bit per key in a 2 KiB bitmap (linear
+  /// counting), a few ns per point.
+  static bool SortsWindow(const ResolvedPlan& plan, const uint64_t* leaf_keys,
+                          size_t n);
+
   /// \brief Allocates zeroed accumulation state for \p plan. \p domain
   /// must outlive the shard. Prefer PrivHPBuilder::NewShard(), which
   /// guarantees all shards of a build share one plan.
@@ -54,15 +82,19 @@ class PrivHPShard : public PointSink {
   /// in one call. Atomic: the batch is validated (one SIMD bounds scan
   /// on box domains) before any state is touched, so a failed batch
   /// leaves tree counts, sketches and num_processed() exactly as they
-  /// were. Internally the arena is processed in fixed-size chunks
-  /// through one reused level-major path matrix
-  /// (Domain::LocatePathBatch over the flat array), with per-level
-  /// counter bumps and CountMinSketch::UpdateBatch row updates —
-  /// bit-identical to calling Add() per point, just without the
-  /// per-point dispatch and allocation.
+  /// were. The arena is then applied in windows of up to kWindow points.
+  /// Per window, one Domain::LocateBatch call yields each point's leaf
+  /// key (level l_max), and a walk from l_max up to 0 shifts the keys
+  /// right one bit per level. A window whose keys repeat (SortsWindow)
+  /// is radix-sorted first, and the walk merges equal neighbours, so
+  /// each level is updated once per distinct key in the window: a
+  /// counter bump of the run length, or one CountMinSketch::AddCounts
+  /// over the level's runs. Any other window updates each level once per
+  /// point. By the integer invariant in the file comment both are
+  /// bit-identical to calling Add() per point.
   Status AddBatch(const PointBatch& batch);
 
-  /// \brief Point-array compatibility form: stages chunks into a reused
+  /// \brief Point-array compatibility form: stages windows into a reused
   /// columnar arena and runs the identical flat path, so every batch
   /// flavour funnels through ONE locate/update code path (the
   /// batched-vs-scalar equality gates then cover all of them at once).
@@ -108,18 +140,25 @@ class PrivHPShard : public PointSink {
 
   PrivHPShard(const Domain* domain, ResolvedPlan plan, PartitionTree tree);
 
-  /// Applies one validated chunk of the flat arena (no further checks).
-  void ApplyChunk(const double* flat, size_t n);
+  /// Grows the window scratch to fit a batch of \p count points.
+  void ReserveWindow(size_t count);
+
+  /// Applies one validated window of \p n <= kWindow points of the flat
+  /// arena (no further checks).
+  void AddWindow(const double* flat, size_t n);
 
   const Domain* domain_;
   ResolvedPlan plan_;
   PartitionTree tree_;
   std::vector<CountMinSketch> sketches_;  // level l_star+1+i
   std::vector<uint64_t> path_scratch_;
-  // Level-major chunk x (l_max+1) path matrix reused across AddBatch
-  // chunks, so batch size never grows the shard's bounded footprint.
-  std::vector<uint64_t> batch_scratch_;
-  // Chunk-sized staging arena for the Point-array AddBatch form.
+  // Window scratch, at most kWindow entries each whatever the batch size:
+  // the located leaf keys and the radix sort's second buffer, then the
+  // distinct keys of the current level with their run lengths.
+  std::vector<uint64_t> keys_;
+  std::vector<uint64_t> sort_scratch_;
+  std::vector<double> runs_;
+  // Window-sized staging arena for the Point-array AddBatch form.
   PointBatch stage_;
   uint64_t num_processed_ = 0;
 };

@@ -121,20 +121,20 @@ Status BoxDomain::ValidateBatch(const double* flat, int dim,
                 "batch point " + std::to_string(i) + ": " + valid.message());
 }
 
-void BoxDomain::LocatePathBatch(const double* flat, int dim, size_t count,
-                                int max, uint64_t* out) const {
-  PRIVHP_DCHECK(max >= 0 && max <= max_level_);
+void BoxDomain::LocateBatch(const double* flat, int dim, size_t count,
+                            int level, uint64_t* out) const {
+  PRIVHP_DCHECK(level >= 0 && level <= max_level_);
   PRIVHP_DCHECK(dim == dimension());
   (void)dim;  // only consumed by the debug check above
   const int d = dimension();
   PRIVHP_CHECK(d <= 64);
   int coord_cuts[64];
-  for (int i = 0; i < d; ++i) coord_cuts[i] = CutsForCoord(max, i);
+  for (int i = 0; i < d; ++i) coord_cuts[i] = CutsForCoord(level, i);
   // Phase 1 (vectorized): per-coordinate cut positions
   // t*2^cuts = ((x - lo) / (hi - lo)) * cells over the whole arena, with
   // the division and multiplication kept as two rounded steps so the
   // values match Locate() bit-for-bit. Thread-local scratch: callers
-  // chunk batches (PrivHPShard), so this stays a bounded allocation.
+  // window batches (PrivHPShard), so this stays a bounded allocation.
   thread_local std::vector<double> cells_pat;
   thread_local std::vector<double> positions;
   cells_pat.resize(tile_);
@@ -147,23 +147,20 @@ void BoxDomain::LocatePathBatch(const double* flat, int dim, size_t count,
   simd::ScaledCutPositions(flat, n, lo_pat_.data(), ext_pat_.data(),
                            cells_pat.data(), tile_, positions.data());
   // Phase 2 (scalar): truncate, clamp, and bit-interleave. For d == 1
-  // the interleave is the identity (coord_cuts[0] == max and the bits
+  // the interleave is the identity (coord_cuts[0] == level and the bits
   // are read MSB-to-LSB), so the deepest index IS the clamped cell.
   if (d == 1) {
-    const uint64_t cells = uint64_t{1} << max;
+    const uint64_t cells = uint64_t{1} << level;
     for (size_t p = 0; p < count; ++p) {
-      uint64_t c = static_cast<uint64_t>(positions[p]);
-      if (c >= cells) c = cells - 1;  // x at the upper boundary
-      for (int l = 0; l <= max; ++l) {
-        out[static_cast<size_t>(l) * count + p] = c >> (max - l);
-      }
+      const uint64_t c = static_cast<uint64_t>(positions[p]);
+      out[p] = c >= cells ? cells - 1 : c;  // clamp: x at the upper bound
     }
     return;
   }
   for (size_t p = 0; p < count; ++p) {
     const double* pos = positions.data() + p * static_cast<size_t>(d);
     // Bit-interleave coordinate-major: coordinate i's cut bits land at
-    // positions max-1-i, max-1-i-d, ... (cut c of coordinate i is step
+    // positions level-1-i, level-1-i-d, ... (cut c of coordinate i is step
     // c*d+i of the cyclic walk). Each coordinate's spread is an
     // independent dependency chain, unlike the step-major walk, and no
     // per-step division is needed. Produces exactly Locate()'s index.
@@ -173,50 +170,13 @@ void BoxDomain::LocatePathBatch(const double* flat, int dim, size_t count,
       const uint64_t cells = uint64_t{1} << cuts;
       uint64_t c = static_cast<uint64_t>(pos[i]);
       if (c >= cells) c = cells - 1;  // x at the upper boundary
-      int at = max - 1 - i;           // position of this coord's MSB cut
+      int at = level - 1 - i;         // position of this coord's MSB cut
       for (int cut = cuts - 1; cut >= 0; --cut) {
         index |= ((c >> cut) & 1u) << at;
         at -= d;
       }
     }
-    for (int l = 0; l <= max; ++l) {
-      out[static_cast<size_t>(l) * count + p] = index >> (max - l);
-    }
-  }
-}
-
-void BoxDomain::LocatePathBatch(const Point* points, size_t count, int max,
-                                uint64_t* out) const {
-  PRIVHP_DCHECK(max >= 0 && max <= max_level_);
-  const int d = dimension();
-  PRIVHP_CHECK(d <= 64);
-  // The cut count per coordinate depends only on `max`, so it is hoisted
-  // out of the per-point loop. The per-point arithmetic below must stay
-  // exactly Locate()'s (same division, same cast, same boundary clamp):
-  // the batched and scalar ingest paths are required to agree bit-for-bit.
-  int coord_cuts[64];
-  for (int i = 0; i < d; ++i) coord_cuts[i] = CutsForCoord(max, i);
-  for (size_t p = 0; p < count; ++p) {
-    const Point& x = points[p];
-    PRIVHP_DCHECK(Contains(x));
-    // Coordinate-major bit interleave, same scheme as the flat overload:
-    // coordinate i's cut bits land at positions max-1-i, max-1-i-d, ...
-    uint64_t index = 0;
-    for (int i = 0; i < d; ++i) {
-      const int cuts = coord_cuts[i];
-      const double t = (x[i] - lo_[i]) / (hi_[i] - lo_[i]);
-      const uint64_t cells = uint64_t{1} << cuts;
-      uint64_t c = static_cast<uint64_t>(t * static_cast<double>(cells));
-      if (c >= cells) c = cells - 1;  // x at the upper boundary
-      int at = max - 1 - i;
-      for (int cut = cuts - 1; cut >= 0; --cut) {
-        index |= ((c >> cut) & 1u) << at;
-        at -= d;
-      }
-    }
-    for (int l = 0; l <= max; ++l) {
-      out[static_cast<size_t>(l) * count + p] = index >> (max - l);
-    }
+    out[p] = index;
   }
 }
 

@@ -40,21 +40,13 @@ class BoxDomain : public Domain {
   Point CellCenter(int level, uint64_t index) const override;
   double Distance(const Point& a, const Point& b) const override;
 
-  /// \brief Batched locate with the per-coordinate cut counts hoisted out
-  /// of the per-point loop and no virtual dispatch inside it. Produces
-  /// exactly Locate(x, max)'s indices (same arithmetic, same boundary
-  /// clamps), so the batched ingest path stays bit-identical to scalar.
-  void LocatePathBatch(const Point* points, size_t count, int max,
-                       uint64_t* out) const override;
-
   /// \brief Columnar locate over a row-major arena: the per-coordinate
   /// cut positions ((x - lo) / (hi - lo)) * 2^cuts run through the SIMD
   /// kernel (common/simd.h) over the flat array, then the cast, clamp
   /// and bit-interleave per point. Division and multiplication stay two
   /// correctly-rounded steps, so results are bit-identical to Locate().
-  void LocatePathBatch(const double* flat, int dim, size_t count, int max,
-                       uint64_t* out) const override;
-  using Domain::LocatePathBatch;
+  void LocateBatch(const double* flat, int dim, size_t count, int level,
+                   uint64_t* out) const override;
 
   /// \brief Devirtualized batch validation: one bounds scan with the box
   /// limits hoisted; failures fall back to ValidatePoint for the exact

@@ -78,29 +78,25 @@ void Domain::LocatePath(const Point& x, int max,
   for (int l = 0; l <= max; ++l) (*out)[l] = deepest >> (max - l);
 }
 
-void Domain::LocatePathBatch(const Point* points, size_t count, int max,
-                             uint64_t* out) const {
-  PRIVHP_DCHECK(max <= max_level());
-  for (size_t i = 0; i < count; ++i) {
-    const uint64_t deepest = Locate(points[i], max);
-    for (int l = 0; l <= max; ++l) {
-      out[static_cast<size_t>(l) * count + i] = deepest >> (max - l);
-    }
-  }
-}
-
-void Domain::LocatePathBatch(const double* flat, int dim, size_t count,
-                             int max, uint64_t* out) const {
-  PRIVHP_DCHECK(max <= max_level());
+void Domain::LocateBatch(const double* flat, int dim, size_t count,
+                         int level, uint64_t* out) const {
+  PRIVHP_DCHECK(level <= max_level());
   PRIVHP_DCHECK(dim == dimension());
   Point x(static_cast<size_t>(dim));
   for (size_t i = 0; i < count; ++i) {
     const double* row = flat + i * static_cast<size_t>(dim);
     x.assign(row, row + dim);
-    const uint64_t deepest = Locate(x, max);
-    for (int l = 0; l <= max; ++l) {
-      out[static_cast<size_t>(l) * count + i] = deepest >> (max - l);
-    }
+    out[i] = Locate(x, level);
+  }
+}
+
+void Domain::LocatePathBatch(const double* flat, int dim, size_t count,
+                             int max, uint64_t* out) const {
+  uint64_t* leaves = out + static_cast<size_t>(max) * count;
+  LocateBatch(flat, dim, count, max, leaves);
+  for (int l = 0; l < max; ++l) {
+    uint64_t* row = out + static_cast<size_t>(l) * count;
+    for (size_t i = 0; i < count; ++i) row[i] = leaves[i] >> (max - l);
   }
 }
 

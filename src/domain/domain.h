@@ -127,24 +127,24 @@ class Domain {
   /// correct because cell indices are prefix codes.
   void LocatePath(const Point& x, int max, std::vector<uint64_t>* out) const;
 
-  /// \brief Batched LocatePath over \p count points, written level-major
-  /// into caller-owned scratch: out[l * count + i] = Locate(points[i], l)
-  /// for 0 <= l <= max. The level-major layout hands each level's cell
-  /// keys to batched consumers (counter bumps, sketch row updates) as one
-  /// contiguous run. One virtual call per batch; the default derives all
-  /// prefixes from Locate(x, max) per point, and concrete domains may
-  /// override to drop the remaining per-point virtual dispatch.
-  virtual void LocatePathBatch(const Point* points, size_t count, int max,
-                               uint64_t* out) const;
+  /// \brief The one batched locate: out[i] = Locate(x_i, \p level) for
+  /// the \p count points of a row-major arena of \p dim coordinates each
+  /// (dim must equal dimension(); every point must be contained in the
+  /// domain, so callers validate first). Only the deepest key is needed
+  /// per point: by the prefix-code contract above, the level-l key of a
+  /// point is its level-\p level key shifted right by (level - l), which
+  /// is how PrivHPShard::AddBatch derives every coarser level from one
+  /// locate per point. The default stages one scratch Point per row;
+  /// box-style domains override with the SIMD cut-position kernel.
+  virtual void LocateBatch(const double* flat, int dim, size_t count,
+                           int level, uint64_t* out) const;
 
-  /// \brief Columnar form of LocatePathBatch over a row-major arena of
-  /// \p count points of \p dim coordinates (dim must equal dimension();
-  /// callers validate first). Same level-major output contract; the
-  /// default stages one scratch Point per row, and box-style domains
-  /// override with the SIMD cut-position kernel. Requires every point to
-  /// be contained in the domain (like the Point-array form).
-  virtual void LocatePathBatch(const double* flat, int dim, size_t count,
-                               int max, uint64_t* out) const;
+  /// \brief Level-major path expansion of LocateBatch, into caller-owned
+  /// scratch of (max + 1) * count keys: out[l * count + i] =
+  /// Locate(x_i, l) for 0 <= l <= max. Writes the leaf keys into the last
+  /// row with one LocateBatch call, then fills the coarser rows by shifts.
+  void LocatePathBatch(const double* flat, int dim, size_t count, int max,
+                       uint64_t* out) const;
 
   /// \brief PointBatch convenience (forwards to the flat overload).
   void LocatePathBatch(const PointBatch& batch, int max,

@@ -120,7 +120,9 @@ std::vector<Point> GenerateIpv4Trace(size_t n, size_t heavy_prefixes,
   const std::vector<double> p8 = ZipfMasses(heavy_prefixes, exponent);
   const std::vector<double> p16 = ZipfMasses(64, exponent);
   std::vector<uint32_t> slash16_offsets(64);
-  for (auto& o : slash16_offsets) o = static_cast<uint32_t>(rng->UniformInt(256));
+  for (auto& o : slash16_offsets) {
+    o = static_cast<uint32_t>(rng->UniformInt(256));
+  }
 
   std::vector<Point> out;
   out.reserve(n);

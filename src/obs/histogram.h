@@ -65,9 +65,11 @@ inline uint64_t HistogramBucketLowerBound(uint32_t index) {
     return uint64_t{1} << kHistogramMaxOctave;
   }
   const uint32_t j = index - static_cast<uint32_t>(kSub);
-  const int octave = kHistogramSubBits + static_cast<int>(j >> kHistogramSubBits);
+  const int octave =
+      kHistogramSubBits + static_cast<int>(j >> kHistogramSubBits);
   const uint64_t sub = j & (kSub - 1);
-  return (uint64_t{1} << octave) + sub * (uint64_t{1} << (octave - kHistogramSubBits));
+  return (uint64_t{1} << octave) +
+         sub * (uint64_t{1} << (octave - kHistogramSubBits));
 }
 
 /// \brief Exclusive upper bound of bucket \p index (UINT64_MAX for the

@@ -1227,8 +1227,8 @@ void PrivHPServer::HandleSampleRequest(
   // (artifact, m, seed) — not on which worker served it or what it
   // served before. seed == 0: an engine derived from (and advancing)
   // the worker's own, so concurrent fresh samples never correlate.
-  stream->engine =
-      req.seed != 0 ? RandomEngine(req.seed) : RandomEngine(engine->NextUint64());
+  stream->engine = req.seed != 0 ? RandomEngine(req.seed)
+                                 : RandomEngine(engine->NextUint64());
   SampleStream* raw = stream.get();
   stream->sink = std::make_unique<SocketPointSink>(
       FrameSendFn([this, raw](std::string payload) {

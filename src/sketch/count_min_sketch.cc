@@ -40,14 +40,15 @@ void CountMinSketch::Update(uint64_t key, double delta) {
 
 namespace {
 
-// Keys per simd::HashBuckets call: one PrivHPShard::AddBatch chunk, and
-// a 1 KiB bucket buffer that stays in L1 between hashing and scatter.
+// Keys per simd::HashBuckets call: a 1 KiB bucket buffer that stays in
+// L1 between hashing and scatter.
 constexpr size_t kHashRun = 256;
 
 }  // namespace
 
-void CountMinSketch::UpdateBatch(const uint64_t* keys, size_t count,
-                                 double delta) {
+template <typename DeltaFn>
+void CountMinSketch::AddToRows(const uint64_t* keys, size_t count,
+                               DeltaFn delta) {
   if (width_pow2_) {
     const uint64_t mask = width_ - 1;
     uint32_t buckets[kHashRun];
@@ -57,7 +58,7 @@ void CountMinSketch::UpdateBatch(const uint64_t* keys, size_t count,
         simd::HashBuckets(keys + base, n, hashes_[row].multiplier(),
                           hashes_[row].salt(), mask, buckets);
         double* cells = cells_.data() + row * width_;
-        for (size_t i = 0; i < n; ++i) cells[buckets[i]] += delta;
+        for (size_t i = 0; i < n; ++i) cells[buckets[i]] += delta(base + i);
       }
     }
     return;
@@ -66,9 +67,19 @@ void CountMinSketch::UpdateBatch(const uint64_t* keys, size_t count,
     const CompactHash hash = hashes_[row];
     double* cells = cells_.data() + row * width_;
     for (size_t i = 0; i < count; ++i) {
-      cells[hash.Bucket(keys[i], width_)] += delta;
+      cells[hash.Bucket(keys[i], width_)] += delta(i);
     }
   }
+}
+
+void CountMinSketch::UpdateBatch(const uint64_t* keys, size_t count,
+                                 double delta) {
+  AddToRows(keys, count, [delta](size_t) { return delta; });
+}
+
+void CountMinSketch::AddCounts(const uint64_t* keys, const double* counts,
+                               size_t m) {
+  AddToRows(keys, m, [counts](size_t i) { return counts[i]; });
 }
 
 double CountMinSketch::Estimate(uint64_t key) const {

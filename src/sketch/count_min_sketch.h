@@ -44,10 +44,22 @@ class CountMinSketch : public FrequencyOracle {
   /// (eight keys per vpmullq on AVX-512; x86 has no 64-bit vector
   /// multiply below AVX-512DQ, so the compiler cannot vectorize the hash
   /// at the baseline ISA and the AVX2 kernel emulates it), then a scalar
-  /// loop adds \p delta to each bucket in key order. Every cell thus receives the same additions in the same
-  /// order as per-key Update() calls, so the cells are bit-identical to
-  /// them for any \p delta. Other widths reduce each hash with `%`.
+  /// loop adds \p delta to each bucket in key order. Every cell thus
+  /// receives the same additions in the same order as per-key Update()
+  /// calls, so the cells are bit-identical to them for any \p delta.
+  /// Other widths reduce each hash with `%`.
   void UpdateBatch(const uint64_t* keys, size_t count, double delta);
+
+  /// \brief Adds counts[i] to keys[i]'s cell in every row, for \p m
+  /// (key, count) pairs: the run-aggregated form of UpdateBatch, with the
+  /// same hash runs and key-order scatter. The counts are doubles so the
+  /// scatter adds them without a per-row conversion. For an integer
+  /// count c, one add of c equals c adds of 1.0 bit for bit while every
+  /// cell holds an integer below 2^53, so on such a sketch (a shard's
+  /// plain, un-noised sketches) this matches counts[i]
+  /// Update(keys[i], 1.0) calls cell for cell. On a noised sketch the
+  /// grouped sums round differently.
+  void AddCounts(const uint64_t* keys, const double* counts, size_t m);
 
   double Estimate(uint64_t key) const override;
   size_t MemoryBytes() const override;
@@ -86,6 +98,11 @@ class CountMinSketch : public FrequencyOracle {
     const uint64_t hash = hashes_[row].Hash(key);
     return width_pow2_ ? hash & (width_ - 1) : hash % width_;
   }
+
+  // The run loop UpdateBatch and AddCounts share: adds delta(i) to
+  // keys[i]'s bucket in every row, row by row, in key order.
+  template <typename DeltaFn>
+  void AddToRows(const uint64_t* keys, size_t count, DeltaFn delta);
 
   size_t width_;
   size_t depth_;

@@ -48,8 +48,8 @@ double CountSketch::Estimate(uint64_t key) const {
   std::nth_element(row_estimates.begin(), mid, row_estimates.end());
   if (depth_ % 2 == 1) return *mid;
   const double upper = *mid;
-  const double lower =
-      *std::max_element(row_estimates.begin(), row_estimates.begin() + depth_ / 2);
+  const double lower = *std::max_element(row_estimates.begin(),
+                                         row_estimates.begin() + depth_ / 2);
   return 0.5 * (lower + upper);
 }
 

@@ -21,8 +21,12 @@ TEST(EmpiricalPrivacyTest, LaplaceCounterRespectsEpsilon) {
   DpAuditOptions options;
   options.trials = 60000;
   RandomEngine rng(42);
-  auto run_x = [&](RandomEngine* r) { return 10.0 + r->Laplace(1.0 / epsilon); };
-  auto run_xp = [&](RandomEngine* r) { return 11.0 + r->Laplace(1.0 / epsilon); };
+  auto run_x = [&](RandomEngine* r) {
+    return 10.0 + r->Laplace(1.0 / epsilon);
+  };
+  auto run_xp = [&](RandomEngine* r) {
+    return 11.0 + r->Laplace(1.0 / epsilon);
+  };
   auto result = EstimateEpsilon(run_x, run_xp, options, &rng);
   ASSERT_TRUE(result.ok());
   // The estimator lower-bounds the true loss; it must not exceed epsilon

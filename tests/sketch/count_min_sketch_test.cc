@@ -193,6 +193,45 @@ TEST(CountMinSketchTest, UpdateBatchMatchesPerKeyUpdateAtEverySimdLevel) {
   }
 }
 
+// AddCounts is UpdateBatch's run-aggregated form: on an integer-valued
+// sketch one add of c equals c adds of 1.0, so it must match counts[i]
+// repeated Update(keys[i], 1.0) calls cell for cell. Widths 64 (hash
+// runs + AND) and 48 (the `%` path); counts span 1..4096; keys repeat
+// within the input, as merged runs of different leaves do.
+TEST(CountMinSketchTest, AddCountsMatchesRepeatedUpdate) {
+  RandomEngine rng(33);
+  std::vector<uint64_t> keys(700);  // several 256-key runs plus a tail
+  std::vector<double> counts(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = Mix64(rng.UniformInt(200));
+    counts[i] = static_cast<double>(1 + rng.UniformInt(4096));
+  }
+  counts[0] = 1;
+  counts[1] = 4096;
+  keys[1] = keys[0];
+  for (size_t width : {size_t{64}, size_t{48}}) {
+    CountMinSketch reference(width, 5, 23);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      for (double c = 0; c < counts[i]; ++c) reference.Update(keys[i], 1.0);
+    }
+    for (int level = 0; level <= static_cast<int>(DetectedSimdLevel());
+         ++level) {
+      ForceSimdLevel(static_cast<SimdLevel>(level));
+      CountMinSketch grouped(width, 5, 23);
+      grouped.AddCounts(keys.data(), counts.data(), keys.size());
+      ClearForcedSimdLevel();
+      for (size_t row = 0; row < 5; ++row) {
+        for (size_t col = 0; col < width; ++col) {
+          ASSERT_EQ(grouped.CellValue(row, col), reference.CellValue(row, col))
+              << "level " << SimdLevelName(static_cast<SimdLevel>(level))
+              << ", width " << width << ", cell (" << row << ", " << col
+              << ")";
+        }
+      }
+    }
+  }
+}
+
 TEST(CountMinSketchTest, MergeRejectsShapeMismatch) {
   CountMinSketch a = CountMinSketch::Make(32, 4, 9).ValueOrDie();
   CountMinSketch narrow = CountMinSketch::Make(16, 4, 9).ValueOrDie();
