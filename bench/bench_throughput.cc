@@ -12,12 +12,12 @@
 // Always-on correctness gate (sized for --smoke): the batched ingest
 // path must leave tree counters and sketch cells bit-identical to the
 // scalar path, also for a batch of one repeated point, a batch one point
-// past the AddBatch window, one just below its sort threshold and a
-// uniform window, and the released artifacts (scalar / batched /
-// BuildParallel) must serialize byte-identically — a perf regression
-// fix can't silently fork the two paths. --smoke shrinks the
-// workload so the run doubles as a ctest / TSan check of concurrent
-// batched ingestion.
+// past the AddBatch window, one just below its sort threshold and an
+// unsorted window of distinct points, and the released artifacts
+// (scalar / batched / BuildParallel) must serialize byte-identically —
+// a perf regression fix can't silently fork the two paths. --smoke
+// shrinks the workload so the run doubles as a ctest / TSan check of
+// concurrent batched ingestion.
 //
 // usage: bench_throughput [--smoke] [--log2n B] [--threads "1,2,4"]
 //                         [--repeats R]
@@ -202,11 +202,11 @@ void StreamUpdateSweep(int repeats, bool smoke) {
 }
 
 // Single-thread columnar AddBatch against batch size, on a skewed and a
-// uniform stream. A window is sorted only if it has at least
-// PrivHPShard::kMinSortedWindow points and its keys repeat
-// (PrivHPShard::SortsWindow), so the table covers both sides of that
-// choice: small batches, and large ones of keys that repeat and of keys
-// that do not.
+// uniform stream, up to one full window (16384 points). A window is
+// sorted only if it has at least PrivHPShard::kMinSortedWindow points
+// and its keys repeat (PrivHPShard::SortsWindow), so the table covers
+// both sides of that choice: small batches, and large ones of keys that
+// repeat and of keys that do not.
 void BatchSizeSweep(int repeats, bool smoke) {
   constexpr size_t kWindow = PrivHPShard::kWindow;
   constexpr size_t kSorted = PrivHPShard::kMinSortedWindow;
@@ -231,7 +231,8 @@ void BatchSizeSweep(int repeats, bool smoke) {
   const Stream streams[] = {{"zipf", &zipf}, {"uniform", &uniform}};
   const std::vector<size_t> batch_sizes =
       smoke ? std::vector<size_t>{64, kWindow}
-            : std::vector<size_t>{64, kSorted - 1, kSorted, 1024, kWindow};
+            : std::vector<size_t>{64,   kSorted - 1, kSorted,
+                                  1024, 4096,        kWindow};
   for (const Stream& stream : streams) {
     for (size_t batch : batch_sizes) {
       std::vector<PointBatch> batches;
@@ -332,29 +333,60 @@ bool BatchedEqualsScalarGate() {
     return false;
   }
   // Window edges of the columnar path: one repeated point, so a single
-  // run carries the whole window; a batch one point past a window; and
-  // two that take the per-point path, one point short of the sort
-  // threshold and a full window of uniform points, whose keys rarely
-  // repeat.
+  // run carries the whole window; a batch one point past a window
+  // (cycling the data); one point short of the sort threshold, which
+  // takes the per-point path; and a full window plus a part of pairwise
+  // distinct points, which takes it too. Distinct points stay distinct
+  // only under a plan with a deep probe level, so that edge uses the
+  // shipped plan at n = 2^23 (L* = 15), and the gate checks that its
+  // window really is left unsorted.
   const PointBatch repeated = PointBatch::FromPoints(
       std::vector<Point>(PrivHPShard::kWindow, data.front()));
   PointBatch past_window(staged.dim());
-  past_window.AppendFlat(staged.data(), PrivHPShard::kWindow + 1);
+  while (past_window.size() <= PrivHPShard::kWindow) {
+    const size_t left = PrivHPShard::kWindow + 1 - past_window.size();
+    past_window.AppendFlat(staged.data(), std::min(staged.size(), left));
+  }
   PointBatch below_sort(staged.dim());
   below_sort.AppendFlat(staged.data(), PrivHPShard::kMinSortedWindow - 1);
-  const PointBatch uniform =
-      PointBatch::FromPoints(GenerateUniform(2, PrivHPShard::kWindow, &rng));
+  PointBatch distinct(2);
+  for (size_t i = 1; i <= PrivHPShard::kWindow + 100; ++i) {
+    const double v = static_cast<double>(i) * 0.6180339887498949;
+    const double w = static_cast<double>(i) * 0.7548776662466927;
+    distinct.AppendPoint(Point{v - static_cast<double>(static_cast<int>(v)),
+                               w - static_cast<double>(static_cast<int>(w))});
+  }
+  PrivHPOptions deep = options;
+  deep.k = 32;
+  deep.expected_n = size_t{1} << 23;
+  deep.sketch_depth = 0;
+  {
+    auto plan = PlanParameters(domain, deep);
+    PRIVHP_CHECK(plan.ok());
+    std::vector<uint64_t> keys(PrivHPShard::kWindow);
+    domain.LocateBatch(distinct.data(), 2, keys.size(), plan->l_max,
+                       keys.data());
+    if (PrivHPShard::SortsWindow(*plan, keys.data(), keys.size())) {
+      std::cerr << "gate: the distinct window no longer takes the "
+                   "per-point path\n";
+      return false;
+    }
+  }
   struct Edge {
     const PointBatch* batch;
+    const PrivHPOptions* options;
     const char* label;
   };
-  const Edge edges[] = {{&repeated, "columnar (repeated point)"},
-                        {&past_window, "columnar (window + 1)"},
-                        {&below_sort, "columnar (sort threshold - 1)"},
-                        {&uniform, "columnar (uniform window)"}};
+  const Edge edges[] = {
+      {&repeated, &options, "columnar (repeated point)"},
+      {&past_window, &options, "columnar (window + 1)"},
+      {&below_sort, &options, "columnar (sort threshold - 1)"},
+      {&distinct, &deep, "columnar (unsorted window + part)"}};
   for (const Edge& edge : edges) {
-    auto scalar = scalar_builder->NewShard();
-    auto columnar = columnar_builder->NewShard();
+    auto builder = PrivHPBuilder::Make(&domain, *edge.options);
+    PRIVHP_CHECK(builder.ok());
+    auto scalar = builder->NewShard();
+    auto columnar = builder->NewShard();
     PRIVHP_CHECK(scalar.ok() && columnar.ok());
     for (size_t i = 0; i < edge.batch->size(); ++i) {
       PRIVHP_CHECK(scalar->Add(edge.batch->At(i)).ok());
@@ -405,8 +437,8 @@ bool BatchedEqualsScalarGate() {
             << "released artifact, scalar/batched/columnar/parallel, n="
             << n << "; window edges: repeated point, "
             << PrivHPShard::kWindow + 1 << " and "
-            << PrivHPShard::kMinSortedWindow - 1 << " points, uniform "
-            << "window)\n\n";
+            << PrivHPShard::kMinSortedWindow - 1 << " points, "
+            << PrivHPShard::kWindow + 100 << " unsorted points)\n\n";
   return true;
 }
 

@@ -28,6 +28,14 @@ class SketchLevelSource : public LevelFrequencySource {
     return (*sketches_)[level - l_star_ - 1].Estimate(index);
   }
 
+  void QueryBatch(int level, const uint64_t* indices, size_t count,
+                  double* out) const override {
+    PRIVHP_DCHECK(level > l_star_);
+    PRIVHP_DCHECK(static_cast<size_t>(level - l_star_ - 1) <
+                  sketches_->size());
+    (*sketches_)[level - l_star_ - 1].EstimateBatch(indices, count, out);
+  }
+
  private:
   const std::vector<PrivateCountMinSketch>* sketches_;
   int l_star_;
@@ -113,7 +121,11 @@ Status PrivHPBuilder::AbsorbShard(PrivHPShard&& shard) {
   if (finished_) {
     return Status::FailedPrecondition("builder already finished");
   }
-  return root_.Merge(std::move(shard));
+  PRIVHP_RETURN_NOT_OK(root_.Merge(std::move(shard)));
+  // Free the merged state here rather than leave it resident in the
+  // caller's moved-from shard. A shard Merge rejects stays intact.
+  PrivHPShard absorbed = std::move(shard);
+  return Status::OK();
 }
 
 Result<PrivHPGenerator> PrivHPBuilder::Finish() && {
@@ -196,16 +208,17 @@ Result<PrivHPGenerator> PrivHPBuilder::BuildParallel(
     shards.push_back(std::move(shard));
   }
 
-  // Single reader (the source is sequential), bounded batch queue, one
-  // worker per shard. The reader pulls whole batches (NextBatch), so a
+  // Single reader (the source is sequential), a one-window queue, one
+  // worker per shard. The reader pulls whole windows (NextBatch), so a
   // framed source's decoded frames go into the queue as-is — no
   // per-point re-staging — and each worker feeds its batch straight
   // into the shard's AddBatch. Any worker failure drains the queue and
-  // stops the reader; the first error wins. One batch is one AddBatch
-  // window; the queue holds one batch per worker, so the points still
-  // queued at end-of-stream (the drain before Finish) stay few.
+  // stops the reader; the first error wins. The queue holds one window,
+  // so the points still queued at end-of-stream (the drain before
+  // Finish) stay at one window; a deeper queue of these larger windows
+  // only lengthened that drain.
   constexpr size_t kBatchSize = PrivHPShard::kWindow;
-  const size_t max_queued = static_cast<size_t>(num_threads);
+  constexpr size_t kMaxQueued = 1;
   // Local pipeline state, all guarded by mu (locals cannot carry
   // GUARDED_BY, so the waits below are explicit while loops by the
   // sync.h convention and every access stays visibly under a MutexLock).
@@ -258,7 +271,7 @@ Result<PrivHPGenerator> PrivHPBuilder::BuildParallel(
       }
       if (*next == 0) break;
       MutexLock lock(mu);
-      while (!failed && queue.size() >= max_queued) slot_ready.Wait(mu);
+      while (!failed && queue.size() >= kMaxQueued) slot_ready.Wait(mu);
       if (failed) break;
       queue.push_back(std::move(batch));
       batch = PointBatch();

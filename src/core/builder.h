@@ -78,7 +78,10 @@ class PrivHPBuilder : public PointSink {
   /// itself is not thread-safe, only the shards are disjoint.
   Result<PrivHPShard> NewShard() const;
 
-  /// \brief Merges \p shard's counters and sketches into the builder.
+  /// \brief Merges \p shard's counters and sketches into the builder
+  /// and frees them: \p shard is left empty, so a caller holding many
+  /// shards does not keep absorbed state resident through Finish(). A
+  /// shard that cannot be merged (other domain or plan) is left intact.
   Status AbsorbShard(PrivHPShard&& shard);
 
   /// \brief Runs GrowPartition and releases the generator (Line 16),
@@ -87,9 +90,9 @@ class PrivHPBuilder : public PointSink {
   Result<PrivHPGenerator> Finish() &&;
 
   /// \brief One-call parallel build: drains \p source, dispatching
-  /// window-sized batches (PrivHPShard::kWindow points) through a queue
-  /// of one batch per worker to \p num_threads worker threads each
-  /// owning one shard, then absorbs all shards and finishes.
+  /// window-sized batches (PrivHPShard::kWindow points) through a
+  /// one-window queue to \p num_threads worker threads each owning one
+  /// shard, then absorbs (and frees) the shards one by one and finishes.
   /// Deterministic: the result is bit-for-bit identical to a sequential
   /// build with the same options.
   static Result<PrivHPGenerator> BuildParallel(const Domain* domain,

@@ -124,15 +124,18 @@ bool PrivHPShard::SortsWindow(const ResolvedPlan& plan,
   // whose updates are expensive (with no sketch levels, the deepest
   // counters). Linear counting: each key at that level sets one bit of a
   // bitmap, and with Z of its B bits still clear, -B ln(Z / B) estimates
-  // the number of distinct keys.
-  constexpr double kMaxDistinctShare = 0.9;
+  // the number of distinct keys. The bit comes from Mix64, not from a
+  // multiplicative hash: the latter spreads a dense key range evenly
+  // over the bitmap, so it collides less than at random and inflated
+  // the estimate of a uniform 16K window from 79% to 96% distinct.
+  // Sorting a full window paid at 79% distinct and lost at 89%.
+  constexpr double kMaxDistinctShare = 0.85;
   constexpr int kLogBits = 14;
   constexpr size_t kBits = size_t{1} << kLogBits;
   const int shift = std::max(0, plan.l_max - plan.l_star - 1);
   uint64_t bitmap[kBits / 64] = {};
   for (size_t i = 0; i < n; ++i) {
-    const uint64_t bit =
-        ((leaf_keys[i] >> shift) * 0x9e3779b97f4a7c15ULL) >> (64 - kLogBits);
+    const uint64_t bit = Mix64(leaf_keys[i] >> shift) >> (64 - kLogBits);
     bitmap[bit / 64] |= uint64_t{1} << (bit % 64);
   }
   size_t set = 0;

@@ -45,11 +45,13 @@ uint64_t SketchHashSeed(uint64_t plan_seed, int level);
 /// \brief Exact (pre-noise) accumulation state for one stream partition.
 class PrivHPShard : public PointSink {
  public:
-  /// \brief Points per AddBatch window. Large enough that keys repeat
-  /// within a window under skew (the Zipf bench stream keeps 56% of its
-  /// deep-level (level, key) updates distinct at 4096 points), small
-  /// enough that the window scratch stays bounded and cache-resident.
-  static constexpr size_t kWindow = 4096;
+  /// \brief Points per AddBatch window, and the batch every feeder
+  /// hands a shard (Drain, BuildParallel's reader, coalesced INGEST
+  /// frames). Large enough that keys repeat within a window under skew
+  /// (the Zipf bench stream keeps 45% of its deep-level (level, key)
+  /// updates distinct at 16384 points, 56% at 4096), small enough that
+  /// the window scratch stays bounded (about 384 KiB per shard).
+  static constexpr size_t kWindow = 16384;
 
   /// \brief Smallest window AddBatch sorts. Below it sorting saves
   /// little or nothing even on skewed streams: too few keys repeat to
@@ -60,7 +62,7 @@ class PrivHPShard : public PointSink {
   /// \p n <= kWindow leaf keys (level plan.l_max) \p leaf_keys, under
   /// \p plan. Sorting pays only when keys repeat, so it sorts when the
   /// window has at least kMinSortedWindow points and an estimated fewer
-  /// than 90% of its keys at the shallowest sketch level are distinct.
+  /// than 85% of its keys at the shallowest sketch level are distinct.
   /// The estimate is one hashed bit per key in a 2 KiB bitmap (linear
   /// counting), a few ns per point.
   static bool SortsWindow(const ResolvedPlan& plan, const uint64_t* leaf_keys,
@@ -162,6 +164,10 @@ class PrivHPShard : public PointSink {
   PointBatch stage_;
   uint64_t num_processed_ = 0;
 };
+
+// Drain pumps batches of exactly one shard window.
+static_assert(kDrainBatchSize == PrivHPShard::kWindow,
+              "Drain batches must be one PrivHPShard window");
 
 }  // namespace privhp
 

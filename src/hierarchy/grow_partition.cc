@@ -1,6 +1,8 @@
 #include "hierarchy/grow_partition.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "common/macros.h"
 #include "hierarchy/consistency.h"
@@ -26,6 +28,20 @@ std::vector<NodeId> SelectTopK(const PartitionTree& tree,
   }
   std::sort(candidates.begin(), candidates.end(), hotter);
   return candidates;
+}
+
+// Nodes in the tree once GrowPartition is done: the complete tree of
+// depth l_star, plus two children per hot node on every grown level.
+// The l_star level's \p leaves are all hot; after that, the top k of
+// the previous level's children are.
+size_t GrownNodeCount(const GrowOptions& options, size_t leaves) {
+  size_t nodes = 2 * leaves - 1;
+  size_t hot = leaves;
+  for (int level = options.l_star + 1; level <= options.grow_to; ++level) {
+    nodes += 2 * hot;
+    hot = std::min(2 * hot, options.k);
+  }
+  return nodes;
 }
 
 }  // namespace
@@ -54,23 +70,30 @@ Status GrowPartition(PartitionTree* tree, const LevelFrequencySource& source,
 
   // Line 3: every level-L* node starts hot.
   std::vector<NodeId> hot = tree->NodesAtLevel(options.l_star);
+  tree->Reserve(GrownNodeCount(options, hot.size()));
 
   // Lines 4-10: expand hot nodes one level at a time.
+  std::vector<NodeId> added;
+  std::vector<uint64_t> indices;
+  std::vector<double> counts;
   for (int level = options.l_star + 1; level <= options.grow_to; ++level) {
-    std::vector<NodeId> added;
-    added.reserve(hot.size() * 2);
+    added.clear();
+    indices.clear();
     for (NodeId id : hot) {
       const NodeId left = tree->AddChildren(id);
-      const TreeNode& parent = tree->node(id);
-      tree->node(left).count =
-          source.Query(level, tree->node(left).cell.index);
-      tree->node(left + 1).count =
-          source.Query(level, tree->node(left + 1).cell.index);
-      (void)parent;
-      // Line 9: make the two fresh estimates consistent with their parent.
-      if (options.enforce_consistency) EnforceConsistencyAt(tree, id);
       added.push_back(left);
       added.push_back(left + 1);
+      indices.push_back(tree->node(left).cell.index);
+      indices.push_back(tree->node(left + 1).cell.index);
+    }
+    counts.resize(indices.size());
+    source.QueryBatch(level, indices.data(), indices.size(), counts.data());
+    for (size_t i = 0; i < added.size(); ++i) {
+      tree->node(added[i]).count = counts[i];
+    }
+    // Line 9: make the two fresh estimates consistent with their parent.
+    if (options.enforce_consistency) {
+      for (NodeId id : hot) EnforceConsistencyAt(tree, id);
     }
     // Line 10: the next hot set is the top-k of the new level.
     if (level < options.grow_to) {

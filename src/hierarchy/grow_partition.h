@@ -21,6 +21,16 @@ class LevelFrequencySource {
  public:
   virtual ~LevelFrequencySource() = default;
   virtual double Query(int level, uint64_t index) const = 0;
+
+  /// \brief Writes Query(level, indices[i]) to out[i] for \p count
+  /// indices. GrowPartition asks for a whole level's children in one
+  /// call, in the order it used to Query them one by one. The default
+  /// loops over Query in index order; sources with a batched kernel
+  /// override it and must return the same values.
+  virtual void QueryBatch(int level, const uint64_t* indices, size_t count,
+                          double* out) const {
+    for (size_t i = 0; i < count; ++i) out[i] = Query(level, indices[i]);
+  }
 };
 
 /// \brief Parameters of the growing phase.
@@ -38,6 +48,14 @@ struct GrowOptions {
 };
 
 /// \brief Runs Algorithm 2 on \p tree.
+///
+/// The tree's node arena is reserved once to its exact final size, and
+/// each level is grown in three steps: AddChildren for every hot node,
+/// one QueryBatch over all the new children, then one consistency step
+/// per parent in hot-set order. The queries read only the source and
+/// each consistency step writes only its own parent's two children, so
+/// this is the order-for-order equivalent of querying and fixing one
+/// parent at a time.
 ///
 /// Preconditions: \p tree is complete to level `l_star` (leaves exactly at
 /// l_star) with counts already populated. On success the tree's leaves lie

@@ -58,6 +58,14 @@ class PartitionTree {
   NodeId root() const { return 0; }
   size_t num_nodes() const { return nodes_.size(); }
 
+  /// \brief Nodes the arena holds room for without reallocating.
+  size_t capacity() const { return nodes_.capacity(); }
+
+  /// \brief Makes room for \p num_nodes nodes in total, so that growing
+  /// the tree to that size never reallocates (node ids are stable
+  /// anyway; only the copies and the slack are saved).
+  void Reserve(size_t num_nodes) { nodes_.reserve(num_nodes); }
+
   TreeNode& node(NodeId id) { return nodes_[id]; }
   const TreeNode& node(NodeId id) const { return nodes_[id]; }
 

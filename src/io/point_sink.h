@@ -108,9 +108,10 @@ class CollectingSink : public PointSink {
   std::vector<Point> points_;
 };
 
-/// \brief Points per batch Drain pumps when the source has no natural
-/// framing of its own.
-inline constexpr size_t kDrainBatchSize = 1024;
+/// \brief Points per batch Drain asks its source for: one
+/// PrivHPShard::kWindow (core/shard.h asserts the two are equal), so a
+/// builder fed by Drain sorts and updates whole windows.
+inline constexpr size_t kDrainBatchSize = 16384;
 
 /// \brief Pumps \p source dry into \p sink in batches (NextBatch ->
 /// AddAll), so batching sinks see whole batches rather than single

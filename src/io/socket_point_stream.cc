@@ -367,15 +367,20 @@ Result<size_t> SocketPointSource::NextBatch(size_t max_points,
     num_received_ += take;
     return take;
   }
-  // Decode whole frames straight into the arena (empty batch frames are
-  // legal — keep reading) until points arrive or the stream ends. A full
-  // frame may exceed max_points; the contract allows it.
-  while (out->empty()) {
+  // Decode consecutive frames straight into the arena until it holds
+  // max_points or the stream ends, so the consumer sees full windows
+  // whatever frame size the sender chose. Empty batch frames are legal;
+  // the last frame decoded may carry the arena past max_points (a frame
+  // goes through whole, as the contract allows). Each frame counts as it
+  // is decoded, so an end frame met mid-arena checks its total against
+  // every point delivered before it.
+  while (out->size() < max_points) {
     PRIVHP_ASSIGN_OR_RETURN(bool more, RecvBatchFrame());
-    if (!more) return size_t{0};
+    if (!more) break;
+    const size_t before = out->size();
     PRIVHP_RETURN_NOT_OK(DecodePointBatch(frame_, expected_dim_, out));
+    num_received_ += out->size() - before;
   }
-  num_received_ += out->size();
   return out->size();
 }
 

@@ -158,9 +158,12 @@ class SocketPointSource : public PointSource {
   Result<size_t> NextBatch(size_t max_points,
                            std::vector<Point>* out) override;
 
-  /// \brief Columnar form: frames decode straight into the arena (one
-  /// bounds-checked copy per frame), so the server INGEST path goes
-  /// wire -> arena -> PrivHPShard::AddBatch with no per-point staging.
+  /// \brief Columnar form: consecutive frames decode straight into the
+  /// arena (one bounds-checked copy per frame) until it holds
+  /// \p max_points or the stream ends, so the server INGEST path goes
+  /// wire -> arena -> PrivHPShard::AddBatch in full windows whatever the
+  /// client's frame size. The frame that reaches \p max_points goes in
+  /// whole, so the batch may exceed it by less than one frame.
   Result<size_t> NextBatch(size_t max_points, PointBatch* out) override;
 
   /// \brief Reads and discards frames until the end frame (or EOF/error):

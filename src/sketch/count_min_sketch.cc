@@ -46,21 +46,31 @@ constexpr size_t kHashRun = 256;
 
 }  // namespace
 
+template <typename RunFn>
+void CountMinSketch::ForEachBucketRun(const uint64_t* keys, size_t count,
+                                      RunFn fn) const {
+  const uint64_t mask = width_ - 1;
+  uint32_t buckets[kHashRun];
+  for (size_t base = 0; base < count; base += kHashRun) {
+    const size_t n = std::min(kHashRun, count - base);
+    for (size_t row = 0; row < depth_; ++row) {
+      simd::HashBuckets(keys + base, n, hashes_[row].multiplier(),
+                        hashes_[row].salt(), mask, buckets);
+      fn(row, base, n, buckets);
+    }
+  }
+}
+
 template <typename DeltaFn>
 void CountMinSketch::AddToRows(const uint64_t* keys, size_t count,
                                DeltaFn delta) {
   if (width_pow2_) {
-    const uint64_t mask = width_ - 1;
-    uint32_t buckets[kHashRun];
-    for (size_t base = 0; base < count; base += kHashRun) {
-      const size_t n = std::min(kHashRun, count - base);
-      for (size_t row = 0; row < depth_; ++row) {
-        simd::HashBuckets(keys + base, n, hashes_[row].multiplier(),
-                          hashes_[row].salt(), mask, buckets);
-        double* cells = cells_.data() + row * width_;
-        for (size_t i = 0; i < n; ++i) cells[buckets[i]] += delta(base + i);
-      }
-    }
+    const auto scatter = [&](size_t row, size_t base, size_t n,
+                             const uint32_t* buckets) {
+      double* cells = cells_.data() + row * width_;
+      for (size_t i = 0; i < n; ++i) cells[buckets[i]] += delta(base + i);
+    };
+    ForEachBucketRun(keys, count, scatter);
     return;
   }
   for (size_t row = 0; row < depth_; ++row) {
@@ -88,6 +98,28 @@ double CountMinSketch::Estimate(uint64_t key) const {
     est = std::min(est, cells_[row * width_ + Column(row, key)]);
   }
   return est;
+}
+
+void CountMinSketch::EstimateBatch(const uint64_t* keys, size_t count,
+                                   double* out) const {
+  if (!width_pow2_) {
+    for (size_t i = 0; i < count; ++i) out[i] = Estimate(keys[i]);
+    return;
+  }
+  // A running minimum in row order, as Estimate takes it.
+  const auto min_into = [&](size_t row, size_t base, size_t n,
+                            const uint32_t* buckets) {
+    const double* cells = cells_.data() + row * width_;
+    double* est = out + base;
+    if (row == 0) {
+      for (size_t i = 0; i < n; ++i) est[i] = cells[buckets[i]];
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        est[i] = std::min(est[i], cells[buckets[i]]);
+      }
+    }
+  };
+  ForEachBucketRun(keys, count, min_into);
 }
 
 size_t CountMinSketch::MemoryBytes() const {

@@ -62,6 +62,15 @@ class CountMinSketch : public FrequencyOracle {
   void AddCounts(const uint64_t* keys, const double* counts, size_t m);
 
   double Estimate(uint64_t key) const override;
+
+  /// \brief Writes Estimate(keys[i]) to out[i] for \p count keys, one
+  /// hash row at a time: with a power-of-two width, per run of at most
+  /// 256 keys and per row, one simd::HashBuckets call and a running
+  /// std::min in row order. A Count-Min estimate is a per-row minimum
+  /// taken in the same row order as Estimate(), so every out[i] equals
+  /// it bit for bit, noised or not. Other widths call Estimate() per key.
+  void EstimateBatch(const uint64_t* keys, size_t count, double* out) const;
+
   size_t MemoryBytes() const override;
   std::string Name() const override { return "count-min"; }
 
@@ -99,8 +108,14 @@ class CountMinSketch : public FrequencyOracle {
     return width_pow2_ ? hash & (width_ - 1) : hash % width_;
   }
 
-  // The run loop UpdateBatch and AddCounts share: adds delta(i) to
-  // keys[i]'s bucket in every row, row by row, in key order.
+  // The power-of-two run loop AddToRows and EstimateBatch share: hashes
+  // runs of keys row by row with simd::HashBuckets and hands each run to
+  // fn(row, base, n, buckets), buckets[i] being keys[base + i]'s bucket.
+  template <typename RunFn>
+  void ForEachBucketRun(const uint64_t* keys, size_t count, RunFn fn) const;
+
+  // The loop UpdateBatch and AddCounts share: adds delta(i) to keys[i]'s
+  // bucket in every row, row by row, in key order.
   template <typename DeltaFn>
   void AddToRows(const uint64_t* keys, size_t count, DeltaFn delta);
 

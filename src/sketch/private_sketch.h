@@ -49,6 +49,13 @@ class PrivateCountMinSketch : public FrequencyOracle {
 
   void Update(uint64_t key, double delta) override;
   double Estimate(uint64_t key) const override;
+
+  /// \brief Batched Estimate (CountMinSketch::EstimateBatch): equal to
+  /// Estimate() key for key, bit for bit.
+  void EstimateBatch(const uint64_t* keys, size_t count, double* out) const {
+    base_.EstimateBatch(keys, count, out);
+  }
+
   size_t MemoryBytes() const override;
   std::string Name() const override { return "private-count-min"; }
 

@@ -1,15 +1,16 @@
 // Window-boundary identity for PrivHPShard::AddBatch. The columnar path
-// applies a batch in 4096-point windows. A window of at least
+// applies a batch in 16384-point windows. A window of at least
 // kMinSortedWindow points whose keys repeat has its leaf keys sorted, and
 // every level is updated once per distinct key with the run length; any
-// other window updates every level once per point. Either way the result
-// must equal per-point Add() bit for bit, in every tree counter and
-// every sketch cell. The cases aim at the edges of that scheme: batch
-// sizes on either side of the window and of the sort threshold, one run
-// spanning a whole window, skewed points beside pairwise distinct ones,
-// points on the domain's upper bound (the locate clamp), and plans with
-// no sketch levels, only the root counter, a non-power-of-two sketch
-// width, or keys wider than 32 bits.
+// other window updates every level once per point. Either way the
+// result must equal per-point Add() bit for bit, in every tree counter
+// and every sketch cell. The cases aim at the edges of that scheme:
+// batch sizes on either side of the window and of the sort threshold,
+// one run spanning a whole window, skewed points beside pairwise
+// distinct ones, points on the domain's upper bound (the locate clamp),
+// and plans with no sketch levels, only the root counter, a
+// non-power-of-two sketch width, keys wider than 32 bits, or a probe
+// level deep enough that distinct points fill a window unsorted.
 
 #include <gtest/gtest.h>
 
@@ -42,6 +43,7 @@ const PlanCase kPlans[] = {
     {"root_only", 0, 12, 0},
     {"width48", 4, 16, 48},
     {"wide_keys", 6, 40, 0},
+    {"deep_probe", 15, 23, 0},
 };
 
 PrivHPOptions WindowOptions(const PlanCase& plan) {
@@ -181,9 +183,13 @@ TEST_P(ShardWindowTest, OneRunCarriesTheWholeWindow) {
 
 // The sort decision: only windows of at least kMinSortedWindow points
 // whose keys repeat are sorted. Under the perfbench build plan (k = 32,
-// n = 2^23: L* = 15, L = 23) uniform keys at the shallowest sketch level,
-// 16, are about 97% distinct in a full window; skewed and repeated ones
-// far fewer.
+// n = 2^23: L* = 15, L = 23) pairwise distinct keys never repeat, and
+// uniform keys at the shallowest sketch level, 16, are about 89%
+// distinct in a full window and 97% in a 4096-point one; skewed and
+// repeated ones far fewer. Under the mixed plan (n = 2^18: L* = 14,
+// L = 18) a uniform full window is about 79% distinct at level 15, and
+// is sorted. A multiplicative hash of the probe keys once estimated
+// these at 99% and 96%.
 TEST(ShardSortsWindowTest, SortsLargeWindowsOfRepeatingKeysOnly) {
   HypercubeDomain domain(1);
   PrivHPOptions options = WindowOptions(kPlans[0]);
@@ -193,26 +199,35 @@ TEST(ShardSortsWindowTest, SortsLargeWindowsOfRepeatingKeysOnly) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   ASSERT_EQ(plan->l_star, 15);
   ASSERT_EQ(plan->l_max, 23);
+  options.expected_n = size_t{1} << 18;
+  auto mixed_plan = PlanParameters(domain, options);
+  ASSERT_TRUE(mixed_plan.ok()) << mixed_plan.status().ToString();
+  ASSERT_EQ(mixed_plan->l_star, 14);
+  ASSERT_EQ(mixed_plan->l_max, 18);
   RandomEngine rng(5);
   PointBatch uniform(1);
   for (size_t i = 0; i < kWindow; ++i) {
     uniform.AppendPoint(Point{rng.UniformDouble()});
   }
+  const PointBatch distinct = Distinct(1, kWindow);
   const PointBatch skewed = Skewed(1, kWindow, 6);
   const PointBatch repeated = Repeated(1, kWindow);
   std::vector<uint64_t> keys(kWindow);
-  auto sorts = [&](const PointBatch& batch, size_t n) {
-    domain.LocateBatch(batch.data(), 1, n, plan->l_max, keys.data());
-    return PrivHPShard::SortsWindow(*plan, keys.data(), n);
+  auto sorts = [&](const ResolvedPlan& p, const PointBatch& batch, size_t n) {
+    domain.LocateBatch(batch.data(), 1, n, p.l_max, keys.data());
+    return PrivHPShard::SortsWindow(p, keys.data(), n);
   };
-  EXPECT_FALSE(sorts(uniform, kWindow));
-  EXPECT_FALSE(sorts(uniform, kSorted));
-  EXPECT_TRUE(sorts(skewed, kWindow));
-  EXPECT_TRUE(sorts(skewed, kSorted));
-  EXPECT_TRUE(sorts(repeated, kWindow));
-  EXPECT_TRUE(sorts(repeated, kSorted));
-  EXPECT_FALSE(sorts(repeated, kSorted - 1));
-  EXPECT_FALSE(sorts(skewed, kSorted - 1));
+  EXPECT_FALSE(sorts(*plan, distinct, kWindow));
+  EXPECT_FALSE(sorts(*plan, uniform, kWindow));
+  EXPECT_FALSE(sorts(*plan, uniform, kWindow / 4));
+  EXPECT_FALSE(sorts(*plan, uniform, kSorted));
+  EXPECT_TRUE(sorts(*mixed_plan, uniform, kWindow));
+  EXPECT_TRUE(sorts(*plan, skewed, kWindow));
+  EXPECT_TRUE(sorts(*plan, skewed, kSorted));
+  EXPECT_TRUE(sorts(*plan, repeated, kWindow));
+  EXPECT_TRUE(sorts(*plan, repeated, kSorted));
+  EXPECT_FALSE(sorts(*plan, repeated, kSorted - 1));
+  EXPECT_FALSE(sorts(*plan, skewed, kSorted - 1));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -202,6 +202,151 @@ TEST(SocketPointStreamTest, NextBatchVerifiesStreamTotal) {
   EXPECT_TRUE(source.NextBatch(1000, &batch).status().IsIOError());
 }
 
+// ---- Coalescing: the columnar NextBatch fills the arena from
+// consecutive frames, so a consumer sees full 16K windows whatever
+// frame size the sender chose.
+
+constexpr size_t kArena = 16384;
+
+// A source over a scripted sequence of frame payloads (the server's
+// ingest channel, minus the reactor).
+class ScriptedFrames {
+ public:
+  void Batch(size_t count, int dim = 1) {
+    PointBatch batch(dim);
+    for (size_t i = 0; i < count; ++i) {
+      Point p(dim, static_cast<double>(next_ % 1000) / 1000.0);
+      ++next_;
+      batch.AppendPoint(p);
+    }
+    frames_.push_back(EncodePointBatch(batch));
+  }
+  void End(uint64_t total) { frames_.push_back(EncodePointStreamEnd(total)); }
+  uint64_t sent() const { return next_; }
+
+  FrameRecvFn Recv() {
+    return [this](std::string* payload) -> Result<bool> {
+      if (frames_.empty()) return false;
+      *payload = std::move(frames_.front());
+      frames_.pop_front();
+      return true;
+    };
+  }
+
+ private:
+  std::deque<std::string> frames_;
+  uint64_t next_ = 0;
+};
+
+TEST(SocketPointStreamTest, NextBatchCoalescesSmallFramesIntoFullArenas) {
+  ScriptedFrames script;
+  for (int i = 0; i < 300; ++i) script.Batch(64);  // 19,200 points
+  script.End(script.sent());
+  SocketPointSource source(script.Recv(), /*expected_dim=*/1);
+  PointBatch batch;
+  std::vector<size_t> sizes;
+  std::vector<double> received;
+  for (;;) {
+    auto n = source.NextBatch(kArena, &batch);
+    ASSERT_TRUE(n.ok()) << n.status();
+    if (*n == 0) break;
+    ASSERT_EQ(batch.size(), *n);
+    sizes.push_back(*n);
+    received.insert(received.end(), batch.data(), batch.data() + *n);
+  }
+  EXPECT_EQ(sizes, (std::vector<size_t>{kArena, 19200 - kArena}));
+  ASSERT_EQ(received.size(), 19200u);
+  for (size_t i = 0; i < received.size(); ++i) {
+    ASSERT_EQ(received[i], static_cast<double>(i % 1000) / 1000.0) << i;
+  }
+  EXPECT_TRUE(source.finished());
+  EXPECT_EQ(source.num_received(), 19200u);
+  EXPECT_EQ(source.num_batches(), 300u);
+}
+
+// The end frame arriving mid-arena ends the batch early; its declared
+// total counts the frames decoded into this very arena.
+TEST(SocketPointStreamTest, EndFrameMidCoalesceChecksTheTotal) {
+  for (uint64_t declared : {uint64_t{640}, uint64_t{641}, uint64_t{576}}) {
+    ScriptedFrames script;
+    for (int i = 0; i < 10; ++i) script.Batch(64);
+    script.End(declared);
+    SocketPointSource source(script.Recv(), /*expected_dim=*/1);
+    PointBatch batch;
+    auto n = source.NextBatch(kArena, &batch);
+    if (declared != 640) {
+      EXPECT_TRUE(n.status().IsIOError()) << declared;
+      EXPECT_FALSE(source.finished());
+      continue;
+    }
+    ASSERT_TRUE(n.ok()) << n.status();
+    EXPECT_EQ(*n, 640u);
+    EXPECT_TRUE(source.finished());
+    auto tail = source.NextBatch(kArena, &batch);
+    ASSERT_TRUE(tail.ok());
+    EXPECT_EQ(*tail, 0u);
+  }
+}
+
+// A frame is never split: one larger than the arena goes through whole,
+// and so does the frame that carries a part-filled arena past it.
+TEST(SocketPointStreamTest, FrameLargerThanTheArenaGoesThroughWhole) {
+  ScriptedFrames script;
+  script.Batch(20000);
+  script.Batch(64);
+  script.Batch(20000);
+  script.End(script.sent());
+  SocketPointSource source(script.Recv(), /*expected_dim=*/1);
+  PointBatch batch;
+  std::vector<size_t> sizes;
+  for (;;) {
+    auto n = source.NextBatch(kArena, &batch);
+    ASSERT_TRUE(n.ok()) << n.status();
+    if (*n == 0) break;
+    sizes.push_back(*n);
+  }
+  EXPECT_EQ(sizes, (std::vector<size_t>{20000, 20064}));
+  EXPECT_EQ(source.num_received(), 40064u);
+}
+
+TEST(SocketPointStreamTest, EmptyFramesBetweenFullOnesAreSkipped) {
+  ScriptedFrames script;
+  script.Batch(64);
+  script.Batch(0);
+  script.Batch(64);
+  script.Batch(0);
+  script.Batch(0);
+  script.Batch(64);
+  script.End(192);
+  SocketPointSource source(script.Recv(), /*expected_dim=*/1);
+  PointBatch batch;
+  auto n = source.NextBatch(kArena, &batch);
+  ASSERT_TRUE(n.ok()) << n.status();
+  EXPECT_EQ(*n, 192u);
+  EXPECT_EQ(batch.size(), 192u);
+  EXPECT_TRUE(source.finished());
+  EXPECT_EQ(source.num_batches(), 6u);
+}
+
+// A frame of another dimension arriving mid-arena is rejected, both by
+// a source that expects a dimension and by one that takes it from the
+// first frame (the arena check).
+TEST(SocketPointStreamTest, MismatchedDimensionMidArenaIsRejected) {
+  for (int expected_dim : {1, 0}) {
+    ScriptedFrames script;
+    script.Batch(64, 1);
+    script.Batch(64, 1);
+    script.Batch(64, 2);
+    script.Batch(64, 1);
+    script.End(256);
+    SocketPointSource source(script.Recv(), expected_dim);
+    PointBatch batch;
+    auto n = source.NextBatch(kArena, &batch);
+    EXPECT_TRUE(n.status().IsInvalidArgument())
+        << "expected_dim " << expected_dim << ": " << n.status();
+  }
+}
+
 TEST(SocketPointStreamTest, DimensionMismatchIsAnError) {
   auto pair = SocketPair();
   ASSERT_TRUE(pair.ok());

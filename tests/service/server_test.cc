@@ -313,6 +313,44 @@ TEST_F(ServerTest, IngestPublishesByteIdenticalArtifact) {
   EXPECT_EQ((*sampled)[0].size(), 2u);
 }
 
+// Small client frames: the server coalesces 64-point frames into full
+// shard windows, and the artifact still equals a local BuildParallel of
+// the same points, byte for byte. 40,000 points span two full 16K
+// windows and a partial one.
+TEST_F(ServerTest, IngestInSmallFramesPublishesByteIdenticalArtifact) {
+  const std::vector<Point> data = MakeData(40000, 1, 31);
+
+  PrivHPClient::IngestSpec spec;
+  spec.dim = 1;
+  spec.k = 16;
+  spec.n = data.size();
+  spec.seed = 8;
+  spec.threads = 2;
+  spec.batch = 64;
+
+  auto client = Connect();
+  ASSERT_TRUE(client.ok());
+  VectorPointSource source(&data);
+  auto report = client->Ingest("small_frames", spec, &source);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->points_sent, data.size());
+
+  HypercubeDomain domain(1);
+  PrivHPOptions options;
+  options.epsilon = spec.epsilon;
+  options.k = spec.k;
+  options.expected_n = spec.n;
+  options.seed = spec.seed;
+  auto local = PrivHPBuilder::BuildParallel(&domain, options, data, 3);
+  ASSERT_TRUE(local.ok());
+  std::ostringstream local_bytes;
+  ASSERT_TRUE(SaveTree(local->tree(), &local_bytes).ok());
+
+  auto exported = client->Export("small_frames");
+  ASSERT_TRUE(exported.ok());
+  EXPECT_EQ(*exported, local_bytes.str());
+}
+
 TEST_F(ServerTest, IngestValidatesBeforeStreaming) {
   auto client = Connect();
   ASSERT_TRUE(client.ok());

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -227,6 +228,36 @@ TEST(CountMinSketchTest, AddCountsMatchesRepeatedUpdate) {
               << ", width " << width << ", cell (" << row << ", " << col
               << ")";
         }
+      }
+    }
+  }
+}
+
+// EstimateBatch is Estimate's batched form: a per-row minimum taken in
+// the same row order, so on a noised sketch (fractional cells, some
+// negative) every estimate must match bit for bit at every SIMD tier.
+// Width 64 takes the hash-run path, width 48 the per-key fallback.
+TEST(CountMinSketchTest, EstimateBatchMatchesEstimateAtEverySimdLevel) {
+  RandomEngine rng(45);
+  std::vector<uint64_t> keys(1000);  // several 256-key runs plus a tail
+  for (uint64_t& key : keys) key = Mix64(rng.UniformInt(400));
+  for (size_t width : {size_t{64}, size_t{48}}) {
+    CountMinSketch sketch(width, 7, 29);
+    for (size_t i = 0; i < 300; ++i) sketch.Update(keys[i], 1.0);
+    RandomEngine noise_rng(8);
+    sketch.AddLaplaceNoise(&noise_rng, 3.0);
+    for (int level = 0; level <= static_cast<int>(DetectedSimdLevel());
+         ++level) {
+      ForceSimdLevel(static_cast<SimdLevel>(level));
+      std::vector<double> batched(keys.size());
+      sketch.EstimateBatch(keys.data(), keys.size(), batched.data());
+      ClearForcedSimdLevel();
+      for (size_t i = 0; i < keys.size(); ++i) {
+        const double scalar = sketch.Estimate(keys[i]);
+        ASSERT_EQ(std::memcmp(&batched[i], &scalar, sizeof(double)), 0)
+            << "level " << SimdLevelName(static_cast<SimdLevel>(level))
+            << ", width " << width << ", key " << i << ": " << batched[i]
+            << " vs " << scalar;
       }
     }
   }

@@ -8,6 +8,7 @@ the real tree, asserting exact rule IDs:
     line), and nothing else;
   * the clean/ mirror — same shapes, invariants respected — is silent;
   * src/ itself is silent (the gate the CI job enforces);
+  * PHL006 takes its limit from the nearest .clang-format;
   * --check-tidy-config accepts the repo config and rejects configs
     with undocumented opt-outs or a missing WarningsAsErrors.
 
@@ -79,13 +80,19 @@ class BadFixturesTest(unittest.TestCase):
         self.expect("bad/service/queue.cc", "PHL004",
                     [12, 12, 18, 18, 27, 28])
 
+    def test_phl006_column_limit(self):
+        # 81- and 100-column lines; not the 80-column line, the em-dash
+        # line of 80 characters (but more bytes), or the long #include.
+        self.expect("bad/common/long_lines.cc", "PHL006", [7, 8, 11])
+
     def test_no_cross_rule_noise(self):
         # A file seeded for one rule must not trip a different rule.
         for path, _, rule in self.findings:
             expected = {"bad/service/protocol.cc": "PHL001",
                         "bad/common/simd_avx2.cc": "PHL002",
                         "bad/core/sampler.cc": "PHL003",
-                        "bad/service/queue.cc": "PHL004"}[path]
+                        "bad/service/queue.cc": "PHL004",
+                        "bad/common/long_lines.cc": "PHL006"}[path]
             self.assertEqual(rule, expected,
                              "unexpected %s in %s" % (rule, path))
 
@@ -98,6 +105,51 @@ class CleanTest(unittest.TestCase):
     def test_src_tree_is_silent(self):
         code, _, err = run_lint(os.path.join(ROOT, "src"))
         self.assertEqual(code, 0, "src/ flagged:\n" + err)
+
+
+class ColumnLimitTest(unittest.TestCase):
+    """PHL006 reads ColumnLimit from the nearest .clang-format."""
+
+    def lint_line(self, config, columns):
+        with tempfile.TemporaryDirectory() as root:
+            with open(os.path.join(root, ".clang-format"), "w") as f:
+                f.write(config)
+            os.makedirs(os.path.join(root, "src"))
+            path = os.path.join(root, "src", "wide.cc")
+            with open(path, "w") as f:
+                f.write("int x = " + "1" * (columns - 9) + ";\n")
+            code, _, err = run_lint(path)
+            return code, err
+
+    def test_limit_comes_from_config(self):
+        config = "BasedOnStyle: Google\nColumnLimit: 100\n"
+        self.assertEqual(self.lint_line(config, 100)[0], 0)
+        code, err = self.lint_line(config, 101)
+        self.assertEqual(code, 1)
+        self.assertIn("PHL006", err)
+        self.assertIn("ColumnLimit of 100", err)
+
+    def test_style_default_without_key(self):
+        config = "BasedOnStyle: Google\n"
+        self.assertEqual(self.lint_line(config, 80)[0], 0)
+        self.assertEqual(self.lint_line(config, 81)[0], 1)
+
+    def test_only_the_lint_corpus_is_pruned(self):
+        # tests/tools/fixtures is skipped, as tools/format.sh skips it; a
+        # `fixtures` directory anywhere else is linted.
+        with tempfile.TemporaryDirectory() as root:
+            with open(os.path.join(root, ".clang-format"), "w") as f:
+                f.write("BasedOnStyle: Google\n")
+            for sub in ("tests/tools/fixtures", "src/fixtures"):
+                os.makedirs(os.path.join(root, sub))
+                with open(os.path.join(root, sub, "wide.cc"), "w") as f:
+                    f.write("int x = " + "1" * 90 + ";\n")
+            code, _, err = run_lint("--root", root, root)
+            self.assertEqual(code, 1)
+            flagged = re.findall(r"(\S+):\d+: PHL006: ", err)
+            self.assertEqual(
+                [os.path.relpath(p, root) for p in flagged],
+                [os.path.join("src", "fixtures", "wide.cc")])
 
 
 class TidyConfigTest(unittest.TestCase):

@@ -30,6 +30,15 @@ extend it):
           locking goes through the thread-safety-annotated wrappers so
           Clang's -Wthread-safety sees every contract.
 
+  PHL006  column limit
+          No line may be longer than the ColumnLimit of the nearest
+          .clang-format (80 under the repo's Google style; columns are
+          characters, so a UTF-8 em dash counts as one). The blocking
+          clang-format CI job rejects such lines, and this rule catches
+          them where no clang-format binary is installed. #include lines
+          are exempt, as clang-format never breaks them. (PHL005 is
+          reserved for the metrics leak audit.)
+
 Also provides --check-tidy-config, which validates .clang-tidy: every
 disabled check must carry a documented reason comment (the per-check
 opt-outs are part of the reviewable contract, not silent suppressions).
@@ -245,6 +254,46 @@ def check_naked_mutex(path, text):
 
 
 # ---------------------------------------------------------------------------
+# PHL006: no line longer than the nearest .clang-format's ColumnLimit.
+# ---------------------------------------------------------------------------
+
+# Google style, which the repo's .clang-format is based on, uses 80.
+DEFAULT_COLUMN_LIMIT = 80
+COLUMN_LIMIT_RE = re.compile(r"^ColumnLimit:\s*(\d+)\s*$", re.M)
+_column_limits = {}
+
+
+def column_limit_in(directory):
+    """ColumnLimit of the .clang-format clang-format would use for a file
+    in directory: the nearest one in it or above it."""
+    if directory in _column_limits:
+        return _column_limits[directory]
+    config = os.path.join(directory, ".clang-format")
+    parent = os.path.dirname(directory)
+    if os.path.isfile(config):
+        with open(config, "r", encoding="utf-8") as f:
+            m = COLUMN_LIMIT_RE.search(f.read())
+        limit = int(m.group(1)) if m else DEFAULT_COLUMN_LIMIT
+    elif parent == directory:
+        limit = None  # no .clang-format anywhere above: no limit to check
+    else:
+        limit = column_limit_in(parent)
+    _column_limits[directory] = limit
+    return limit
+
+
+def check_column_limit(path, raw, limit):
+    violations = []
+    for number, line in enumerate(raw.splitlines(), 1):
+        if len(line) > limit and not line.startswith("#include"):
+            violations.append(Violation(
+                path, number, "PHL006",
+                "line is %d columns, over the .clang-format ColumnLimit "
+                "of %d" % (len(line), limit)))
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # Rule routing: which rules apply to which paths.
 # ---------------------------------------------------------------------------
 
@@ -289,12 +338,22 @@ def lint_file(path, display_path=None):
         violations += check_rng_discipline(display_path, text)
     if not is_sync_header(path):
         violations += check_naked_mutex(display_path, text)
+    limit = column_limit_in(os.path.dirname(os.path.abspath(path)))
+    if limit is not None:
+        violations += check_column_limit(display_path, raw, limit)
     return violations
 
 
-def collect_sources(root):
+def collect_sources(root, pruned=()):
+    """C++ sources under root, skipping the directories in `pruned`
+    (absolute paths) below it. Name a pruned directory as the root to
+    lint it."""
+    pruned = {os.path.abspath(p) for p in pruned}
     sources = []
-    for dirpath, _, filenames in os.walk(root):
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = [
+            d for d in dirnames
+            if os.path.abspath(os.path.join(dirpath, d)) not in pruned]
         for name in sorted(filenames):
             if name.endswith((".cc", ".h")):
                 sources.append(os.path.join(dirpath, name))
@@ -380,10 +439,12 @@ def main(argv):
         return 1 if errors else 0
 
     targets = args.paths or [os.path.join(args.root, "src")]
+    # The linter's own seeded corpus, which tools/format.sh prunes too.
+    pruned = [os.path.join(args.root, "tests", "tools", "fixtures")]
     files = []
     for target in targets:
         if os.path.isdir(target):
-            files.extend(collect_sources(target))
+            files.extend(collect_sources(target, pruned))
         else:
             files.append(target)
 
