@@ -118,7 +118,7 @@ int main() {
     options.seed = 777;
     auto builder = PrivHPBuilder::Make(&domain, options);
     PRIVHP_CHECK(builder.ok());
-    PRIVHP_CHECK(builder->AddAll(data).ok());
+    PRIVHP_CHECK(builder->AddAll(PointBatch::FromPoints(data)).ok());
     const ResolvedPlan plan = builder->plan();
     auto generator = std::move(*builder).Finish();
     PRIVHP_CHECK(generator.ok());

@@ -192,11 +192,10 @@ int RunBench(const Config& config) {
     // the wire-to-published dual of the SAMPLE row.
     {
       RandomEngine ingest_rng(23);
-      std::vector<Point> dataset;
-      dataset.reserve(config.n);
+      PointBatch dataset(1);
+      double* coords = dataset.AppendRows(config.n);
       for (size_t i = 0; i < config.n; ++i) {
-        dataset.push_back(
-            {ingest_rng.UniformDouble() * ingest_rng.UniformDouble()});
+        coords[i] = ingest_rng.UniformDouble() * ingest_rng.UniformDouble();
       }
       obs::Histogram latency;
       bench::Stopwatch watch;
@@ -213,7 +212,7 @@ int RunBench(const Config& config) {
           spec.dim = 1;
           spec.n = config.n;
           spec.batch = 4096;
-          VectorPointSource source(&dataset);
+          PointBatchSource source(&dataset);
           RequestTimer timer(&latency);
           auto report = client->Ingest(
               "ingest-" + std::to_string(t), spec, &source);

@@ -1,5 +1,5 @@
 // EXP-PERF — Corollary 1's cost model, self-timed (bench_util.h):
-//   * stream update cost vs n        (scalar Add vs batched AddBatch;
+//   * stream update cost vs n        (scalar Add vs columnar AddBatch;
 //                                     claimed O(log(eps n)) per update)
 //   * AddBatch cost vs batch size    (zipf and uniform streams, sorted
 //                                     and per-point windows)
@@ -9,12 +9,13 @@
 //   * synthetic sampling             (O(depth) per point)
 //   * PMM build for contrast         (Theta(eps n) memory + work)
 //
-// Always-on correctness gate (sized for --smoke): the batched ingest
+// Always-on correctness gate (sized for --smoke): the columnar ingest
 // path must leave tree counters and sketch cells bit-identical to the
 // scalar path, also for a batch of one repeated point, a batch one point
 // past the AddBatch window, one just below its sort threshold and an
 // unsorted window of distinct points, and the released artifacts
-// (scalar / batched / BuildParallel) must serialize byte-identically —
+// (scalar / columnar / BuildParallel streamed at 1, 2 and 4 threads)
+// must serialize byte-identically —
 // a perf regression fix can't silently fork the two paths. --smoke
 // shrinks the workload so the run doubles as a ctest / TSan check of
 // concurrent batched ingestion.
@@ -112,9 +113,9 @@ WindowStats AddBatchWindowStats(const Domain& domain, const PointBatch& data,
 
 void StreamUpdateSweep(int repeats, bool smoke) {
   TablePrinter table(
-      "stream update (1 thread, scalar Add vs batched AddBatch vs "
-      "columnar PointBatch; sketch updates and row hashes per point, "
-      "after AddBatch's run aggregation for the batch paths)",
+      "stream update (1 thread, scalar Add vs columnar PointBatch; "
+      "sketch updates and row hashes per point, after AddBatch's run "
+      "aggregation for the columnar path)",
       {"domain", "n", "path", "Mpts/s", "ns/point", "speedup",
        "sketch upd/pt", "hashes/pt"});
   struct Case {
@@ -137,7 +138,7 @@ void StreamUpdateSweep(int repeats, bool smoke) {
                    : static_cast<const Domain&>(cube);
     RandomEngine rng(1);
     // 65536 divides every n in the sweep, so cycling the staged dataset
-    // feeds the scalar and batched paths the identical point multiset.
+    // feeds the scalar and columnar paths the identical point multiset.
     const auto data = GenerateZipfCells(c.dim, 65536, 10, 1.2, &rng);
     const double scalar_secs = TimedMedian(repeats, [&] {
       auto builder = PrivHPBuilder::Make(&domain, BenchOptions(c.n));
@@ -147,16 +148,6 @@ void StreamUpdateSweep(int repeats, bool smoke) {
       for (size_t done = 0; done < c.n; ++done) {
         PRIVHP_CHECK(builder->Add(data[i]).ok());
         i = (i + 1) % data.size();
-      }
-      return watch.Seconds();
-    });
-    const double batched_secs = TimedMedian(repeats, [&] {
-      auto builder = PrivHPBuilder::Make(&domain, BenchOptions(c.n));
-      PRIVHP_CHECK(builder.ok());
-      bench::Stopwatch watch;
-      for (size_t done = 0; done < c.n; done += data.size()) {
-        const size_t take = std::min(data.size(), c.n - done);
-        PRIVHP_CHECK(builder->AddBatch(data.data(), take).ok());
       }
       return watch.Seconds();
     });
@@ -179,11 +170,10 @@ void StreamUpdateSweep(int repeats, bool smoke) {
     const WindowStats batch_stats =
         AddBatchWindowStats(domain, staged, *plan, staged.size());
     const double batch_updates = batch_stats.sketch_updates_per_point;
-    const double secs_for[3] = {scalar_secs, batched_secs, columnar_secs};
-    const double updates_for[3] = {scalar_updates, batch_updates,
-                                   batch_updates};
-    const char* path_name[3] = {"scalar", "batched", "columnar"};
-    for (int path = 0; path < 3; ++path) {
+    const double secs_for[2] = {scalar_secs, columnar_secs};
+    const double updates_for[2] = {scalar_updates, batch_updates};
+    const char* path_name[2] = {"scalar", "columnar"};
+    for (int path = 0; path < 2; ++path) {
       const double secs = secs_for[path];
       table.BeginRow();
       table.Cell(std::string(c.name));
@@ -297,11 +287,11 @@ bool ShardStateEqual(const PrivHPShard& a, const PrivHPShard& b,
   return true;
 }
 
-// Always-on gate: every batch flavour must be bit-identical to the
-// scalar path — shard state (exact counters + sketch cells) and the
-// released artifact (scalar / batched / columnar / 3-thread
-// BuildParallel all serialize to the same bytes). Returns false (and
-// prints why) on any mismatch.
+// Always-on gate: the columnar path must be bit-identical to the scalar
+// path — shard state (exact counters + sketch cells) and the released
+// artifact (scalar / columnar / BuildParallel streamed at 1, 2 and 4
+// threads all serialize to the same bytes). Returns false (and prints
+// why) on any mismatch.
 bool BatchedEqualsScalarGate() {
   HypercubeDomain domain(2);
   const size_t n = size_t{1} << 13;
@@ -310,26 +300,20 @@ bool BatchedEqualsScalarGate() {
   const auto data = GenerateZipfCells(2, n, 10, 1.2, &rng);
 
   auto scalar_builder = PrivHPBuilder::Make(&domain, options);
-  auto batched_builder = PrivHPBuilder::Make(&domain, options);
   auto columnar_builder = PrivHPBuilder::Make(&domain, options);
-  PRIVHP_CHECK(scalar_builder.ok() && batched_builder.ok() &&
-               columnar_builder.ok());
+  PRIVHP_CHECK(scalar_builder.ok() && columnar_builder.ok());
 
   // Shard-level comparison first: it pins down *where* a divergence
   // lives (a counter vs a sketch row) before noise and growth mix it in.
-  // Three flavours: scalar Add, Point-array AddBatch, columnar
-  // AddBatch(PointBatch) — the last is the SIMD arena path.
+  // Scalar Add against columnar AddBatch(PointBatch), the SIMD arena
+  // path.
   auto scalar_shard = scalar_builder->NewShard();
-  auto batched_shard = batched_builder->NewShard();
   auto columnar_shard = columnar_builder->NewShard();
-  PRIVHP_CHECK(scalar_shard.ok() && batched_shard.ok() &&
-               columnar_shard.ok());
+  PRIVHP_CHECK(scalar_shard.ok() && columnar_shard.ok());
   const PointBatch staged = PointBatch::FromPoints(data);
   for (const Point& x : data) PRIVHP_CHECK(scalar_shard->Add(x).ok());
-  PRIVHP_CHECK(batched_shard->AddBatch(data).ok());
   PRIVHP_CHECK(columnar_shard->AddBatch(staged).ok());
-  if (!ShardStateEqual(*scalar_shard, *batched_shard, "batched") ||
-      !ShardStateEqual(*scalar_shard, *columnar_shard, "columnar")) {
+  if (!ShardStateEqual(*scalar_shard, *columnar_shard, "columnar")) {
     return false;
   }
   // Window edges of the columnar path: one repeated point, so a single
@@ -402,39 +386,32 @@ bool BatchedEqualsScalarGate() {
     return ss.str();
   };
   for (const Point& x : data) PRIVHP_CHECK(scalar_builder->Add(x).ok());
-  PRIVHP_CHECK(batched_builder->AddAll(data).ok());
   PRIVHP_CHECK(columnar_builder->AddAll(staged).ok());
   auto scalar_gen = std::move(*scalar_builder).Finish();
-  auto batched_gen = std::move(*batched_builder).Finish();
   auto columnar_gen = std::move(*columnar_builder).Finish();
-  auto parallel_gen = PrivHPBuilder::BuildParallel(&domain, options, data, 3);
-  // Streaming overload too: its reader thread and workers exchange whole
-  // columnar batches through the queue, which is exactly the concurrent
-  // batched ingest path the TSan smoke wants covered.
-  VectorPointSource source(&data);
-  auto stream_gen = PrivHPBuilder::BuildParallel(&domain, options, &source, 3);
-  PRIVHP_CHECK(scalar_gen.ok() && batched_gen.ok() && columnar_gen.ok() &&
-               parallel_gen.ok() && stream_gen.ok());
+  PRIVHP_CHECK(scalar_gen.ok() && columnar_gen.ok());
   const std::string scalar_bytes = serialize(*scalar_gen);
-  if (scalar_bytes != serialize(*batched_gen)) {
-    std::cerr << "gate: batched artifact differs from scalar\n";
-    return false;
-  }
   if (scalar_bytes != serialize(*columnar_gen)) {
     std::cerr << "gate: columnar artifact differs from scalar\n";
     return false;
   }
-  if (scalar_bytes != serialize(*parallel_gen)) {
-    std::cerr << "gate: BuildParallel artifact differs from scalar\n";
-    return false;
-  }
-  if (scalar_bytes != serialize(*stream_gen)) {
-    std::cerr << "gate: streaming BuildParallel artifact differs from "
-                 "scalar\n";
-    return false;
+  // The streaming build: with more than one thread its reader and
+  // workers exchange whole columnar batches through the queue, which is
+  // exactly the concurrent batched ingest path the TSan smoke wants
+  // covered.
+  for (int threads : {1, 2, 4}) {
+    PointBatchSource source(&staged);
+    auto parallel_gen =
+        PrivHPBuilder::BuildParallel(&domain, options, &source, threads);
+    PRIVHP_CHECK(parallel_gen.ok());
+    if (scalar_bytes != serialize(*parallel_gen)) {
+      std::cerr << "gate: BuildParallel artifact at " << threads
+                << " threads differs from scalar\n";
+      return false;
+    }
   }
   std::cout << "checks: batched-vs-scalar equality OK (shard state + "
-            << "released artifact, scalar/batched/columnar/parallel, n="
+            << "released artifact, scalar/columnar/parallel, n="
             << n << "; window edges: repeated point, "
             << PrivHPShard::kWindow + 1 << " and "
             << PrivHPShard::kMinSortedWindow - 1 << " points, "
@@ -446,20 +423,26 @@ void ThreadSweep(size_t n, const std::vector<int>& thread_counts,
                  int repeats) {
   IntervalDomain domain;
   RandomEngine rng(2);
-  const auto data = GenerateZipfCells(1, n, 10, 1.2, &rng);
+  const PointBatch data =
+      PointBatch::FromPoints(GenerateZipfCells(1, n, 10, 1.2, &rng));
+  // Each run streams the in-memory batch through BuildParallel's reader
+  // and queue, as a file or socket source would.
+  auto build = [&](int threads) {
+    PointBatchSource source(&data);
+    bench::Stopwatch watch;
+    auto generator = PrivHPBuilder::BuildParallel(&domain, BenchOptions(n),
+                                                  &source, threads);
+    PRIVHP_CHECK(generator.ok());
+    return watch.Seconds();
+  };
   TablePrinter table(
       "sharded ingestion, n=" + std::to_string(n) + " (BuildParallel)",
       {"threads", "build ms", "Mpts/s", "speedup"});
   std::vector<double> secs_per_count;
   secs_per_count.reserve(thread_counts.size());
   for (int threads : thread_counts) {
-    secs_per_count.push_back(TimedMedian(repeats, [&] {
-      bench::Stopwatch watch;
-      auto generator = PrivHPBuilder::BuildParallel(
-          &domain, BenchOptions(n), data, threads);
-      PRIVHP_CHECK(generator.ok());
-      return watch.Seconds();
-    }));
+    secs_per_count.push_back(
+        TimedMedian(repeats, [&] { return build(threads); }));
   }
   // Speedup is always relative to the 1-thread run (measured out-of-band
   // if 1 is not in the sweep), never to whatever entry came first.
@@ -468,13 +451,7 @@ void ThreadSweep(size_t n, const std::vector<int>& thread_counts,
   if (one != thread_counts.end()) {
     base_secs = secs_per_count[one - thread_counts.begin()];
   } else {
-    base_secs = TimedMedian(repeats, [&] {
-      bench::Stopwatch watch;
-      auto generator =
-          PrivHPBuilder::BuildParallel(&domain, BenchOptions(n), data, 1);
-      PRIVHP_CHECK(generator.ok());
-      return watch.Seconds();
-    });
+    base_secs = TimedMedian(repeats, [&] { return build(1); });
   }
   for (size_t i = 0; i < thread_counts.size(); ++i) {
     table.BeginRow();
@@ -491,7 +468,8 @@ void FinishAndSample(int repeats) {
   IntervalDomain domain;
   const size_t n = size_t{1} << 14;
   RandomEngine rng(3);
-  const auto data = GenerateZipfCells(1, n, 10, 1.2, &rng);
+  const PointBatch data =
+      PointBatch::FromPoints(GenerateZipfCells(1, n, 10, 1.2, &rng));
 
   const double finish_secs = TimedMedian(repeats, [&] {
     auto builder = PrivHPBuilder::Make(&domain, BenchOptions(n));
@@ -582,10 +560,9 @@ int Run(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
   if (smoke) {
-    // Small enough for ctest/TSan; the thread sweep runs the sliced
-    // concurrent batched ingestion and the always-on gate runs the
-    // queue-based streaming overload, so the smoke is a real
-    // end-to-end check of both concurrent batched-ingest paths.
+    // Small enough for ctest/TSan; the thread sweep and the always-on
+    // gate both run the queue-based streaming BuildParallel, so the
+    // smoke is a real end-to-end check of concurrent batched ingest.
     // Defaults only: explicit flags below still override them.
     log2n = 14;
     repeats = 1;

@@ -74,7 +74,8 @@ Result<std::unique_ptr<SyntheticDataSource>> BuildPrivHPSource(
   }
   PRIVHP_ASSIGN_OR_RETURN(PrivHPBuilder builder,
                           PrivHPBuilder::Make(domain, options));
-  PRIVHP_RETURN_NOT_OK(builder.AddAll(data));
+  PRIVHP_RETURN_NOT_OK(
+      builder.AddAll(PointBatch::FromPoints(data, domain->dimension())));
   const size_t peak = builder.MemoryBytes();
   PRIVHP_ASSIGN_OR_RETURN(PrivHPGenerator generator,
                           std::move(builder).Finish());

@@ -1,9 +1,9 @@
 #include "core/builder.h"
 
-#include <algorithm>
 #include <deque>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/macros.h"
 #include "common/sync.h"
@@ -95,22 +95,11 @@ Status PrivHPBuilder::Add(const Point& x) {
   return root_.Add(x);
 }
 
-Status PrivHPBuilder::AddAll(const std::vector<Point>& points) {
-  return AddBatch(points.data(), points.size());
-}
-
 Status PrivHPBuilder::AddAll(const PointBatch& batch) {
   if (finished_) {
     return Status::FailedPrecondition("builder already finished");
   }
   return root_.AddBatch(batch);
-}
-
-Status PrivHPBuilder::AddBatch(const Point* points, size_t count) {
-  if (finished_) {
-    return Status::FailedPrecondition("builder already finished");
-  }
-  return root_.AddBatch(points, count);
 }
 
 Result<PrivHPShard> PrivHPBuilder::NewShard() const {
@@ -286,48 +275,6 @@ Result<PrivHPGenerator> PrivHPBuilder::BuildParallel(
   for (std::thread& w : workers) w.join();
   if (!read_error.ok()) return read_error;
   if (failed) return worker_error;
-
-  for (PrivHPShard& shard : shards) {
-    PRIVHP_RETURN_NOT_OK(builder.AbsorbShard(std::move(shard)));
-  }
-  return std::move(builder).Finish();
-}
-
-Result<PrivHPGenerator> PrivHPBuilder::BuildParallel(
-    const Domain* domain, const PrivHPOptions& options,
-    const std::vector<Point>& points, int num_threads) {
-  if (num_threads < 1) {
-    return Status::InvalidArgument("num_threads must be >= 1");
-  }
-  PRIVHP_ASSIGN_OR_RETURN(PrivHPBuilder builder, Make(domain, options));
-  if (num_threads == 1 || points.size() < 2) {
-    PRIVHP_RETURN_NOT_OK(builder.AddAll(points));
-    return std::move(builder).Finish();
-  }
-  const size_t threads =
-      std::min(static_cast<size_t>(num_threads), points.size());
-
-  std::vector<PrivHPShard> shards;
-  shards.reserve(threads);
-  for (size_t t = 0; t < threads; ++t) {
-    PRIVHP_ASSIGN_OR_RETURN(PrivHPShard shard, builder.NewShard());
-    shards.push_back(std::move(shard));
-  }
-
-  // Contiguous slices, one per worker; no queue, no copies.
-  std::vector<Status> results(threads);
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  const size_t chunk = (points.size() + threads - 1) / threads;
-  for (size_t t = 0; t < threads; ++t) {
-    const size_t begin = std::min(t * chunk, points.size());
-    const size_t end = std::min(begin + chunk, points.size());
-    workers.emplace_back([&, t, begin, end]() {
-      results[t] = shards[t].AddRange(points, begin, end);
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  for (const Status& s : results) PRIVHP_RETURN_NOT_OK(s);
 
   for (PrivHPShard& shard : shards) {
     PRIVHP_RETURN_NOT_OK(builder.AbsorbShard(std::move(shard)));

@@ -33,7 +33,6 @@
 #define PRIVHP_CORE_BUILDER_H_
 
 #include <memory>
-#include <vector>
 
 #include "core/generator.h"
 #include "core/options.h"
@@ -59,18 +58,11 @@ class PrivHPBuilder : public PointSink {
   using PointSink::Add;
   Status Add(const Point& x) override;
 
-  /// \brief Processes a batch of points through the shard's batched
+  /// \brief Processes a columnar batch through the shard's batched
   /// ingest path (PrivHPShard::AddBatch): validated up front — a failed
-  /// batch leaves the build state untouched — then applied in sorted
-  /// windows, one update per distinct (level, key) per window.
-  Status AddAll(const std::vector<Point>& points) override;
-
-  /// \brief Columnar form: the arena goes straight to the shard's flat
-  /// locate path, no per-point staging.
+  /// batch leaves the build state untouched — then applied in windows,
+  /// one update per distinct (level, key) per window that repeats keys.
   Status AddAll(const PointBatch& batch) override;
-
-  /// \brief Span form of the batched ingest path.
-  Status AddBatch(const Point* points, size_t count);
 
   /// \brief A fresh accumulation shard sharing this build's plan (and
   /// hence its hash-seed family). Shards are independent: ingest into
@@ -94,17 +86,12 @@ class PrivHPBuilder : public PointSink {
   /// one-window queue to \p num_threads worker threads each owning one
   /// shard, then absorbs (and frees) the shards one by one and finishes.
   /// Deterministic: the result is bit-for-bit identical to a sequential
-  /// build with the same options.
+  /// build with the same options. An in-memory dataset streams through
+  /// a PointBatchSource.
   static Result<PrivHPGenerator> BuildParallel(const Domain* domain,
                                                const PrivHPOptions& options,
                                                PointSource* source,
                                                int num_threads);
-
-  /// \brief In-memory overload: slices \p points into contiguous ranges,
-  /// one per thread, avoiding the dispatch queue entirely.
-  static Result<PrivHPGenerator> BuildParallel(
-      const Domain* domain, const PrivHPOptions& options,
-      const std::vector<Point>& points, int num_threads);
 
   /// \brief Resolved parameters in use.
   const ResolvedPlan& plan() const { return plan_; }

@@ -191,67 +191,26 @@ void PrivHPShard::AddWindow(const double* flat, size_t n) {
   }
 }
 
-void PrivHPShard::ReserveWindow(size_t count) {
-  const size_t window = std::min(count, kWindow);
-  if (keys_.size() >= window) return;
-  keys_.resize(window);
-  sort_scratch_.resize(window);
-  runs_.resize(window);
-}
-
 Status PrivHPShard::AddBatch(const PointBatch& batch) {
   const size_t count = batch.size();
   if (count == 0) return Status::OK();
   // Validate the whole batch before mutating anything, so a bad point
   // anywhere in the batch leaves the shard untouched instead of
-  // half-mutated (the old AddRange bug). On box domains this is one
-  // SIMD bounds scan over the arena.
+  // half-mutated. On box domains this is one SIMD bounds scan over the
+  // arena.
   PRIVHP_RETURN_NOT_OK(domain_->ValidateBatch(batch));
-  ReserveWindow(count);
+  const size_t window = std::min(count, kWindow);
+  if (keys_.size() < window) {
+    keys_.resize(window);
+    sort_scratch_.resize(window);
+    runs_.resize(window);
+  }
   const size_t d = static_cast<size_t>(batch.dim());
   for (size_t base = 0; base < count; base += kWindow) {
     AddWindow(batch.data() + base * d, std::min(kWindow, count - base));
   }
   num_processed_ += count;
   return Status::OK();
-}
-
-Status PrivHPShard::AddBatch(const Point* points, size_t count) {
-  if (count == 0) return Status::OK();
-  if (points == nullptr) {
-    return Status::InvalidArgument("AddBatch requires points");
-  }
-  // Same all-or-nothing contract as the columnar form: validate every
-  // point up front, then stage windows into the reused arena and run the
-  // identical flat path (one locate/update implementation for all batch
-  // flavours).
-  PRIVHP_RETURN_NOT_OK(domain_->ValidateBatch(points, count));
-  ReserveWindow(count);
-  stage_.Reset(domain_->dimension());
-  stage_.Reserve(std::min(count, kWindow));
-  for (size_t base = 0; base < count; base += kWindow) {
-    const size_t n = std::min(kWindow, count - base);
-    stage_.Clear();
-    for (size_t i = 0; i < n; ++i) stage_.AppendPoint(points[base + i]);
-    AddWindow(stage_.data(), n);
-  }
-  num_processed_ += count;
-  return Status::OK();
-}
-
-Status PrivHPShard::AddAll(const std::vector<Point>& points) {
-  return AddBatch(points.data(), points.size());
-}
-
-Status PrivHPShard::AddRange(const std::vector<Point>& points, size_t begin,
-                             size_t end) {
-  if (begin > end || end > points.size()) {
-    return Status::OutOfRange("AddRange bounds [" + std::to_string(begin) +
-                              ", " + std::to_string(end) +
-                              ") exceed dataset of size " +
-                              std::to_string(points.size()));
-  }
-  return AddBatch(points.data() + begin, end - begin);
 }
 
 Status PrivHPShard::Merge(PrivHPShard&& other) {

@@ -96,26 +96,11 @@ class PrivHPShard : public PointSink {
   /// bit-identical to calling Add() per point.
   Status AddBatch(const PointBatch& batch);
 
-  /// \brief Point-array compatibility form: stages windows into a reused
-  /// columnar arena and runs the identical flat path, so every batch
-  /// flavour funnels through ONE locate/update code path (the
-  /// batched-vs-scalar equality gates then cover all of them at once).
-  Status AddBatch(const Point* points, size_t count);
-  Status AddBatch(const std::vector<Point>& points) {
-    return AddBatch(points.data(), points.size());
-  }
-
-  /// \brief Processes a batch of points (routes through AddBatch, so it
-  /// shares its all-or-nothing failure semantics).
-  Status AddAll(const std::vector<Point>& points) override;
+  /// \brief Sink form of AddBatch (same all-or-nothing semantics), so
+  /// Drain can feed a shard directly.
   Status AddAll(const PointBatch& batch) override {
     return AddBatch(batch);
   }
-
-  /// \brief Processes points[begin..end) (BuildParallel slices a dataset
-  /// into contiguous ranges without copying). Also atomic via AddBatch.
-  Status AddRange(const std::vector<Point>& points, size_t begin,
-                  size_t end);
 
   /// \brief Element-wise adds \p other's counters and sketch tables.
   ///
@@ -142,9 +127,6 @@ class PrivHPShard : public PointSink {
 
   PrivHPShard(const Domain* domain, ResolvedPlan plan, PartitionTree tree);
 
-  /// Grows the window scratch to fit a batch of \p count points.
-  void ReserveWindow(size_t count);
-
   /// Applies one validated window of \p n <= kWindow points of the flat
   /// arena (no further checks).
   void AddWindow(const double* flat, size_t n);
@@ -160,8 +142,6 @@ class PrivHPShard : public PointSink {
   std::vector<uint64_t> keys_;
   std::vector<uint64_t> sort_scratch_;
   std::vector<double> runs_;
-  // Window-sized staging arena for the Point-array AddBatch form.
-  PointBatch stage_;
   uint64_t num_processed_ = 0;
 };
 

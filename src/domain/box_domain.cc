@@ -77,27 +77,6 @@ uint64_t BoxDomain::Locate(const Point& x, int level) const {
   return index;
 }
 
-Status BoxDomain::ValidateBatch(const Point* points, size_t count) const {
-  const size_t d = lo_.size();
-  const double* lo = lo_.data();
-  const double* hi = hi_.data();
-  for (size_t i = 0; i < count; ++i) {
-    const Point& x = points[i];
-    bool inside = x.size() == d;
-    const double* xs = x.data();
-    for (size_t c = 0; inside && c < d; ++c) {
-      // Negated-compare form matches Contains(): NaN coordinates fail.
-      inside = xs[c] >= lo[c] && xs[c] <= hi[c];
-    }
-    if (!inside) {
-      const Status valid = ValidatePoint(x);
-      return Status(valid.code(), "batch point " + std::to_string(i) +
-                                      ": " + valid.message());
-    }
-  }
-  return Status::OK();
-}
-
 Status BoxDomain::ValidateBatch(const double* flat, int dim,
                                 size_t count) const {
   if (count == 0) return Status::OK();

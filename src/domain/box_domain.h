@@ -48,11 +48,6 @@ class BoxDomain : public Domain {
   void LocateBatch(const double* flat, int dim, size_t count, int level,
                    uint64_t* out) const override;
 
-  /// \brief Devirtualized batch validation: one bounds scan with the box
-  /// limits hoisted; failures fall back to ValidatePoint for the exact
-  /// per-point status code and message.
-  Status ValidateBatch(const Point* points, size_t count) const override;
-
   /// \brief Columnar batch validation: one SIMD bounds scan over the
   /// arena (NaN-safe negated compares); a hit falls back to
   /// ValidatePoint on the offending row for the exact message.

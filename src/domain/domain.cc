@@ -16,22 +16,11 @@ Status Domain::ValidatePoint(const Point& x) const {
   return Status::OK();
 }
 
-Status Domain::ValidateBatch(const Point* points, size_t count) const {
-  for (size_t i = 0; i < count; ++i) {
-    const Status valid = ValidatePoint(points[i]);
-    if (!valid.ok()) {
-      return Status(valid.code(), "batch point " + std::to_string(i) +
-                                      ": " + valid.message());
-    }
-  }
-  return Status::OK();
-}
-
 Status Domain::ValidateBatch(const double* flat, int dim,
                              size_t count) const {
   if (count == 0) return Status::OK();
   // One scratch point reused across rows; ValidatePoint supplies the
-  // exact per-point status text the Point-array form produces.
+  // exact per-point status text.
   Point x(static_cast<size_t>(dim));
   for (size_t i = 0; i < count; ++i) {
     const double* row = flat + i * static_cast<size_t>(dim);

@@ -93,16 +93,11 @@ class Domain {
   /// \brief Validates that \p x is a well-formed point for this domain.
   Status ValidatePoint(const Point& x) const;
 
-  /// \brief Validates \p count points, returning OK or the first
-  /// failure wrapped as "batch point <i>: <reason>" (same status codes
-  /// as ValidatePoint). The batched ingest path validates every batch up
-  /// front before touching any state; the default loops ValidatePoint,
-  /// and concrete domains may override with a devirtualized scan.
-  virtual Status ValidateBatch(const Point* points, size_t count) const;
-
-  /// \brief Columnar form over a row-major arena of \p count points of
-  /// \p dim coordinates each. Same contract and error text as the
-  /// Point-array form; the default stages one scratch Point per row, and
+  /// \brief Validates the \p count points of a row-major arena of \p dim
+  /// coordinates each, returning OK or the first failure wrapped as
+  /// "batch point <i>: <reason>" (same status codes as ValidatePoint).
+  /// The batched ingest path validates every batch up front before
+  /// touching any state. The default stages one scratch Point per row;
   /// box-style domains override with a SIMD bounds scan.
   virtual Status ValidateBatch(const double* flat, int dim,
                                size_t count) const;

@@ -32,7 +32,9 @@ void PointBatch::AppendFlat(const double* flat, size_t count) {
 }
 
 void PointBatch::AppendPoint(const Point& p) {
-  PRIVHP_DCHECK(static_cast<size_t>(dim_) == p.size());
+  // Checked in every build: a point of the wrong arity would shift every
+  // later row of the arena.
+  PRIVHP_CHECK(static_cast<size_t>(dim_) == p.size());
   data_.insert(data_.end(), p.begin(), p.end());
 }
 

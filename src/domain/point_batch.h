@@ -14,10 +14,11 @@
 //     coordinate j of the arena belongs to point j/dim, coordinate
 //     j%dim, so per-coordinate patterns tile with period dim.
 //
-// The batched ingest and sampling paths (PointSource::NextBatch,
-// PointSink::AddAll, PrivHPShard::AddBatch, CompiledSampler::SampleTo)
-// all speak PointBatch; std::vector<Point> overloads remain as the
-// compatibility currency and convert through FromPoints/CopyTo.
+// PointBatch is the only batch currency of the ingest and sampling
+// paths (PointSource::NextBatch, PointSink::AddAll,
+// PrivHPShard::AddBatch, CompiledSampler::SampleTo). Code that holds a
+// std::vector<Point> (workload generators, W1) converts through
+// FromPoints/ToPoints.
 
 #ifndef PRIVHP_DOMAIN_POINT_BATCH_H_
 #define PRIVHP_DOMAIN_POINT_BATCH_H_
@@ -66,7 +67,8 @@ class PointBatch {
   /// count*dim doubles.
   void AppendFlat(const double* flat, size_t count);
 
-  /// \brief Appends a copy of \p p (p.size() must equal dim()).
+  /// \brief Appends a copy of \p p (p.size() must equal dim(); checked,
+  /// aborts otherwise).
   void AppendPoint(const Point& p);
 
   /// \brief Appends every point of \p points.

@@ -1,15 +1,11 @@
 #include "io/point_sink.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/macros.h"
 
 namespace privhp {
-
-Status PointSink::AddAll(const std::vector<Point>& points) {
-  for (const Point& x : points) PRIVHP_RETURN_NOT_OK(Add(x));
-  return Status::OK();
-}
 
 Status PointSink::AddAll(const PointBatch& batch) {
   // One scratch point reused across rows; semantics match Add-per-point
@@ -22,18 +18,6 @@ Status PointSink::AddAll(const PointBatch& batch) {
     PRIVHP_RETURN_NOT_OK(Add(x));
   }
   return Status::OK();
-}
-
-Result<size_t> PointSource::NextBatch(size_t max_points,
-                                      std::vector<Point>* out) {
-  out->clear();
-  Point x;
-  while (out->size() < max_points) {
-    PRIVHP_ASSIGN_OR_RETURN(bool more, Next(&x));
-    if (!more) break;
-    out->push_back(std::move(x));
-  }
-  return out->size();
 }
 
 Result<size_t> PointSource::NextBatch(size_t max_points, PointBatch* out) {
@@ -60,13 +44,29 @@ Result<size_t> PointSource::NextBatch(size_t max_points, PointBatch* out) {
   return n;
 }
 
-Result<bool> VectorPointSource::Next(Point* out) {
-  if (points_ == nullptr) {
-    return Status::InvalidArgument("vector point source has no backing data");
+Result<bool> PointBatchSource::Next(Point* out) {
+  if (batch_ == nullptr) {
+    return Status::InvalidArgument("batch point source has no backing data");
   }
-  if (next_ >= points_->size()) return false;
-  *out = (*points_)[next_++];
+  if (next_ >= batch_->size()) return false;
+  *out = batch_->At(next_++);
   return true;
+}
+
+Result<size_t> PointBatchSource::NextBatch(size_t max_points,
+                                           PointBatch* out) {
+  if (batch_ == nullptr) {
+    return Status::InvalidArgument("batch point source has no backing data");
+  }
+  const size_t take = std::min(max_points, batch_->size() - next_);
+  if (take == 0) {
+    out->Clear();
+    return size_t{0};
+  }
+  out->Reset(batch_->dim());
+  out->AppendFlat(batch_->row(next_), take);
+  next_ += take;
+  return take;
 }
 
 Status CollectingSink::Add(const Point& x) {

@@ -3,7 +3,7 @@
 // The build side of PrivHP is linear: shards, builders and baselines all
 // consume a stream one point at a time. PointSink is the consumer
 // interface they share, and PointSource is the producer interface file
-// readers and in-memory vectors share, so any source can feed any
+// readers, sockets and in-memory batches share, so any source can feed any
 // consumer (Drain) — including several sinks in parallel, which is how
 // BuildParallel partitions one stream across worker shards.
 
@@ -32,20 +32,18 @@ class PointSink {
   /// read-only sinks need not override it.
   virtual Status Add(Point&& x) { return Add(static_cast<const Point&>(x)); }
 
-  /// \brief Processes a batch; default forwards to Add point-by-point.
-  virtual Status AddAll(const std::vector<Point>& points);
-
-  /// \brief Columnar batch (the zero-allocation hot path): shards ingest
-  /// the arena directly and socket sinks encode wire frames straight
-  /// from it. Default stages one reused scratch Point per row and
-  /// forwards to Add, so point-at-a-time sinks need not override.
+  /// \brief Processes a columnar batch (the zero-allocation hot path):
+  /// shards ingest the arena directly and socket sinks encode wire
+  /// frames straight from it. Default stages one reused scratch Point
+  /// per row and forwards to Add, so point-at-a-time sinks need not
+  /// override.
   virtual Status AddAll(const PointBatch& batch);
 
   /// \brief Points accepted so far (rejected points do not count).
   virtual uint64_t num_processed() const = 0;
 };
 
-/// \brief A producer of streamed points (file readers, vectors, sockets).
+/// \brief A producer of streamed points (file readers, batches, sockets).
 class PointSource {
  public:
   virtual ~PointSource() = default;
@@ -54,34 +52,27 @@ class PointSource {
   /// end-of-stream, an error Status on malformed input.
   virtual Result<bool> Next(Point* out) = 0;
 
-  /// \brief Reads the next batch of points into \p out (cleared first)
-  /// and returns the number read; 0 means end-of-stream. \p max_points
-  /// is advisory: sources with natural framing (a decoded socket frame)
-  /// may hand over a whole frame even when it is larger, so callers must
-  /// accept any non-empty batch. The default loops Next(); batching
-  /// sources override it to amortize per-point dispatch and hand over
-  /// already-materialized batches without re-staging.
-  virtual Result<size_t> NextBatch(size_t max_points,
-                                   std::vector<Point>* out);
-
-  /// \brief Columnar batch read: \p out is cleared (its dimension is the
-  /// source's to set) and filled with up to \p max_points points —
-  /// subject to the same natural-framing allowance as the vector form.
-  /// The default loops Next() into the arena; framing sources override
-  /// to decode whole frames straight into it.
+  /// \brief Reads the next batch of points into \p out (cleared first;
+  /// its dimension is the source's to set) and returns the number read;
+  /// 0 means end-of-stream. \p max_points is advisory: sources with
+  /// natural framing (a decoded socket frame) may hand over a whole
+  /// frame even when it is larger, so callers must accept any non-empty
+  /// batch. The default loops Next() into the arena; file and socket
+  /// sources override it to parse or decode straight into it.
   virtual Result<size_t> NextBatch(size_t max_points, PointBatch* out);
 };
 
-/// \brief PointSource over an in-memory dataset (not owned).
-class VectorPointSource : public PointSource {
+/// \brief PointSource over an in-memory columnar batch (not owned):
+/// NextBatch hands out consecutive slices of at most max_points rows.
+class PointBatchSource : public PointSource {
  public:
-  explicit VectorPointSource(const std::vector<Point>* points)
-      : points_(points) {}
+  explicit PointBatchSource(const PointBatch* batch) : batch_(batch) {}
 
   Result<bool> Next(Point* out) override;
+  Result<size_t> NextBatch(size_t max_points, PointBatch* out) override;
 
  private:
-  const std::vector<Point>* points_;
+  const PointBatch* batch_;
   size_t next_ = 0;
 };
 
@@ -97,7 +88,6 @@ class CollectingSink : public PointSink {
   Status Add(Point&& x) override;
   /// \brief Appends arena rows without a per-row scratch staging point.
   Status AddAll(const PointBatch& batch) override;
-  using PointSink::AddAll;
   uint64_t num_processed() const override { return points_.size(); }
 
   const std::vector<Point>& points() const { return points_; }

@@ -1,12 +1,11 @@
 #include "io/point_stream.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
-#include <iterator>
 #include <limits>
+#include <utility>
 
 #include "common/macros.h"
 #include "domain/ipv4_domain.h"
@@ -110,20 +109,6 @@ Result<bool> CsvPointReader::ReadLineInto(Point* out) {
 Result<bool> CsvPointReader::Next(Point* out) { return ReadLineInto(out); }
 
 Result<size_t> CsvPointReader::NextBatch(size_t max_points,
-                                         std::vector<Point>* out) {
-  out->clear();
-  while (out->size() < max_points) {
-    out->emplace_back();
-    PRIVHP_ASSIGN_OR_RETURN(bool more, ReadLineInto(&out->back()));
-    if (!more) {
-      out->pop_back();
-      break;
-    }
-  }
-  return out->size();
-}
-
-Result<size_t> CsvPointReader::NextBatch(size_t max_points,
                                          PointBatch* out) {
   out->Reset(dimension_);
   out->Reserve(max_points);
@@ -143,11 +128,11 @@ Result<std::vector<Point>> ReadPointsCsv(const std::string& path,
   PRIVHP_ASSIGN_OR_RETURN(CsvPointReader reader,
                           CsvPointReader::Open(path, dimension));
   std::vector<Point> points;
-  std::vector<Point> batch;
+  Point x;
   for (;;) {
-    PRIVHP_ASSIGN_OR_RETURN(size_t n, reader.NextBatch(4096, &batch));
-    if (n == 0) break;
-    std::move(batch.begin(), batch.end(), std::back_inserter(points));
+    PRIVHP_ASSIGN_OR_RETURN(bool more, reader.Next(&x));
+    if (!more) break;
+    points.push_back(std::move(x));
   }
   return points;
 }
@@ -199,7 +184,7 @@ Status CsvPointWriter::Close() {
 Status WritePointsCsv(const std::string& path,
                       const std::vector<Point>& points) {
   PRIVHP_ASSIGN_OR_RETURN(CsvPointWriter writer, CsvPointWriter::Open(path));
-  PRIVHP_RETURN_NOT_OK(writer.AddAll(points));
+  for (const Point& x : points) PRIVHP_RETURN_NOT_OK(writer.Add(x));
   return writer.Close();
 }
 

@@ -32,16 +32,9 @@ class CsvPointReader : public PointSource {
   /// Malformed lines produce an error Status carrying the line number.
   Result<bool> Next(Point* out) override;
 
-  /// \brief Parses up to \p max_points lines straight into \p out — one
-  /// stream read per line but no per-point virtual dispatch or staging
-  /// Point, which is what the batched ingest path (Drain -> AddBatch)
-  /// wants to see.
-  Result<size_t> NextBatch(size_t max_points,
-                           std::vector<Point>* out) override;
-
-  /// \brief Columnar form: lines parse through one reused scratch point
-  /// into the arena, so a file -> shard pipeline allocates nothing per
-  /// point once the scratch capacities warm up.
+  /// \brief Parses up to \p max_points lines through one reused scratch
+  /// point into the arena, so a file -> shard pipeline allocates nothing
+  /// per point once the scratch capacities warm up.
   Result<size_t> NextBatch(size_t max_points, PointBatch* out) override;
 
   /// \brief Lines consumed so far (including skipped ones).
@@ -80,7 +73,6 @@ class CsvPointWriter : public PointSink {
   Status Add(const Point& x) override;
   /// \brief Writes arena rows without staging a Point per row.
   Status AddAll(const PointBatch& batch) override;
-  using PointSink::AddAll;
   uint64_t num_processed() const override { return num_written_; }
 
   /// \brief Flushes and reports any deferred stream error.

@@ -9,22 +9,6 @@
 
 namespace privhp {
 
-std::string EncodePointBatch(const std::vector<Point>& points, size_t begin,
-                             size_t end) {
-  PRIVHP_DCHECK(begin <= end && end <= points.size());
-  const uint32_t dim =
-      begin < end ? static_cast<uint32_t>(points[begin].size()) : 0;
-  WireWriter w;
-  w.PutU8(kPointBatchTag);
-  w.PutU32(static_cast<uint32_t>(end - begin));
-  w.PutU32(dim);
-  for (size_t i = begin; i < end; ++i) {
-    PRIVHP_DCHECK(points[i].size() == dim);
-    w.PutDoubleArray(points[i].data(), points[i].size());
-  }
-  return w.Take();
-}
-
 std::string EncodePointBatch(const double* flat, uint32_t dim,
                              size_t count) {
   WireWriter w;
@@ -47,72 +31,31 @@ std::string EncodePointStreamEnd(uint64_t total_points) {
   return w.Take();
 }
 
-namespace {
-
-// Shared header parse + bounds guard for every batch-frame decoder: on
-// OK, the reader sits at the coordinate block and count*dim doubles are
-// guaranteed to be present.
-Status ParsePointBatchHeader(WireReader* r, int expected_dim,
-                             uint32_t* count, uint32_t* dim) {
-  PRIVHP_ASSIGN_OR_RETURN(uint8_t tag, r->U8());
+Status DecodePointBatch(const std::string& payload, int expected_dim,
+                        PointBatch* out) {
+  WireReader r(payload);
+  PRIVHP_ASSIGN_OR_RETURN(uint8_t tag, r.U8());
   if (tag != kPointBatchTag) {
     return Status::IOError("not a point batch frame");
   }
-  PRIVHP_ASSIGN_OR_RETURN(*count, r->U32());
-  PRIVHP_ASSIGN_OR_RETURN(*dim, r->U32());
-  if (*count > 0 && *dim == 0) {
+  PRIVHP_ASSIGN_OR_RETURN(uint32_t count, r.U32());
+  PRIVHP_ASSIGN_OR_RETURN(uint32_t dim, r.U32());
+  if (count > 0 && dim == 0) {
     return Status::IOError("point batch with zero dimension");
   }
-  if (expected_dim > 0 && *count > 0 &&
-      *dim != static_cast<uint32_t>(expected_dim)) {
+  if (expected_dim > 0 && count > 0 &&
+      dim != static_cast<uint32_t>(expected_dim)) {
     return Status::InvalidArgument(
-        "point batch has dimension " + std::to_string(*dim) +
+        "point batch has dimension " + std::to_string(dim) +
         ", expected " + std::to_string(expected_dim));
   }
   // Every coordinate is an 8-byte double; a header whose count*dim
   // outruns the payload is malformed, and checking up front keeps the
-  // declared dim from driving reserve() before any bytes are verified.
-  if (static_cast<uint64_t>(*count) * *dim > r->remaining() / 8) {
+  // declared dim from driving the arena's growth before any bytes are
+  // verified.
+  if (static_cast<uint64_t>(count) * dim > r.remaining() / 8) {
     return Status::IOError("point batch header exceeds frame payload");
   }
-  return Status::OK();
-}
-
-template <typename Container>
-Status DecodePointBatchInto(const std::string& payload, int expected_dim,
-                            Container* out) {
-  WireReader r(payload);
-  uint32_t count = 0;
-  uint32_t dim = 0;
-  PRIVHP_RETURN_NOT_OK(ParsePointBatchHeader(&r, expected_dim, &count,
-                                             &dim));
-  for (uint32_t i = 0; i < count; ++i) {
-    Point p(dim);
-    PRIVHP_RETURN_NOT_OK(r.ReadDoubles(p.data(), dim));
-    out->push_back(std::move(p));
-  }
-  return r.ExpectEnd();
-}
-
-}  // namespace
-
-Status DecodePointBatch(const std::string& payload, int expected_dim,
-                        std::deque<Point>* out) {
-  return DecodePointBatchInto(payload, expected_dim, out);
-}
-
-Status DecodePointBatch(const std::string& payload, int expected_dim,
-                        std::vector<Point>* out) {
-  return DecodePointBatchInto(payload, expected_dim, out);
-}
-
-Status DecodePointBatch(const std::string& payload, int expected_dim,
-                        PointBatch* out) {
-  WireReader r(payload);
-  uint32_t count = 0;
-  uint32_t dim = 0;
-  PRIVHP_RETURN_NOT_OK(ParsePointBatchHeader(&r, expected_dim, &count,
-                                             &dim));
   if (count == 0) return r.ExpectEnd();
   const int d = static_cast<int>(dim);
   if (out->empty()) {
@@ -180,32 +123,6 @@ Status SocketPointSink::Add(const Point& x) {
   return Status::OK();
 }
 
-Status SocketPointSink::AddAll(const std::vector<Point>& points) {
-  if (finished_) {
-    return Status::FailedPrecondition("point stream already finished");
-  }
-  // Append up to the frame boundary each round; Add() keeps the buffer
-  // strictly below batch_size_ between calls, so room > 0 holds on
-  // entry and after every Flush().
-  for (size_t i = 0; i < points.size();) {
-    PRIVHP_RETURN_NOT_OK(
-        PrepareWireBuffer(&buffer_, points[i].size(), batch_size_));
-    const size_t room = batch_size_ - buffer_.size();
-    const size_t take = std::min(room, points.size() - i);
-    for (size_t j = 0; j < take; ++j) {
-      const Point& p = points[i + j];
-      if (p.size() != static_cast<size_t>(buffer_.dim())) {
-        PRIVHP_RETURN_NOT_OK(
-            PrepareWireBuffer(&buffer_, p.size(), batch_size_));
-      }
-      buffer_.AppendPoint(p);
-    }
-    i += take;
-    if (buffer_.size() >= batch_size_) PRIVHP_RETURN_NOT_OK(Flush());
-  }
-  return Status::OK();
-}
-
 Status SocketPointSink::AddAll(const PointBatch& batch) {
   if (finished_) {
     return Status::FailedPrecondition("point stream already finished");
@@ -216,7 +133,9 @@ Status SocketPointSink::AddAll(const PointBatch& batch) {
                         batch_size_));
   const size_t d = static_cast<size_t>(batch.dim());
   // Arena-to-arena slices at frame boundaries: no per-point work at all
-  // between the sampler and the wire.
+  // between the sampler and the wire. Add() keeps the buffer strictly
+  // below batch_size_ between calls, so room > 0 holds on entry and
+  // after every Flush().
   for (size_t i = 0; i < batch.size();) {
     const size_t room = batch_size_ - buffer_.size();
     const size_t take = std::min(room, batch.size() - i);
@@ -315,39 +234,14 @@ Result<bool> SocketPointSource::RecvBatchFrame() {
 }
 
 Result<bool> SocketPointSource::FillBuffer() {
-  while (buffer_.empty()) {
+  while (cursor_ == buffer_.size()) {
     PRIVHP_ASSIGN_OR_RETURN(bool more, RecvBatchFrame());
     if (!more) return false;
+    buffer_.Clear();
+    cursor_ = 0;
     PRIVHP_RETURN_NOT_OK(DecodePointBatch(frame_, expected_dim_, &buffer_));
   }
   return true;
-}
-
-Result<size_t> SocketPointSource::NextBatch(size_t max_points,
-                                            std::vector<Point>* out) {
-  out->clear();
-  if (finished_ || max_points == 0) return size_t{0};
-  // Points already staged by a Next() caller are served first so the two
-  // access styles can be mixed without reordering the stream.
-  if (!buffer_.empty()) {
-    const size_t take = std::min(max_points, buffer_.size());
-    for (size_t i = 0; i < take; ++i) {
-      out->push_back(std::move(buffer_.front()));
-      buffer_.pop_front();
-    }
-    num_received_ += take;
-    return take;
-  }
-  // Decode whole frames straight into the caller's batch (empty batch
-  // frames are legal — keep reading) until points arrive or the stream
-  // ends. A full frame may exceed max_points; the contract allows it.
-  while (out->empty()) {
-    PRIVHP_ASSIGN_OR_RETURN(bool more, RecvBatchFrame());
-    if (!more) return size_t{0};
-    PRIVHP_RETURN_NOT_OK(DecodePointBatch(frame_, expected_dim_, out));
-  }
-  num_received_ += out->size();
-  return out->size();
 }
 
 Result<size_t> SocketPointSource::NextBatch(size_t max_points,
@@ -356,14 +250,11 @@ Result<size_t> SocketPointSource::NextBatch(size_t max_points,
   if (finished_ || max_points == 0) return size_t{0};
   // Points already staged by a Next() caller are served first so the two
   // access styles can be mixed without reordering the stream.
-  if (!buffer_.empty()) {
-    const size_t take = std::min(max_points, buffer_.size());
-    out->Reset(static_cast<int>(buffer_.front().size()));
-    out->Reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-      out->AppendPoint(buffer_.front());
-      buffer_.pop_front();
-    }
+  if (cursor_ < buffer_.size()) {
+    const size_t take = std::min(max_points, buffer_.size() - cursor_);
+    out->Reset(buffer_.dim());
+    out->AppendFlat(buffer_.row(cursor_), take);
+    cursor_ += take;
     num_received_ += take;
     return take;
   }
@@ -388,14 +279,15 @@ Result<bool> SocketPointSource::Next(Point* out) {
   if (finished_) return false;
   PRIVHP_ASSIGN_OR_RETURN(bool more, FillBuffer());
   if (!more) return false;
-  *out = std::move(buffer_.front());
-  buffer_.pop_front();
+  const double* row = buffer_.row(cursor_++);
+  out->assign(row, row + buffer_.dim());
   ++num_received_;
   return true;
 }
 
 Status SocketPointSource::SkipToEnd() {
-  buffer_.clear();
+  buffer_.Clear();
+  cursor_ = 0;
   while (!finished_) {
     PRIVHP_ASSIGN_OR_RETURN(bool more, RecvNext());
     if (!more) {

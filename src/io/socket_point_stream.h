@@ -18,10 +18,9 @@
 #define PRIVHP_IO_SOCKET_POINT_STREAM_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <string>
 #include <utility>
-#include <vector>
 
 #include "common/status.h"
 #include "domain/domain.h"
@@ -45,9 +44,6 @@ inline constexpr uint8_t kPointBatchTag = 0x20;
 /// \brief First payload byte of the end-of-stream frame.
 inline constexpr uint8_t kPointStreamEndTag = 0x21;
 
-/// \brief Encodes points[begin..end) as one batch-frame payload.
-std::string EncodePointBatch(const std::vector<Point>& points, size_t begin,
-                             size_t end);
 /// \brief Encodes \p count row-major points of \p dim coordinates as one
 /// batch-frame payload. The arena layout matches the wire layout, so on
 /// a little-endian host the coordinate block is one append.
@@ -58,20 +54,11 @@ std::string EncodePointBatch(const PointBatch& batch);
 std::string EncodePointStreamEnd(uint64_t total_points);
 
 /// \brief Decodes a batch-frame payload, appending to \p out. Every point
-/// must have \p expected_dim coordinates when expected_dim > 0.
-Status DecodePointBatch(const std::string& payload, int expected_dim,
-                        std::deque<Point>* out);
-
-/// \brief Vector overload: the batched ingest path decodes whole frames
-/// straight into the batch the shard consumes, with no deque staging.
-Status DecodePointBatch(const std::string& payload, int expected_dim,
-                        std::vector<Point>* out);
-
-/// \brief Columnar overload: the coordinate block is bounds-checked
-/// against the payload, then copied straight into the arena (one memcpy
-/// on little-endian hosts) — no per-point allocation on the receive
-/// path. Appends to \p out; a non-empty \p out whose dimension differs
-/// from the frame's is an error.
+/// must have \p expected_dim coordinates when expected_dim > 0. The
+/// coordinate block is bounds-checked against the payload, then copied
+/// straight into the arena (one memcpy on little-endian hosts) — no
+/// per-point allocation on the receive path. A non-empty \p out whose
+/// dimension differs from the frame's is an error.
 Status DecodePointBatch(const std::string& payload, int expected_dim,
                         PointBatch* out);
 
@@ -93,9 +80,6 @@ class SocketPointSink : public PointSink {
   // copy; the using-declaration keeps both Add signatures visible.
   using PointSink::Add;
   Status Add(const Point& x) override;
-  /// \brief Bulk append: one buffer extension + flushes at frame
-  /// boundaries, no per-point virtual dispatch (the batched Drain path).
-  Status AddAll(const std::vector<Point>& points) override;
   /// \brief Columnar append: arena rows copy into the wire buffer (also
   /// an arena) in frame-sized slices — the SAMPLE hot path
   /// (CompiledSampler::GenerateTo) lands here with zero per-point work.
@@ -150,16 +134,9 @@ class SocketPointSource : public PointSource {
 
   Result<bool> Next(Point* out) override;
 
-  /// \brief Hands over whole decoded batch frames: when the staging
-  /// buffer is empty, the next frame is decoded straight into \p out
-  /// (so a full frame may exceed \p max_points — the contract allows
-  /// it), which lets the service INGEST path feed each received frame
-  /// into PrivHPShard::AddBatch without per-point staging.
-  Result<size_t> NextBatch(size_t max_points,
-                           std::vector<Point>* out) override;
-
-  /// \brief Columnar form: consecutive frames decode straight into the
-  /// arena (one bounds-checked copy per frame) until it holds
+  /// \brief Points a Next() caller left staged go first (up to
+  /// \p max_points of them). Otherwise consecutive frames decode straight
+  /// into the arena (one bounds-checked copy per frame) until it holds
   /// \p max_points or the stream ends, so the server INGEST path goes
   /// wire -> arena -> PrivHPShard::AddBatch in full windows whatever the
   /// client's frame size. The frame that reaches \p max_points goes in
@@ -207,7 +184,10 @@ class SocketPointSource : public PointSource {
   int expected_dim_;
   CancelFn cancel_;
   int idle_timeout_seconds_;
-  std::deque<Point> buffer_;
+  // The last decoded frame, staged for Next(): rows [cursor_, size) are
+  // still to be handed out.
+  PointBatch buffer_;
+  size_t cursor_ = 0;
   std::string frame_;
   uint64_t num_received_ = 0;
   uint64_t num_batches_ = 0;

@@ -1,6 +1,6 @@
-// Batched-vs-scalar identity, columnar edition: the three ingest
-// flavours — per-point Add, Point-array AddBatch, and columnar
-// AddBatch(PointBatch) — must leave bit-identical shard state (exact
+// Batched-vs-scalar identity: the three ingest flavours — per-point Add,
+// one columnar AddBatch(PointBatch), and the same batch streamed from a
+// PointBatchSource — must leave bit-identical shard state (exact
 // counters and sketch cells) and produce byte-identical released
 // artifacts, at every SIMD level this binary can run. This is the
 // always-on contract that lets the SIMD kernels replace the scalar
@@ -20,6 +20,7 @@
 #include "domain/hypercube_domain.h"
 #include "domain/interval_domain.h"
 #include "hierarchy/tree_serialization.h"
+#include "io/point_sink.h"
 
 namespace privhp {
 namespace {
@@ -99,13 +100,14 @@ TEST_P(BatchedIdentityTest, ThreeIngestFlavoursLeaveIdenticalShardState) {
   PrivHPShard scalar = MakeShard(domain, options);
   for (const Point& x : data) ASSERT_TRUE(scalar.Add(x).ok());
 
-  PrivHPShard batched = MakeShard(domain, options);
-  ASSERT_TRUE(batched.AddBatch(data).ok());
-  ExpectShardStateIdentical(scalar, batched, "point-array batch");
-
   PrivHPShard columnar = MakeShard(domain, options);
   ASSERT_TRUE(columnar.AddBatch(staged).ok());
   ExpectShardStateIdentical(scalar, columnar, "columnar batch");
+
+  PrivHPShard drained = MakeShard(domain, options);
+  PointBatchSource source(&staged);
+  ASSERT_TRUE(Drain(&source, &drained).ok());
+  ExpectShardStateIdentical(scalar, drained, "drained batch source");
 }
 
 // The columnar path must match the scalar baseline at EVERY kernel tier
@@ -138,9 +140,9 @@ TEST_P(BatchedIdentityTest, ColumnarMatchesScalarAtEverySimdLevel) {
 }
 
 // Released artifacts — after Laplace noise, growth, and consistency —
-// must serialize byte-identically across the ingest flavours: identical
-// shard state plus a seeded noise stream leaves nothing downstream to
-// diverge.
+// must serialize byte-identically across the ingest flavours (the
+// streamed one through a 2-thread BuildParallel): identical shard state
+// plus a seeded noise stream leaves nothing downstream to diverge.
 TEST_P(BatchedIdentityTest, ReleasedArtifactsAreByteIdentical) {
   IntervalDomain interval;
   HypercubeDomain cube(dim() > 1 ? dim() : 2);
@@ -158,22 +160,20 @@ TEST_P(BatchedIdentityTest, ReleasedArtifactsAreByteIdentical) {
   };
 
   auto scalar_builder = PrivHPBuilder::Make(domain, options);
-  auto batched_builder = PrivHPBuilder::Make(domain, options);
   auto columnar_builder = PrivHPBuilder::Make(domain, options);
-  ASSERT_TRUE(scalar_builder.ok() && batched_builder.ok() &&
-              columnar_builder.ok());
+  ASSERT_TRUE(scalar_builder.ok() && columnar_builder.ok());
   for (const Point& x : data) ASSERT_TRUE(scalar_builder->Add(x).ok());
-  ASSERT_TRUE(batched_builder->AddAll(data).ok());
   ASSERT_TRUE(columnar_builder->AddAll(staged).ok());
 
   auto scalar_gen = std::move(*scalar_builder).Finish();
-  auto batched_gen = std::move(*batched_builder).Finish();
   auto columnar_gen = std::move(*columnar_builder).Finish();
-  ASSERT_TRUE(scalar_gen.ok() && batched_gen.ok() && columnar_gen.ok());
+  PointBatchSource source(&staged);
+  auto streamed_gen = PrivHPBuilder::BuildParallel(domain, options, &source, 2);
+  ASSERT_TRUE(scalar_gen.ok() && columnar_gen.ok() && streamed_gen.ok());
 
   const std::string scalar_bytes = serialize(*scalar_gen);
-  EXPECT_EQ(scalar_bytes, serialize(*batched_gen));
   EXPECT_EQ(scalar_bytes, serialize(*columnar_gen));
+  EXPECT_EQ(scalar_bytes, serialize(*streamed_gen));
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, BatchedIdentityTest,

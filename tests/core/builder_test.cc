@@ -99,7 +99,7 @@ TEST(BuilderTest, PrivacyDisabledKeepsExactCountsAtExactLevels) {
   ASSERT_TRUE(builder.ok());
   RandomEngine rng(5);
   std::vector<Point> data = GenerateUniform(1, 256, &rng);
-  ASSERT_TRUE(builder->AddAll(data).ok());
+  ASSERT_TRUE(builder->AddAll(PointBatch::FromPoints(data)).ok());
   auto generator = std::move(*builder).Finish();
   ASSERT_TRUE(generator.ok()) << generator.status();
 
@@ -120,7 +120,9 @@ TEST(BuilderTest, FinishProducesConsistentTreeAtGrowDepth) {
   auto builder = PrivHPBuilder::Make(&domain, options);
   ASSERT_TRUE(builder.ok());
   RandomEngine rng(9);
-  ASSERT_TRUE(builder->AddAll(GenerateUniform(2, 2048, &rng)).ok());
+  ASSERT_TRUE(
+      builder->AddAll(PointBatch::FromPoints(GenerateUniform(2, 2048, &rng)))
+          .ok());
   const int expected_depth = builder->plan().grow_to;
   auto generator = std::move(*builder).Finish();
   ASSERT_TRUE(generator.ok()) << generator.status();
@@ -146,7 +148,7 @@ TEST(BuilderTest, SameSeedSameGenerator) {
   auto build = [&]() {
     auto builder = PrivHPBuilder::Make(&domain, SmallOptions(1024));
     PRIVHP_CHECK(builder.ok());
-    PRIVHP_CHECK(builder->AddAll(data).ok());
+    PRIVHP_CHECK(builder->AddAll(PointBatch::FromPoints(data)).ok());
     auto generator = std::move(*builder).Finish();
     PRIVHP_CHECK(generator.ok());
     return std::move(*generator);

@@ -22,7 +22,7 @@ PrivHPGenerator BuildSmall(const Domain* domain,
   options.seed = 13;
   auto builder = PrivHPBuilder::Make(domain, options);
   PRIVHP_CHECK(builder.ok());
-  PRIVHP_CHECK(builder->AddAll(data).ok());
+  PRIVHP_CHECK(builder->AddAll(PointBatch::FromPoints(data)).ok());
   auto generator = std::move(*builder).Finish();
   PRIVHP_CHECK(generator.ok());
   return std::move(*generator);

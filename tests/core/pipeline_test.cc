@@ -160,7 +160,7 @@ TEST_F(PipelineTest, FullMechanismWithinTheoremBound) {
   options.seed = 31337;
   auto builder = PrivHPBuilder::Make(&domain_, options);
   ASSERT_TRUE(builder.ok());
-  ASSERT_TRUE(builder->AddAll(data_).ok());
+  ASSERT_TRUE(builder->AddAll(PointBatch::FromPoints(data_)).ok());
   const ResolvedPlan plan = builder->plan();
   auto generator = std::move(*builder).Finish();
   ASSERT_TRUE(generator.ok());

@@ -86,7 +86,7 @@ TEST(TreeQuantileTest, TracksEmpiricalQuantilesEndToEnd) {
   options.seed = 5;
   auto builder = PrivHPBuilder::Make(&domain, options);
   ASSERT_TRUE(builder.ok());
-  ASSERT_TRUE(builder->AddAll(data).ok());
+  ASSERT_TRUE(builder->AddAll(PointBatch::FromPoints(data)).ok());
   auto generator = std::move(*builder).Finish();
   ASSERT_TRUE(generator.ok());
 
@@ -179,7 +179,7 @@ TEST(HeavyHittersTest, RecoversPlantedIpv4Prefixes) {
   options.seed = 11;
   auto builder = PrivHPBuilder::Make(&domain, options);
   ASSERT_TRUE(builder.ok());
-  ASSERT_TRUE(builder->AddAll(data).ok());
+  ASSERT_TRUE(builder->AddAll(PointBatch::FromPoints(data)).ok());
   auto generator = std::move(*builder).Finish();
   ASSERT_TRUE(generator.ok());
 

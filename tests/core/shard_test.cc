@@ -65,8 +65,8 @@ TEST(ShardTest, AccumulatesExactNoiseFreeCounts) {
   IntervalDomain domain;
   PrivHPShard shard = MakeShard(&domain, SmallOptions(1024));
   RandomEngine rng(3);
-  const auto data = GenerateUniform(1, 200, &rng);
-  ASSERT_TRUE(shard.AddAll(data).ok());
+  const auto data = PointBatch::FromPoints(GenerateUniform(1, 200, &rng));
+  ASSERT_TRUE(shard.AddBatch(data).ok());
   EXPECT_EQ(shard.num_processed(), 200u);
   // Pre-noise state: the root holds exactly the stream length.
   EXPECT_DOUBLE_EQ(shard.tree().node(shard.tree().root()).count, 200.0);
@@ -87,45 +87,35 @@ TEST(ShardTest, ValidatesPointsLikeTheBuilder) {
   EXPECT_EQ(shard.num_processed(), 1u);
 }
 
-TEST(ShardTest, AddRangeChecksBounds) {
-  IntervalDomain domain;
-  PrivHPShard shard = MakeShard(&domain, SmallOptions(1024));
-  const std::vector<Point> data = {{0.1}, {0.2}, {0.3}};
-  EXPECT_TRUE(shard.AddRange(data, 1, 3).ok());
-  EXPECT_EQ(shard.num_processed(), 2u);
-  EXPECT_TRUE(shard.AddRange(data, 2, 4).IsOutOfRange());
-  EXPECT_TRUE(shard.AddRange(data, 3, 2).IsOutOfRange());
-}
-
-// Regression: AddRange used to mutate point-by-point, so a bad point in
-// the middle of a batch left the shard half-updated. A failed batch must
-// leave tree counts, sketch cells and num_processed bit-for-bit unchanged.
+// A bad point in the middle of a batch must not leave the shard
+// half-updated: a failed batch leaves tree counts, sketch cells and
+// num_processed bit-for-bit unchanged.
 TEST(ShardTest, FailedBatchLeavesShardUntouched) {
   IntervalDomain domain;
   const PrivHPOptions options = SmallOptions(1024);
   PrivHPShard shard = MakeShard(&domain, options);
   RandomEngine rng(21);
-  const auto good = GenerateUniform(1, 50, &rng);
-  ASSERT_TRUE(shard.AddAll(good).ok());
+  const auto good = PointBatch::FromPoints(GenerateUniform(1, 50, &rng));
+  ASSERT_TRUE(shard.AddBatch(good).ok());
   const PrivHPShard snapshot = shard;  // full accumulation state
 
-  std::vector<Point> batch = GenerateUniform(1, 20, &rng);
-  batch[13] = {2.5};  // outside [0,1]
-  const Status failed = shard.AddAll(batch);
+  PointBatch batch = PointBatch::FromPoints(GenerateUniform(1, 20, &rng));
+  batch.row(13)[0] = 2.5;  // outside [0,1]
+  const Status failed = shard.AddBatch(batch);
   EXPECT_TRUE(failed.IsOutOfRange());
   EXPECT_NE(failed.message().find("batch point 13"), std::string::npos);
   EXPECT_EQ(shard.num_processed(), 50u);
   ExpectShardsEqual(shard, snapshot);
 
-  // Wrong dimension keeps its status code and is equally atomic.
-  std::vector<Point> wrong_dim = GenerateUniform(1, 4, &rng);
-  wrong_dim[2] = {0.5, 0.5};
-  EXPECT_TRUE(shard.AddAll(wrong_dim).IsInvalidArgument());
+  // A batch of the wrong dimension keeps its status code and is equally
+  // atomic.
+  const auto wrong_dim = PointBatch::FromPoints(GenerateUniform(2, 4, &rng));
+  EXPECT_TRUE(shard.AddBatch(wrong_dim).IsInvalidArgument());
   EXPECT_EQ(shard.num_processed(), 50u);
   ExpectShardsEqual(shard, snapshot);
 
   // And the shard still ingests normally afterwards.
-  EXPECT_TRUE(shard.AddAll(good).ok());
+  EXPECT_TRUE(shard.AddBatch(good).ok());
   EXPECT_EQ(shard.num_processed(), 100u);
 }
 
@@ -134,10 +124,11 @@ TEST(ShardTest, AddBatchBitwiseIdenticalToScalarAdd) {
   const PrivHPOptions options = SmallOptions(4096);
   RandomEngine rng(22);
   const auto data = GenerateGaussianMixture(2, 3000, 3, 0.05, &rng);
+  const auto staged = PointBatch::FromPoints(data);
   PrivHPShard scalar = MakeShard(&domain, options);
   PrivHPShard batched = MakeShard(&domain, options);
   for (const Point& x : data) ASSERT_TRUE(scalar.Add(x).ok());
-  ASSERT_TRUE(batched.AddBatch(data).ok());
+  ASSERT_TRUE(batched.AddBatch(staged).ok());
   EXPECT_EQ(batched.num_processed(), scalar.num_processed());
   ExpectShardsEqual(scalar, batched);
 
@@ -149,20 +140,23 @@ TEST(ShardTest, AddBatchBitwiseIdenticalToScalarAdd) {
   size_t turn = 0;
   while (base < data.size()) {
     const size_t take = std::min(sizes[turn++ % 6], data.size() - base);
-    ASSERT_TRUE(chunked.AddBatch(data.data() + base, take).ok());
+    PointBatch slice(2);
+    slice.AppendFlat(staged.row(base), take);
+    ASSERT_TRUE(chunked.AddBatch(slice).ok());
     base += take;
   }
   ExpectShardsEqual(scalar, chunked);
 }
 
 // The released artifacts must agree too: scalar Add loop, one AddAll
-// batch, and an S-shard merged build (each shard fed through AddRange's
-// batched path) all serialize to the same bytes.
+// batch, and an S-shard merged build (each shard fed one contiguous
+// slice) all serialize to the same bytes.
 TEST(ShardTest, BatchedBuildMatchesScalarAndShardedBitwise) {
   HypercubeDomain domain(2);
   const PrivHPOptions options = SmallOptions(4096);
   RandomEngine rng(23);
   const auto data = GenerateGaussianMixture(2, 4096, 3, 0.05, &rng);
+  const auto staged = PointBatch::FromPoints(data);
 
   auto scalar_builder = PrivHPBuilder::Make(&domain, options);
   ASSERT_TRUE(scalar_builder.ok());
@@ -172,7 +166,7 @@ TEST(ShardTest, BatchedBuildMatchesScalarAndShardedBitwise) {
 
   auto batched_builder = PrivHPBuilder::Make(&domain, options);
   ASSERT_TRUE(batched_builder.ok());
-  ASSERT_TRUE(batched_builder->AddAll(data).ok());
+  ASSERT_TRUE(batched_builder->AddAll(staged).ok());
   auto gen_batched = std::move(*batched_builder).Finish();
   ASSERT_TRUE(gen_batched.ok());
   EXPECT_EQ(Serialized(*gen_scalar), Serialized(*gen_batched));
@@ -184,7 +178,9 @@ TEST(ShardTest, BatchedBuildMatchesScalarAndShardedBitwise) {
     ASSERT_TRUE(shard.ok());
     const size_t begin = s * data.size() / 3;
     const size_t end = (s + 1) * data.size() / 3;
-    ASSERT_TRUE(shard->AddRange(data, begin, end).ok());
+    PointBatch slice(2);
+    slice.AppendFlat(staged.row(begin), end - begin);
+    ASSERT_TRUE(shard->AddBatch(slice).ok());
     ASSERT_TRUE(sharded_builder->AbsorbShard(std::move(*shard)).ok());
   }
   auto gen_sharded = std::move(*sharded_builder).Finish();
@@ -196,8 +192,9 @@ TEST(ShardTest, MergeIsCommutative) {
   IntervalDomain domain;
   const PrivHPOptions options = SmallOptions(2048);
   RandomEngine rng(5);
-  const auto data_a = GenerateZipfCells(1, 500, 10, 1.2, &rng);
-  const auto data_b = GenerateUniform(1, 300, &rng);
+  const auto data_a =
+      PointBatch::FromPoints(GenerateZipfCells(1, 500, 10, 1.2, &rng));
+  const auto data_b = PointBatch::FromPoints(GenerateUniform(1, 300, &rng));
 
   PrivHPShard ab = MakeShard(&domain, options);
   PrivHPShard ab_other = MakeShard(&domain, options);
@@ -220,11 +217,11 @@ TEST(ShardTest, MergeIsAssociative) {
   IntervalDomain domain;
   const PrivHPOptions options = SmallOptions(2048);
   RandomEngine rng(6);
-  const auto data_a = GenerateUniform(1, 100, &rng);
-  const auto data_b = GenerateUniform(1, 200, &rng);
-  const auto data_c = GenerateUniform(1, 300, &rng);
+  const auto data_a = PointBatch::FromPoints(GenerateUniform(1, 100, &rng));
+  const auto data_b = PointBatch::FromPoints(GenerateUniform(1, 200, &rng));
+  const auto data_c = PointBatch::FromPoints(GenerateUniform(1, 300, &rng));
 
-  auto fresh = [&](const std::vector<Point>& data) {
+  auto fresh = [&](const PointBatch& data) {
     PrivHPShard shard = MakeShard(&domain, options);
     PRIVHP_CHECK(shard.AddAll(data).ok());
     return shard;
@@ -279,7 +276,7 @@ TEST(ShardTest, ShardedBuildBitwiseIdenticalToSequential) {
 
   auto sequential = PrivHPBuilder::Make(&domain, options);
   ASSERT_TRUE(sequential.ok());
-  ASSERT_TRUE(sequential->AddAll(data).ok());
+  ASSERT_TRUE(sequential->AddAll(PointBatch::FromPoints(data)).ok());
   auto gen_seq = std::move(*sequential).Finish();
   ASSERT_TRUE(gen_seq.ok());
 
@@ -312,30 +309,31 @@ TEST(ShardTest, BuildParallelMatchesSequentialBitwise) {
   RandomEngine rng(13);
   const auto data = GenerateGaussianMixture(2, 4096, 3, 0.05, &rng);
 
-  auto gen_seq = PrivHPBuilder::BuildParallel(&domain, options, data, 1);
-  ASSERT_TRUE(gen_seq.ok());
-  for (int threads : {2, 4}) {
-    auto gen_par = PrivHPBuilder::BuildParallel(&domain, options, data,
-                                                threads);
+  auto scalar_builder = PrivHPBuilder::Make(&domain, options);
+  ASSERT_TRUE(scalar_builder.ok());
+  for (const Point& x : data) ASSERT_TRUE(scalar_builder->Add(x).ok());
+  auto gen_scalar = std::move(*scalar_builder).Finish();
+  ASSERT_TRUE(gen_scalar.ok());
+
+  const auto staged = PointBatch::FromPoints(data);
+  for (int threads : {1, 2, 4}) {
+    PointBatchSource source(&staged);
+    auto gen_par =
+        PrivHPBuilder::BuildParallel(&domain, options, &source, threads);
     ASSERT_TRUE(gen_par.ok()) << gen_par.status();
-    EXPECT_EQ(Serialized(*gen_seq), Serialized(*gen_par))
+    EXPECT_EQ(Serialized(*gen_scalar), Serialized(*gen_par))
         << threads << " threads";
   }
-  // The streaming (PointSource) overload must agree too.
-  VectorPointSource source(&data);
-  auto gen_stream =
-      PrivHPBuilder::BuildParallel(&domain, options, &source, 4);
-  ASSERT_TRUE(gen_stream.ok()) << gen_stream.status();
-  EXPECT_EQ(Serialized(*gen_seq), Serialized(*gen_stream));
 }
 
 TEST(ShardTest, BuildParallelPropagatesWorkerErrors) {
   IntervalDomain domain;
   RandomEngine rng(15);
-  std::vector<Point> data = GenerateUniform(1, 2000, &rng);
-  data[1500] = {2.5};  // outside [0,1]
+  PointBatch data = PointBatch::FromPoints(GenerateUniform(1, 2000, &rng));
+  data.row(1500)[0] = 2.5;  // outside [0,1]
+  PointBatchSource source(&data);
   auto generator =
-      PrivHPBuilder::BuildParallel(&domain, SmallOptions(2000), data, 4);
+      PrivHPBuilder::BuildParallel(&domain, SmallOptions(2000), &source, 4);
   EXPECT_FALSE(generator.ok());
   EXPECT_TRUE(generator.status().IsOutOfRange());
 }
@@ -347,7 +345,7 @@ TEST(ShardTest, AccountantStillSumsToEpsilonAfterShardedBuild) {
   auto builder = PrivHPBuilder::Make(&domain, options);
   ASSERT_TRUE(builder.ok());
   RandomEngine rng(17);
-  const auto data = GenerateUniform(1, 1000, &rng);
+  const auto data = PointBatch::FromPoints(GenerateUniform(1, 1000, &rng));
   for (int s = 0; s < 3; ++s) {
     auto shard = builder->NewShard();
     ASSERT_TRUE(shard.ok());

@@ -1,6 +1,6 @@
 // PointBatch round-trips: vector<Point> <-> arena <-> wire frame. The
 // columnar paths (shard ingest, sampler output, socket streaming) all
-// assume the arena layout matches both the Point currency and the wire
+// assume the arena layout matches both single Points and the wire
 // point-batch frame bit-for-bit; these tests pin that equivalence,
 // including non-full tail batches, dim-1, and sign/precision edge
 // values that a float->text->float round trip would lose.
@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <deque>
 #include <limits>
 #include <vector>
 
@@ -92,14 +91,12 @@ TEST(PointBatchTest, DimOneBatchIsAFlatArray) {
 TEST(PointBatchWireTest, EncodersAgreeOnPayloadBytes) {
   const std::vector<Point> points = EdgePoints();
   const PointBatch batch = PointBatch::FromPoints(points);
-  const std::string from_vector = EncodePointBatch(points, 0, points.size());
   const std::string from_flat = EncodePointBatch(batch.data(), 3, batch.size());
   const std::string from_batch = EncodePointBatch(batch);
-  EXPECT_EQ(from_vector, from_flat);
-  EXPECT_EQ(from_vector, from_batch);
-  EXPECT_EQ(static_cast<uint8_t>(from_vector[0]), kPointBatchTag);
+  EXPECT_EQ(from_flat, from_batch);
+  EXPECT_EQ(static_cast<uint8_t>(from_batch[0]), kPointBatchTag);
   // [tag][count:u32][dim:u32][count*dim doubles]
-  EXPECT_EQ(from_vector.size(), 1 + 4 + 4 + points.size() * 3 * 8);
+  EXPECT_EQ(from_batch.size(), 1 + 4 + 4 + points.size() * 3 * 8);
 }
 
 TEST(PointBatchWireTest, WireRoundTripIsBitExact) {
@@ -113,37 +110,30 @@ TEST(PointBatchWireTest, WireRoundTripIsBitExact) {
   EXPECT_EQ(std::memcmp(decoded.data(), batch.data(),
                         batch.size() * 3 * sizeof(double)),
             0);
-
-  // All three decode targets agree with each other.
-  std::deque<Point> dq;
-  std::vector<Point> vec;
-  ASSERT_TRUE(DecodePointBatch(payload, 3, &dq).ok());
-  ASSERT_TRUE(DecodePointBatch(payload, 3, &vec).ok());
-  EXPECT_EQ(vec, points);
-  EXPECT_EQ(std::vector<Point>(dq.begin(), dq.end()), points);
+  EXPECT_EQ(decoded.ToPoints(), points);
 }
 
 TEST(PointBatchWireTest, DecodeAppendsAcrossFrames) {
   // A stream split into a full frame and a non-full tail must
   // reassemble into one arena, mirroring SocketPointSource delivery.
-  std::vector<Point> all;
+  PointBatch all(2);
   for (int i = 0; i < 10; ++i) {
-    all.push_back({0.1 * i, 0.2 * i});
+    all.AppendPoint({0.1 * i, 0.2 * i});
   }
-  const std::string head = EncodePointBatch(all, 0, 8);
-  const std::string tail = EncodePointBatch(all, 8, 10);
+  const std::string head = EncodePointBatch(all.data(), 2, 8);
+  const std::string tail = EncodePointBatch(all.row(8), 2, 2);
 
   PointBatch decoded;
   ASSERT_TRUE(DecodePointBatch(head, 2, &decoded).ok());
   ASSERT_TRUE(DecodePointBatch(tail, 2, &decoded).ok());
-  EXPECT_EQ(decoded, PointBatch::FromPoints(all));
+  EXPECT_EQ(decoded, all);
 }
 
 TEST(PointBatchWireTest, DecodeRejectsDimMismatchWithNonEmptyBatch) {
   PointBatch decoded(2);
   decoded.AppendPoint({1.0, 2.0});
   const std::string frame3 =
-      EncodePointBatch({{1.0, 2.0, 3.0}}, 0, 1);
+      EncodePointBatch(PointBatch::FromPoints({{1.0, 2.0, 3.0}}));
   // expected_dim = 0 skips the protocol-level check; the batch itself
   // must still refuse to mix dimensions.
   EXPECT_TRUE(DecodePointBatch(frame3, 0, &decoded).IsInvalidArgument());
@@ -151,7 +141,7 @@ TEST(PointBatchWireTest, DecodeRejectsDimMismatchWithNonEmptyBatch) {
 }
 
 TEST(PointBatchWireTest, EmptyFrameDecodesToNoPoints) {
-  const std::string empty = EncodePointBatch(std::vector<Point>{}, 0, 0);
+  const std::string empty = EncodePointBatch(PointBatch(3));
   PointBatch decoded;
   ASSERT_TRUE(DecodePointBatch(empty, 3, &decoded).ok());
   EXPECT_TRUE(decoded.empty());

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <utility>
+#include <vector>
 
 #include "baselines/nonprivate.h"
 #include "common/macros.h"
@@ -22,7 +23,7 @@ void CheckSinkConformance(PointSink* sink) {
   const uint64_t before = sink->num_processed();
   ASSERT_TRUE(sink->Add({0.25}).ok());
   EXPECT_EQ(sink->num_processed(), before + 1);
-  ASSERT_TRUE(sink->AddAll({{0.5}, {0.75}}).ok());
+  ASSERT_TRUE(sink->AddAll(PointBatch::FromPoints({{0.5}, {0.75}})).ok());
   EXPECT_EQ(sink->num_processed(), before + 3);
   Point moved = {0.125};
   ASSERT_TRUE(sink->Add(std::move(moved)).ok());
@@ -97,9 +98,10 @@ TEST(PointSinkTest, ShardAndBuilderConform) {
   CheckSinkConformance(&*shard);
 }
 
-TEST(PointSinkTest, VectorSourceDrainsIntoSink) {
+TEST(PointSinkTest, BatchSourceDrainsIntoSink) {
   const std::vector<Point> data = {{0.1}, {0.2}, {0.3}};
-  VectorPointSource source(&data);
+  const PointBatch batch = PointBatch::FromPoints(data);
+  PointBatchSource source(&batch);
   CollectingSink sink;
   ASSERT_TRUE(Drain(&source, &sink).ok());
   EXPECT_EQ(sink.points(), data);
@@ -110,28 +112,112 @@ TEST(PointSinkTest, VectorSourceDrainsIntoSink) {
   EXPECT_FALSE(*more);
 }
 
+// A source that implements only Next(), so NextBatch is the base
+// class's default.
+class CountingSource : public PointSource {
+ public:
+  explicit CountingSource(int count) : count_(count) {}
+  Result<bool> Next(Point* out) override {
+    if (next_ >= count_) return false;
+    *out = {next_++ * 0.1};
+    return true;
+  }
+
+ private:
+  int count_;
+  int next_ = 0;
+};
+
 TEST(PointSinkTest, DefaultNextBatchLoopsNext) {
-  std::vector<Point> data;
-  for (int i = 0; i < 10; ++i) data.push_back({i * 0.1});
-  VectorPointSource source(&data);
-  std::vector<Point> batch;
+  CountingSource source(10);
+  PointBatch batch;
   auto r1 = source.NextBatch(4, &batch);
   ASSERT_TRUE(r1.ok());
   EXPECT_EQ(*r1, 4u);
-  EXPECT_EQ(batch[3], data[3]);
+  ASSERT_EQ(batch.size(), 4u);
+  EXPECT_EQ(batch.row(3)[0], 3 * 0.1);
   auto r2 = source.NextBatch(100, &batch);
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(*r2, 6u);
-  EXPECT_EQ(batch[5], data[9]);
+  ASSERT_EQ(batch.size(), 6u);
+  EXPECT_EQ(batch.row(5)[0], 9 * 0.1);
   auto r3 = source.NextBatch(100, &batch);
   ASSERT_TRUE(r3.ok());
   EXPECT_EQ(*r3, 0u);
+  EXPECT_TRUE(batch.empty());
+}
+
+// The batch source hands out consecutive max_points slices, then the
+// tail, then end-of-stream.
+TEST(PointSinkTest, BatchSourceSlicesAtMaxPointsThenTail) {
+  PointBatch data(2);
+  for (int i = 0; i < 10; ++i) data.AppendPoint({i * 0.1, i * 0.2});
+  PointBatchSource source(&data);
+  PointBatch slice;
+  std::vector<size_t> sizes;
+  for (;;) {
+    auto n = source.NextBatch(4, &slice);
+    ASSERT_TRUE(n.ok());
+    if (*n == 0) break;
+    ASSERT_EQ(slice.size(), *n);
+    ASSERT_EQ(slice.dim(), 2);
+    for (size_t i = 0; i < *n; ++i) {
+      EXPECT_EQ(slice.At(i), data.At(4 * sizes.size() + i));
+    }
+    sizes.push_back(*n);
+  }
+  EXPECT_EQ(sizes, (std::vector<size_t>{4, 4, 2}));
+  EXPECT_TRUE(slice.empty());
+}
+
+TEST(PointSinkTest, BatchSourceOverEmptyBatchEndsAtOnce) {
+  for (const PointBatch& empty : {PointBatch(), PointBatch(3)}) {
+    PointBatchSource source(&empty);
+    PointBatch slice(1);
+    slice.AppendPoint({0.5});
+    auto n = source.NextBatch(4, &slice);
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(*n, 0u);
+    EXPECT_TRUE(slice.empty());
+    Point scratch;
+    auto more = source.Next(&scratch);
+    ASSERT_TRUE(more.ok());
+    EXPECT_FALSE(*more);
+  }
+  PointBatchSource unbacked(nullptr);
+  PointBatch slice;
+  EXPECT_TRUE(unbacked.NextBatch(4, &slice).status().IsInvalidArgument());
+}
+
+// Next and NextBatch share one cursor: mixing them neither skips nor
+// repeats a point.
+TEST(PointSinkTest, BatchSourceMixesNextWithNextBatch) {
+  PointBatch data(1);
+  for (int i = 0; i < 7; ++i) data.AppendPoint({i * 0.1});
+  PointBatchSource source(&data);
+  std::vector<Point> seen;
+  Point x;
+  PointBatch slice;
+  for (int round = 0;; ++round) {
+    if (round % 2 == 0) {
+      auto more = source.Next(&x);
+      ASSERT_TRUE(more.ok());
+      if (!*more) break;
+      seen.push_back(x);
+    } else {
+      auto n = source.NextBatch(2, &slice);
+      ASSERT_TRUE(n.ok());
+      if (*n == 0) break;
+      slice.CopyTo(&seen);
+    }
+  }
+  EXPECT_EQ(seen, data.ToPoints());
 }
 
 TEST(PointSinkTest, DrainStopsAtFirstSinkError) {
   IntervalDomain domain;
-  const std::vector<Point> data = {{0.1}, {1.7}, {0.3}};
-  VectorPointSource source(&data);
+  const PointBatch data = PointBatch::FromPoints({{0.1}, {1.7}, {0.3}});
+  PointBatchSource source(&data);
   CollectingSink sink(&domain);
   EXPECT_TRUE(Drain(&source, &sink).IsOutOfRange());
   EXPECT_EQ(sink.num_processed(), 1u);
@@ -139,8 +225,8 @@ TEST(PointSinkTest, DrainStopsAtFirstSinkError) {
 
 TEST(PointSinkTest, DrainRequiresBothEnds) {
   CollectingSink sink;
-  const std::vector<Point> data;
-  VectorPointSource source(&data);
+  const PointBatch data;
+  PointBatchSource source(&data);
   EXPECT_TRUE(Drain(nullptr, &sink).IsInvalidArgument());
   EXPECT_TRUE(Drain(&source, nullptr).IsInvalidArgument());
 }

@@ -137,15 +137,17 @@ TEST(CsvPointReaderTest, NextBatchReadsChunksAndSkipsComments) {
   WriteFile(path, contents);
   auto reader = CsvPointReader::Open(path, 2);
   ASSERT_TRUE(reader.ok());
-  std::vector<Point> batch;
+  PointBatch batch;
   auto r1 = reader->NextBatch(4, &batch);
   ASSERT_TRUE(r1.ok());
   ASSERT_EQ(*r1, 4u);
-  EXPECT_DOUBLE_EQ(batch[3][1], 3 * 0.02);
+  ASSERT_EQ(batch.size(), 4u);
+  EXPECT_DOUBLE_EQ(batch.row(3)[1], 3 * 0.02);
   auto r2 = reader->NextBatch(100, &batch);
   ASSERT_TRUE(r2.ok());
   ASSERT_EQ(*r2, 6u);
-  EXPECT_DOUBLE_EQ(batch[5][0], 9 * 0.01);
+  ASSERT_EQ(batch.size(), 6u);
+  EXPECT_DOUBLE_EQ(batch.row(5)[0], 9 * 0.01);
   auto r3 = reader->NextBatch(100, &batch);
   ASSERT_TRUE(r3.ok());
   EXPECT_EQ(*r3, 0u);  // EOF
@@ -157,7 +159,7 @@ TEST(CsvPointReaderTest, NextBatchReportsLineNumberOnError) {
   WriteFile(path, "0.1,0.2\n0.3,0.4\nbroken\n");
   auto reader = CsvPointReader::Open(path, 2);
   ASSERT_TRUE(reader.ok());
-  std::vector<Point> batch;
+  PointBatch batch;
   auto bad = reader->NextBatch(100, &batch);
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.status().message().find("line 3"), std::string::npos);

@@ -99,7 +99,7 @@ TEST(SocketPointStreamTest, SinkToSourceRoundTrip) {
   // so the test does not rely on socket buffering for large streams.
   std::thread writer([&]() {
     SocketPointSink sink(&pair->first, /*batch_size=*/64);
-    ASSERT_TRUE(sink.AddAll(sent).ok());
+    ASSERT_TRUE(sink.AddAll(PointBatch::FromPoints(sent)).ok());
     ASSERT_TRUE(sink.FinishStream().ok());
     EXPECT_EQ(sink.num_processed(), sent.size());
   });
@@ -129,20 +129,20 @@ TEST(SocketPointStreamTest, NextBatchHandsOverWholeFrames) {
 
   std::thread writer([&]() {
     SocketPointSink sink(&pair->first, /*batch_size=*/100);
-    ASSERT_TRUE(sink.AddAll(sent).ok());
+    ASSERT_TRUE(sink.AddAll(PointBatch::FromPoints(sent)).ok());
     ASSERT_TRUE(sink.FinishStream().ok());
   });
 
   SocketPointSource source(&pair->second, /*expected_dim=*/1);
   std::vector<Point> received;
-  std::vector<Point> batch;
+  PointBatch batch;
   std::vector<size_t> batch_sizes;
   for (;;) {
     auto n = source.NextBatch(/*max_points=*/8, &batch);
     ASSERT_TRUE(n.ok()) << n.status();
     if (*n == 0) break;
     batch_sizes.push_back(*n);
-    for (Point& p : batch) received.push_back(std::move(p));
+    batch.CopyTo(&received);
   }
   writer.join();
   EXPECT_EQ(received, sent);
@@ -161,7 +161,7 @@ TEST(SocketPointStreamTest, NextBatchInterleavesWithNext) {
 
   std::thread writer([&]() {
     SocketPointSink sink(&pair->first, /*batch_size=*/40);
-    ASSERT_TRUE(sink.AddAll(sent).ok());
+    ASSERT_TRUE(sink.AddAll(PointBatch::FromPoints(sent)).ok());
     ASSERT_TRUE(sink.FinishStream().ok());
   });
 
@@ -174,12 +174,12 @@ TEST(SocketPointStreamTest, NextBatchInterleavesWithNext) {
   ASSERT_TRUE(more.ok());
   ASSERT_TRUE(*more);
   received.push_back(one);
-  std::vector<Point> batch;
+  PointBatch batch;
   for (;;) {
     auto n = source.NextBatch(1000, &batch);
     ASSERT_TRUE(n.ok()) << n.status();
     if (*n == 0) break;
-    for (Point& p : batch) received.push_back(std::move(p));
+    batch.CopyTo(&received);
   }
   writer.join();
   EXPECT_EQ(received, sent);
@@ -189,17 +189,19 @@ TEST(SocketPointStreamTest, NextBatchInterleavesWithNext) {
 TEST(SocketPointStreamTest, NextBatchVerifiesStreamTotal) {
   auto pair = SocketPair();
   ASSERT_TRUE(pair.ok());
-  std::vector<Point> sent = {{0.1}, {0.2}, {0.3}};
-  ASSERT_TRUE(SendFrame(pair->first, EncodePointBatch(sent, 0, 3)).ok());
+  const PointBatch sent = PointBatch::FromPoints({{0.1}, {0.2}, {0.3}});
+  ASSERT_TRUE(SendFrame(pair->first, EncodePointBatch(sent)).ok());
   // Lying end frame: declares 5 but delivered 3.
   ASSERT_TRUE(SendFrame(pair->first, EncodePointStreamEnd(5)).ok());
 
   SocketPointSource source(&pair->second, /*expected_dim=*/1);
-  std::vector<Point> batch;
-  auto n = source.NextBatch(1000, &batch);
+  PointBatch batch;
+  // A full arena returns before the end frame is read; the next call
+  // reads it and checks the total.
+  auto n = source.NextBatch(3, &batch);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 3u);
-  EXPECT_TRUE(source.NextBatch(1000, &batch).status().IsIOError());
+  EXPECT_TRUE(source.NextBatch(3, &batch).status().IsIOError());
 }
 
 // ---- Coalescing: the columnar NextBatch fills the arena from
@@ -367,7 +369,7 @@ TEST(SocketPointStreamTest, BatchHeaderBeyondPayloadIsRejected) {
   huge_count.PutU32(0xFFFFFFFFu);  // count
   huge_count.PutU32(1);            // dim
   huge_count.PutDouble(0.5);
-  std::deque<Point> out;
+  PointBatch out;
   EXPECT_TRUE(DecodePointBatch(huge_count.Take(), /*expected_dim=*/1, &out)
                   .IsIOError());
 
@@ -404,10 +406,8 @@ TEST(SocketPointStreamTest, TruncatedStreamIsAnError) {
 TEST(SocketPointStreamTest, EndFrameTotalIsVerified) {
   auto pair = SocketPair();
   ASSERT_TRUE(pair.ok());
-  const std::vector<Point> points = {{0.1}, {0.2}};
-  ASSERT_TRUE(
-      SendFrame(pair->first, EncodePointBatch(points, 0, points.size()))
-          .ok());
+  const PointBatch points = PointBatch::FromPoints({{0.1}, {0.2}});
+  ASSERT_TRUE(SendFrame(pair->first, EncodePointBatch(points)).ok());
   // Lie about the total.
   ASSERT_TRUE(SendFrame(pair->first, EncodePointStreamEnd(5)).ok());
 

@@ -1,8 +1,8 @@
 // Deterministic fuzz for the byte-level protocol surface: every decoder
 // that accepts raw network bytes — ParseRequest (server side),
-// ParseResponse (client side), and the three DecodePointBatch overloads
-// (deque / vector / columnar PointBatch) — must turn ANY input into a
-// clean Status, never a crash, hang, or unbounded allocation. Seeded
+// ParseResponse (client side), and DecodePointBatch — must turn ANY
+// input into a clean Status, never a crash, hang, or unbounded
+// allocation. Seeded
 // RandomEngine draws keep every case reproducible (a failing seed is a
 // regression test by itself), and the whole file runs under the ASan/
 // UBSan and TSan CI legs, which is where parser bugs actually surface.
@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -32,8 +31,8 @@ namespace privhp {
 namespace {
 
 // Runs one payload through every byte-level decoder. The decoders must
-// not crash; on success the three point-batch decoders must agree with
-// each other exactly.
+// not crash; on success the point-batch decoder must hold exactly the
+// coordinates a field-by-field read of the frame yields.
 void DriveDecoders(const std::string& payload) {
   // Server request path.
   auto request = ParseRequest(payload);
@@ -50,33 +49,29 @@ void DriveDecoders(const std::string& payload) {
   auto stats = DecodeStatsSnapshot(&stats_reader);
   (void)stats;
 
-  // Point-frame path, all three decode targets. expected_dim = 2 for
-  // the protocol-checked flavor, 0 for the unchecked one.
+  // Point-frame path. expected_dim = 2 for the protocol-checked flavor,
+  // 0 for the unchecked one.
   for (int expected_dim : {0, 2}) {
-    std::deque<Point> dq;
-    std::vector<Point> vec;
     PointBatch batch;
-    const Status s_dq = DecodePointBatch(payload, expected_dim, &dq);
-    const Status s_vec = DecodePointBatch(payload, expected_dim, &vec);
-    const Status s_batch = DecodePointBatch(payload, expected_dim, &batch);
-    ASSERT_EQ(s_dq.ok(), s_vec.ok()) << s_dq.ToString() << " vs "
-                                     << s_vec.ToString();
-    ASSERT_EQ(s_dq.ok(), s_batch.ok()) << s_dq.ToString() << " vs "
-                                       << s_batch.ToString();
-    if (s_dq.ok()) {
-      ASSERT_EQ(dq.size(), vec.size());
-      ASSERT_EQ(dq.size(), batch.size());
-      // Compare bitwise, not with operator==: mutated frames can carry
-      // NaN coordinates, where == is false even for identical bytes.
-      for (size_t i = 0; i < vec.size(); ++i) {
-        ASSERT_EQ(vec[i].size(), dq[i].size());
-        ASSERT_EQ(std::memcmp(vec[i].data(), dq[i].data(),
-                              vec[i].size() * sizeof(double)),
-                  0);
-        ASSERT_EQ(std::memcmp(batch.row(i), vec[i].data(),
-                              vec[i].size() * sizeof(double)),
-                  0);
+    const Status decoded = DecodePointBatch(payload, expected_dim, &batch);
+    if (decoded.ok()) {
+      // Re-read the frame one field at a time: [tag][count][dim] then
+      // count*dim doubles, and nothing after them.
+      WireReader fields(payload);
+      ASSERT_TRUE(fields.U8().ok());
+      auto count = fields.U32();
+      auto dim = fields.U32();
+      ASSERT_TRUE(count.ok() && dim.ok());
+      ASSERT_EQ(batch.size(), *count);
+      const size_t n = static_cast<size_t>(*count) * *dim;
+      for (size_t j = 0; j < n; ++j) {
+        auto value = fields.Double();
+        ASSERT_TRUE(value.ok());
+        // Compare bitwise, not with operator==: mutated frames can carry
+        // NaN coordinates, where == is false even for identical bytes.
+        ASSERT_EQ(std::memcmp(batch.data() + j, &*value, sizeof(double)), 0);
       }
+      ASSERT_TRUE(fields.ExpectEnd().ok());
     }
   }
 }
@@ -141,7 +136,8 @@ std::vector<std::string> ValidCorpus() {
   ingest.n = 4096;
   ingest.threads = 2;
   corpus.push_back(EncodeIngestRequest(ingest));
-  corpus.push_back(EncodePointBatch({{0.25, 0.75}, {0.5, 0.5}}, 0, 2));
+  corpus.push_back(
+      EncodePointBatch(PointBatch::FromPoints({{0.25, 0.75}, {0.5, 0.5}})));
   corpus.push_back(EncodePointStreamEnd(2));
   corpus.push_back(BeginOkResponse().Take());
   corpus.push_back(
@@ -256,14 +252,8 @@ TEST(ProtocolFuzzCorpusTest, HugeHeaderFramesRejectedByAllDecoders) {
 
   for (const std::string& payload :
        {huge_count.Take(), huge_dim.Take(), overflow.Take()}) {
-    std::deque<Point> dq;
-    std::vector<Point> vec;
     PointBatch batch;
-    EXPECT_TRUE(DecodePointBatch(payload, 0, &dq).IsIOError());
-    EXPECT_TRUE(DecodePointBatch(payload, 0, &vec).IsIOError());
     EXPECT_TRUE(DecodePointBatch(payload, 0, &batch).IsIOError());
-    EXPECT_TRUE(dq.empty());
-    EXPECT_TRUE(vec.empty());
     EXPECT_TRUE(batch.empty());
   }
 }

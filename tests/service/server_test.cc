@@ -270,7 +270,7 @@ TEST_F(ServerTest, ConcurrentSamplesShareOneCompiledTable) {
 // Ingest over the socket == build from the same data locally, bit for
 // bit: the served artifact is exactly the released artifact.
 TEST_F(ServerTest, IngestPublishesByteIdenticalArtifact) {
-  const std::vector<Point> data = MakeData(3000, 2, 11);
+  const PointBatch data = PointBatch::FromPoints(MakeData(3000, 2, 11));
 
   PrivHPClient::IngestSpec spec;
   spec.dim = 2;
@@ -282,7 +282,7 @@ TEST_F(ServerTest, IngestPublishesByteIdenticalArtifact) {
 
   auto client = Connect();
   ASSERT_TRUE(client.ok());
-  VectorPointSource source(&data);
+  PointBatchSource source(&data);
   auto report = client->Ingest("fresh", spec, &source);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->points_sent, data.size());
@@ -295,7 +295,9 @@ TEST_F(ServerTest, IngestPublishesByteIdenticalArtifact) {
   options.k = spec.k;
   options.expected_n = spec.n;
   options.seed = spec.seed;
-  auto local = PrivHPBuilder::BuildParallel(&domain, options, data, 1);
+  PointBatchSource local_source(&data);
+  auto local =
+      PrivHPBuilder::BuildParallel(&domain, options, &local_source, 1);
   ASSERT_TRUE(local.ok());
   std::ostringstream local_bytes;
   ASSERT_TRUE(SaveTree(local->tree(), &local_bytes).ok());
@@ -318,7 +320,7 @@ TEST_F(ServerTest, IngestPublishesByteIdenticalArtifact) {
 // the same points, byte for byte. 40,000 points span two full 16K
 // windows and a partial one.
 TEST_F(ServerTest, IngestInSmallFramesPublishesByteIdenticalArtifact) {
-  const std::vector<Point> data = MakeData(40000, 1, 31);
+  const PointBatch data = PointBatch::FromPoints(MakeData(40000, 1, 31));
 
   PrivHPClient::IngestSpec spec;
   spec.dim = 1;
@@ -330,7 +332,7 @@ TEST_F(ServerTest, IngestInSmallFramesPublishesByteIdenticalArtifact) {
 
   auto client = Connect();
   ASSERT_TRUE(client.ok());
-  VectorPointSource source(&data);
+  PointBatchSource source(&data);
   auto report = client->Ingest("small_frames", spec, &source);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->points_sent, data.size());
@@ -341,7 +343,9 @@ TEST_F(ServerTest, IngestInSmallFramesPublishesByteIdenticalArtifact) {
   options.k = spec.k;
   options.expected_n = spec.n;
   options.seed = spec.seed;
-  auto local = PrivHPBuilder::BuildParallel(&domain, options, data, 3);
+  PointBatchSource local_source(&data);
+  auto local =
+      PrivHPBuilder::BuildParallel(&domain, options, &local_source, 3);
   ASSERT_TRUE(local.ok());
   std::ostringstream local_bytes;
   ASSERT_TRUE(SaveTree(local->tree(), &local_bytes).ok());
@@ -357,8 +361,8 @@ TEST_F(ServerTest, IngestValidatesBeforeStreaming) {
   PrivHPClient::IngestSpec spec;
   spec.dim = 1;
   spec.n = 0;  // missing horizon
-  const std::vector<Point> data = {{0.5}};
-  VectorPointSource source(&data);
+  const PointBatch data = PointBatch::FromPoints({{0.5}});
+  PointBatchSource source(&data);
   EXPECT_TRUE(
       client->Ingest("bad", spec, &source).status().IsInvalidArgument());
   // Connection still usable.
@@ -374,12 +378,12 @@ TEST_F(ServerTest, IngestHotSwapsLiveArtifact) {
   ASSERT_TRUE(before.ok());
   const double mass_before = (*before)->generator().TotalMass();
 
-  const std::vector<Point> data = MakeData(2000, 1, 23);
+  const PointBatch data = PointBatch::FromPoints(MakeData(2000, 1, 23));
   PrivHPClient::IngestSpec spec;
   spec.dim = 1;
   spec.n = data.size();
   spec.seed = 77;
-  VectorPointSource source(&data);
+  PointBatchSource source(&data);
   auto report = client->Ingest("beta", spec, &source);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 

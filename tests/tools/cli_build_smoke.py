@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""End-to-end smoke test of `privhp build`.
+
+Writes a seeded 1-D and a seeded 2-D CSV and checks that
+
+  * `privhp build` at --threads 1 and --threads 4 writes byte-identical
+    trees for both (the CSV streams through the sharded build);
+  * `privhp quantile` answers on the 1-D tree;
+  * a CSV with a malformed row fails with that row's line number and
+    leaves no output file.
+
+Stdlib-only. Usage: cli_build_smoke.py PATH_TO_PRIVHP
+(ctest runs it as cli.build_smoke).
+"""
+
+import os
+import random
+import subprocess
+import sys
+import tempfile
+
+
+def run(privhp, *args):
+    return subprocess.run([privhp] + list(args), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True)
+
+
+def write_csv(path, dim, n, seed):
+    rng = random.Random(seed)
+    with open(path, "w") as f:
+        f.write("# seeded smoke data\n")
+        for _ in range(n):
+            f.write(",".join(repr(rng.betavariate(2, 5))
+                             for _ in range(dim)) + "\n")
+
+
+def build(privhp, csv, dim, out, threads):
+    proc = run(privhp, "build", "--in", csv, "--dim", str(dim), "--k", "16",
+               "--out", out, "--threads", str(threads))
+    if proc.returncode != 0:
+        raise AssertionError("build --threads %d of %s failed:\n%s" %
+                             (threads, csv, proc.stderr))
+    with open(out, "rb") as f:
+        return f.read()
+
+
+def main(argv):
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    privhp = argv[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        # 40,000 points span two full shard windows and a partial one.
+        for dim, n in ((1, 40000), (2, 20000)):
+            csv = os.path.join(tmp, "data%d.csv" % dim)
+            write_csv(csv, dim, n, seed=dim)
+            one = build(privhp, csv, dim, csv + ".t1.tree", 1)
+            four = build(privhp, csv, dim, csv + ".t4.tree", 4)
+            if one != four:
+                raise AssertionError(
+                    "%d-D tree differs between --threads 1 and 4" % dim)
+
+        proc = run(privhp, "quantile", "--tree",
+                   os.path.join(tmp, "data1.csv.t1.tree"), "--q", "0.5")
+        if proc.returncode != 0 or not proc.stdout.startswith("q=0.5000"):
+            raise AssertionError("quantile failed:\n%s%s" %
+                                 (proc.stdout, proc.stderr))
+
+        # Line 1 is a comment, so the bad row is line 5 of the file.
+        bad = os.path.join(tmp, "bad.csv")
+        with open(bad, "w") as f:
+            f.write("# header\n0.1\n0.2\n0.3\nnot-a-number\n0.4\n")
+        out = os.path.join(tmp, "bad.tree")
+        for extra in ([], ["--n", "5"]):
+            proc = run(privhp, "build", "--in", bad, "--dim", "1",
+                       "--out", out, *extra)
+            if proc.returncode == 0 or "(line 5)" not in proc.stderr:
+                raise AssertionError(
+                    "malformed row not reported with its line number "
+                    "(args %s):\n%s" % (extra, proc.stderr))
+            if os.path.exists(out):
+                raise AssertionError("failed build left %s behind" % out)
+    print("cli.build_smoke: OK")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

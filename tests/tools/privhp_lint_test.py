@@ -9,6 +9,7 @@ the real tree, asserting exact rule IDs:
   * the clean/ mirror — same shapes, invariants respected — is silent;
   * src/ itself is silent (the gate the CI job enforces);
   * PHL006 takes its limit from the nearest .clang-format;
+  * PHL007 applies to the ingest layers (io/, domain/, core/) only;
   * --check-tidy-config accepts the repo config and rejects configs
     with undocumented opt-outs or a missing WarningsAsErrors.
 
@@ -85,6 +86,12 @@ class BadFixturesTest(unittest.TestCase):
         # line of 80 characters (but more bytes), or the long #include.
         self.expect("bad/common/long_lines.cc", "PHL006", [7, 8, 11])
 
+    def test_phl007_point_currency(self):
+        # Declarations and definitions, single- and multi-line; not the
+        # PointBatch forms beside them.
+        self.expect("bad/io/point_sink.h", "PHL007", [11, 17, 24])
+        self.expect("bad/core/shard.cc", "PHL007", [7, 11])
+
     def test_no_cross_rule_noise(self):
         # A file seeded for one rule must not trip a different rule.
         for path, _, rule in self.findings:
@@ -92,7 +99,9 @@ class BadFixturesTest(unittest.TestCase):
                         "bad/common/simd_avx2.cc": "PHL002",
                         "bad/core/sampler.cc": "PHL003",
                         "bad/service/queue.cc": "PHL004",
-                        "bad/common/long_lines.cc": "PHL006"}[path]
+                        "bad/common/long_lines.cc": "PHL006",
+                        "bad/io/point_sink.h": "PHL007",
+                        "bad/core/shard.cc": "PHL007"}[path]
             self.assertEqual(rule, expected,
                              "unexpected %s in %s" % (rule, path))
 

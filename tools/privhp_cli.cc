@@ -142,6 +142,20 @@ Result<int> RequireInt(const Args& args, const std::string& key) {
   return std::atoi(v->c_str());
 }
 
+// Counts the points of a CSV file in one O(1)-memory pass, for the
+// stream horizon (expected_n) when --n is absent.
+Result<uint64_t> CountCsvPoints(const std::string& path, int dim) {
+  PRIVHP_ASSIGN_OR_RETURN(CsvPointReader reader,
+                          CsvPointReader::Open(path, dim));
+  uint64_t count = 0;
+  Point scratch;
+  for (;;) {
+    PRIVHP_ASSIGN_OR_RETURN(bool more, reader.Next(&scratch));
+    if (!more) return count;
+    ++count;
+  }
+}
+
 int Build(const Args& args) {
   const std::string* in = args.Get("in");
   const std::string* out = args.Get("out");
@@ -150,18 +164,12 @@ int Build(const Args& args) {
     std::fprintf(stderr, "build needs --in, --out, --dim\n");
     return 2;
   }
-  auto data = ReadPointsCsv(*in, *dim);
-  if (!data.ok()) {
-    std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
-    return 1;
-  }
   HypercubeDomain domain(*dim);
   PrivHPOptions options;
   options.epsilon = std::atof(args.GetOr("epsilon", "1.0").c_str());
   options.k = std::strtoull(args.GetOr("k", "32").c_str(), nullptr, 10);
   options.expected_n =
       std::strtoull(args.GetOr("n", "0").c_str(), nullptr, 10);
-  if (options.expected_n == 0) options.expected_n = data->size();
   options.seed = std::strtoull(args.GetOr("seed", "42").c_str(), nullptr, 10);
   const int threads = std::atoi(args.GetOr("threads", "1").c_str());
   if (threads < 1) {
@@ -169,27 +177,23 @@ int Build(const Args& args) {
     return 2;
   }
 
+  // The CSV streams through the builder in shard windows, so memory stays
+  // bounded whatever the file size.
   Result<PrivHPGenerator> generator = [&]() -> Result<PrivHPGenerator> {
-    if (threads > 1) {
-      return PrivHPBuilder::BuildParallel(&domain, options, *data, threads);
+    if (options.expected_n == 0) {
+      PRIVHP_ASSIGN_OR_RETURN(options.expected_n, CountCsvPoints(*in, *dim));
     }
-    PRIVHP_ASSIGN_OR_RETURN(PrivHPBuilder builder,
-                            PrivHPBuilder::Make(&domain, options));
-    std::fprintf(stderr, "%s\n", builder.plan().ToString().c_str());
-    PRIVHP_RETURN_NOT_OK(builder.AddAll(*data));
-    std::fprintf(stderr, "streamed %zu points, builder %.1f KiB\n",
-                 data->size(), builder.MemoryBytes() / 1024.0);
-    return std::move(builder).Finish();
+    PRIVHP_ASSIGN_OR_RETURN(CsvPointReader reader,
+                            CsvPointReader::Open(*in, *dim));
+    return PrivHPBuilder::BuildParallel(&domain, options, &reader, threads);
   }();
   if (!generator.ok()) {
     std::fprintf(stderr, "%s\n", generator.status().ToString().c_str());
     return 1;
   }
-  if (threads > 1) {
-    std::fprintf(stderr, "%s\n", generator->plan().ToString().c_str());
-    std::fprintf(stderr, "streamed %zu points across %d shards\n",
-                 data->size(), threads);
-  }
+  std::fprintf(stderr, "%s\n", generator->plan().ToString().c_str());
+  std::fprintf(stderr, "streamed %s across %d shard(s)\n", in->c_str(),
+               threads);
   const Status saved = generator->Save(*out);
   if (!saved.ok()) {
     std::fprintf(stderr, "%s\n", saved.ToString().c_str());
@@ -578,22 +582,13 @@ int Ingest(const Args& args) {
       static_cast<uint32_t>(std::atoi(args.GetOr("threads", "1").c_str()));
   if (spec.n == 0) {
     // The streaming horizon is required; for a file source, count points
-    // in one O(1)-memory pre-pass instead of demanding --n.
-    auto counter = CsvPointReader::Open(*in, *dim);
-    if (!counter.ok()) {
-      std::fprintf(stderr, "%s\n", counter.status().ToString().c_str());
+    // in a pre-pass instead of demanding --n.
+    auto count = CountCsvPoints(*in, *dim);
+    if (!count.ok()) {
+      std::fprintf(stderr, "%s\n", count.status().ToString().c_str());
       return 1;
     }
-    Point scratch;
-    for (;;) {
-      auto more = counter->Next(&scratch);
-      if (!more.ok()) {
-        std::fprintf(stderr, "%s\n", more.status().ToString().c_str());
-        return 1;
-      }
-      if (!*more) break;
-      ++spec.n;
-    }
+    spec.n = *count;
   }
   auto reader = CsvPointReader::Open(*in, *dim);
   if (!reader.ok()) {

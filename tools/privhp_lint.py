@@ -39,6 +39,14 @@ extend it):
           are exempt, as clang-format never breaks them. (PHL005 is
           reserved for the metrics leak audit.)
 
+  PHL007  one point currency
+          In the ingest layers (io/, domain/, core/), no AddAll,
+          AddBatch, AddRange, NextBatch or ValidateBatch may take a
+          std::vector<Point> or a const Point* batch: PointBatch is the
+          only batch type there, and single-point Add(const Point&) the
+          scalar reference. Code that holds vectors of points (eval/,
+          baselines/) converts with PointBatch::FromPoints/ToPoints.
+
 Also provides --check-tidy-config, which validates .clang-tidy: every
 disabled check must carry a documented reason comment (the per-check
 opt-outs are part of the reviewable contract, not silent suppressions).
@@ -294,6 +302,30 @@ def check_column_limit(path, raw, limit):
 
 
 # ---------------------------------------------------------------------------
+# PHL007: PointBatch is the only batch currency in the ingest layers.
+# ---------------------------------------------------------------------------
+
+BATCH_ENTRY_RE = re.compile(
+    r"\b(AddAll|AddBatch|AddRange|NextBatch|ValidateBatch)\s*\(")
+POINT_BATCH_PARAM_RE = re.compile(
+    r"std::vector\s*<\s*Point\s*>|\bconst\s+Point\s*\*")
+
+
+def check_point_currency(path, text):
+    violations = []
+    for m in BATCH_ENTRY_RE.finditer(text):
+        params, _ = extract_call_arg(text, m.end() - 1)
+        p = POINT_BATCH_PARAM_RE.search(params)
+        if p:
+            violations.append(Violation(
+                path, line_of(text, m.start()), "PHL007",
+                "%s takes '%s'; PointBatch is the only batch type in the "
+                "ingest layers (convert with PointBatch::FromPoints)" %
+                (m.group(1), " ".join(p.group(0).split()))))
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # Rule routing: which rules apply to which paths.
 # ---------------------------------------------------------------------------
 
@@ -321,6 +353,11 @@ def is_sync_header(path):
     return norm(path).endswith("common/sync.h")
 
 
+def is_ingest_layer(path):
+    parent = os.path.basename(os.path.dirname(os.path.abspath(path)))
+    return parent in ("io", "domain", "core")
+
+
 def lint_file(path, display_path=None):
     display_path = display_path or path
     try:
@@ -338,6 +375,8 @@ def lint_file(path, display_path=None):
         violations += check_rng_discipline(display_path, text)
     if not is_sync_header(path):
         violations += check_naked_mutex(display_path, text)
+    if is_ingest_layer(path):
+        violations += check_point_currency(display_path, text)
     limit = column_limit_in(os.path.dirname(os.path.abspath(path)))
     if limit is not None:
         violations += check_column_limit(display_path, raw, limit)
