@@ -262,11 +262,11 @@ void BatchSizeSweep(int repeats, bool smoke) {
 // otherwise prints the first divergence, naming \p label's path.
 bool ShardStateEqual(const PrivHPShard& a, const PrivHPShard& b,
                      const std::string& label) {
-  for (size_t i = 0; i < a.tree().num_nodes(); ++i) {
-    const double x = a.tree().node(static_cast<NodeId>(i)).count;
-    const double y = b.tree().node(static_cast<NodeId>(i)).count;
+  for (size_t i = 0; i < a.counts().size(); ++i) {
+    const double x = a.counts()[i];
+    const double y = b.counts()[i];
     if (x != y) {
-      std::cerr << "gate: tree node " << i << " scalar=" << x << " " << label
+      std::cerr << "gate: counter " << i << " scalar=" << x << " " << label
                 << "=" << y << "\n";
       return false;
     }

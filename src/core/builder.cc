@@ -123,20 +123,22 @@ Result<PrivHPGenerator> PrivHPBuilder::Finish() && {
   }
   finished_ = true;
   const ResolvedPlan& p = plan_;
-  PartitionTree tree = std::move(root_.tree_);
+  std::vector<double> counts = std::move(root_.counts_);
   std::vector<CountMinSketch> bases = std::move(root_.sketches_);
 
   // Privatization: the per-level Laplace noise of Lines 2-8, applied
   // exactly once over the merged exact state. Draw order (counter levels
   // in index order, then sketch cells row-major per level) is fixed by
   // the plan seed alone, so the release is deterministic in the seed and
-  // independent of how many shards fed the build.
+  // independent of how many shards fed the build. The counters are in
+  // breadth-first order, so level l's draws fill one contiguous run.
   if (!p.privacy_disabled) {
     for (int l = 0; l <= p.l_star; ++l) {
-      const double sigma = p.budget.sigma[l];
+      const double scale = 1.0 / p.budget.sigma[l];
+      double* level = counts.data() + CompleteNodeId(l, 0);
       const uint64_t level_size = uint64_t{1} << l;
       for (uint64_t i = 0; i < level_size; ++i) {
-        tree.node(CompleteNodeId(l, i)).count += rng_.Laplace(1.0 / sigma);
+        level[i] += rng_.Laplace(scale);
       }
     }
   }
@@ -152,13 +154,20 @@ Result<PrivHPGenerator> PrivHPBuilder::Finish() && {
   }
   bases.clear();
 
-  // Line 16: grow the partition from the sketches (Algorithm 2).
-  SketchLevelSource source(&sketches, p.l_star);
+  // Line 16: grow the partition from the sketches (Algorithm 2). The
+  // release tree is built once from the noisy counters, with its arena
+  // already at the size growing ends at.
   GrowOptions grow;
   grow.k = p.k;
   grow.l_star = p.l_star;
   grow.grow_to = p.grow_to;
   grow.enforce_consistency = p.enforce_consistency;
+  PRIVHP_ASSIGN_OR_RETURN(
+      PartitionTree tree,
+      PartitionTree::Complete(domain_, p.l_star, counts.data(),
+                              GrownNodeCount(grow)));
+  counts = std::vector<double>();
+  SketchLevelSource source(&sketches, p.l_star);
   PRIVHP_RETURN_NOT_OK(GrowPartition(&tree, source, grow));
   return PrivHPGenerator(std::move(tree), plan_);
 }
@@ -169,9 +178,9 @@ size_t PrivHPBuilder::MemoryBytes() const {
 
 PrivHPBuilder::MemoryBreakdown PrivHPBuilder::memory_breakdown() const {
   MemoryBreakdown mb;
-  mb.tree_bytes = root_.tree().MemoryBytes();
+  mb.counter_bytes = root_.counts().size() * sizeof(double);
   for (const auto& s : root_.sketches()) mb.sketch_bytes += s.MemoryBytes();
-  mb.total_bytes = mb.tree_bytes + mb.sketch_bytes;
+  mb.total_bytes = mb.counter_bytes + mb.sketch_bytes;
   return mb;
 }
 

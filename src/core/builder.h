@@ -1,10 +1,10 @@
 // The one-pass PrivHP builder (paper Algorithm 1), split into two phases
 // so parallel multi-stream ingestion is first-class:
 //
-//   accumulate — PrivHPShard holds the linear, noise-free state (exact
-//                counter tree + plain Count-Min sketches). Any number of
-//                shards ingest disjoint stream partitions concurrently
-//                and merge element-wise (core/shard.h);
+//   accumulate — PrivHPShard holds the linear, noise-free state (a flat
+//                array of exact counters + plain Count-Min sketches).
+//                Any number of shards ingest disjoint stream partitions
+//                concurrently and merge element-wise (core/shard.h);
 //   privatize  — PrivHPBuilder owns planning and the privacy accountant,
 //                absorbs shards, and applies the per-level Laplace noise
 //                exactly once at Finish() before GrowPartition releases
@@ -25,9 +25,12 @@
 //   3. Finish()      — noise once, GrowPartition, release the generator.
 //                      Consumes the builder.
 //
-// The builder is the bounded-memory component: its footprint is
-// O(2^{L*} + (L - L*) w j) = O(k log^2 n) words per shard, independent
-// of the stream length.
+// The builder is the bounded-memory component. Per shard it holds
+// exactly 2^(L*+1) - 1 counters and (L - L*) sketches of j rows of w
+// cells plus one CompactHash per row: MemoryBytes() is
+//   8 (2^(L*+1) - 1) + (L - L*) j (8 w + sizeof(CompactHash))
+// bytes, O(k log^2 n) words (the paper's M), independent of the stream
+// length.
 
 #ifndef PRIVHP_CORE_BUILDER_H_
 #define PRIVHP_CORE_BUILDER_H_
@@ -73,7 +76,8 @@ class PrivHPBuilder : public PointSink {
   /// \brief Merges \p shard's counters and sketches into the builder
   /// and frees them: \p shard is left empty, so a caller holding many
   /// shards does not keep absorbed state resident through Finish(). A
-  /// shard that cannot be merged (other domain or plan) is left intact.
+  /// shard that cannot be merged (other domain or plan) is left intact;
+  /// absorbing a shard a second time fails and changes nothing.
   Status AbsorbShard(PrivHPShard&& shard);
 
   /// \brief Runs GrowPartition and releases the generator (Line 16),
@@ -100,13 +104,15 @@ class PrivHPBuilder : public PointSink {
   /// NewShard() count once absorbed).
   uint64_t num_processed() const override { return root_.num_processed(); }
 
-  /// \brief Current streaming footprint: counter tree + sketches + hash
-  /// tables. This is the paper's M, measured (per shard).
+  /// \brief Current streaming footprint: counters + sketches + hash
+  /// tables, in the closed form of the file comment. This is the paper's
+  /// M, measured (per shard).
   size_t MemoryBytes() const;
 
-  /// \brief Per-component memory, for the EXP-PERF report.
+  /// \brief Per-component memory, for the EXP-PERF report: the exact
+  /// counters (8 bytes each) and the sketches' cells and row hashes.
   struct MemoryBreakdown {
-    size_t tree_bytes = 0;
+    size_t counter_bytes = 0;
     size_t sketch_bytes = 0;
     size_t total_bytes = 0;
   };

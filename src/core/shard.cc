@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "common/bits.h"
@@ -14,18 +15,17 @@ uint64_t SketchHashSeed(uint64_t plan_seed, int level) {
                (0x632be59bd9b4e019ULL + static_cast<uint64_t>(level)));
 }
 
-PrivHPShard::PrivHPShard(const Domain* domain, ResolvedPlan plan,
-                         PartitionTree tree)
-    : domain_(domain), plan_(std::move(plan)), tree_(std::move(tree)) {}
+PrivHPShard::PrivHPShard(const Domain* domain, ResolvedPlan plan)
+    : domain_(domain), plan_(std::move(plan)) {}
 
 Result<PrivHPShard> PrivHPShard::Make(const Domain* domain,
                                       const ResolvedPlan& plan) {
   if (domain == nullptr) {
     return Status::InvalidArgument("domain must not be null");
   }
-  PRIVHP_ASSIGN_OR_RETURN(PartitionTree tree,
-                          PartitionTree::Complete(domain, plan.l_star));
-  PrivHPShard shard(domain, plan, std::move(tree));
+  PRIVHP_RETURN_NOT_OK(CheckCompleteDepth(domain, plan.l_star));
+  PrivHPShard shard(domain, plan);
+  shard.counts_.assign((size_t{2} << plan.l_star) - 1, 0.0);
   shard.sketches_.reserve(plan.l_max - plan.l_star);
   for (int l = plan.l_star + 1; l <= plan.l_max; ++l) {
     PRIVHP_ASSIGN_OR_RETURN(
@@ -43,7 +43,7 @@ Status PrivHPShard::Add(const Point& x) {
   // updates.
   domain_->LocatePath(x, plan_.l_max, &path_scratch_);
   for (int l = 0; l <= plan_.l_star; ++l) {
-    tree_.node(CompleteNodeId(l, path_scratch_[l])).count += 1.0;
+    counts_[CompleteNodeId(l, path_scratch_[l])] += 1.0;
   }
   for (int l = plan_.l_star + 1; l <= plan_.l_max; ++l) {
     sketches_[l - plan_.l_star - 1].Update(path_scratch_[l], 1.0);
@@ -159,7 +159,7 @@ void PrivHPShard::AddWindow(const double* flat, size_t n) {
         sketches_[l - plan_.l_star - 1].UpdateBatch(keys, n, 1.0);
       } else {
         for (size_t i = 0; i < n; ++i) {
-          tree_.node(CompleteNodeId(l, keys[i])).count += 1.0;
+          counts_[CompleteNodeId(l, keys[i])] += 1.0;
         }
       }
       if (l == 0) break;
@@ -183,7 +183,7 @@ void PrivHPShard::AddWindow(const double* flat, size_t n) {
       sketches_[l - plan_.l_star - 1].AddCounts(keys, runs, m);
     } else {
       for (size_t i = 0; i < m; ++i) {
-        tree_.node(CompleteNodeId(l, keys[i])).count += runs[i];
+        counts_[CompleteNodeId(l, keys[i])] += runs[i];
       }
     }
     if (l == 0) break;
@@ -226,8 +226,18 @@ Status PrivHPShard::Merge(PrivHPShard&& other) {
         "cannot merge shards built from different plans (" +
         plan_.ToString() + " vs " + other.plan_.ToString() + ")");
   }
-  PRIVHP_RETURN_NOT_OK(tree_.MergeCounts(other.tree_));
-  PRIVHP_DCHECK(sketches_.size() == other.sketches_.size());
+  // Same plan, same domain, yet a moved-from shard (one already
+  // absorbed, say) has no state left: refuse it before adding anything.
+  if (other.counts_.size() != counts_.size() ||
+      other.sketches_.size() != sketches_.size()) {
+    return Status::InvalidArgument(
+        "cannot merge a shard with " + std::to_string(other.counts_.size()) +
+        " counters and " + std::to_string(other.sketches_.size()) +
+        " sketches into one with " + std::to_string(counts_.size()) +
+        " and " + std::to_string(sketches_.size()) +
+        " (was it already merged?)");
+  }
+  for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
   for (size_t i = 0; i < sketches_.size(); ++i) {
     PRIVHP_RETURN_NOT_OK(sketches_[i].Merge(other.sketches_[i]));
   }
@@ -236,7 +246,7 @@ Status PrivHPShard::Merge(PrivHPShard&& other) {
 }
 
 size_t PrivHPShard::MemoryBytes() const {
-  size_t bytes = tree_.MemoryBytes();
+  size_t bytes = counts_.size() * sizeof(double);
   for (const CountMinSketch& s : sketches_) bytes += s.MemoryBytes();
   return bytes;
 }

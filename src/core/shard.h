@@ -3,9 +3,13 @@
 // Algorithm 1's per-point state — one counter per exact level, one
 // Count-Min update per deep level — is linear in the stream, so it can be
 // accumulated independently on any number of shards and merged
-// element-wise. A PrivHPShard holds exactly that state: an exact counter
-// tree of depth L* and one *plain* (un-noised) Count-Min sketch per level
-// L*+1..L, all sharing the hash-seed family derived from the plan seed.
+// element-wise. A PrivHPShard holds exactly that state: one flat array of
+// the 2^(L*+1) - 1 exact counters of levels 0..L*, in breadth-first order
+// (the counter of cell (l, i) sits at CompleteNodeId(l, i)), and one
+// *plain* (un-noised) Count-Min sketch per level L*+1..L, all sharing the
+// hash-seed family derived from the plan seed. No tree is built until
+// Finish: counters need no cells or child links, so a shard is 8 bytes
+// per counter, and merging two shards is an array add.
 //
 // Privatization is NOT the shard's job. The coordinating PrivHPBuilder
 // owns the privacy accountant and applies the per-level Laplace noise
@@ -102,10 +106,13 @@ class PrivHPShard : public PointSink {
     return AddBatch(batch);
   }
 
-  /// \brief Element-wise adds \p other's counters and sketch tables.
+  /// \brief Element-wise adds \p other's counters and sketch tables:
+  /// one array add once the plans are checked.
   ///
   /// Associative and commutative; requires \p other to come from the same
-  /// plan (same domain, levels, sketch shape and seed family).
+  /// plan (same domain, levels, sketch shape and seed family) and to still
+  /// hold its state: a moved-from shard is rejected with InvalidArgument
+  /// before anything is added.
   Status Merge(PrivHPShard&& other);
 
   uint64_t num_processed() const override { return num_processed_; }
@@ -113,19 +120,21 @@ class PrivHPShard : public PointSink {
   /// \brief The plan this shard accumulates under.
   const ResolvedPlan& plan() const { return plan_; }
 
-  /// \brief Exact counter tree of depth L* (pre-noise; see file comment).
-  const PartitionTree& tree() const { return tree_; }
+  /// \brief Exact counters of levels 0..L* (pre-noise; see file
+  /// comment): the count of cell (l, i) is counts()[CompleteNodeId(l, i)].
+  const std::vector<double>& counts() const { return counts_; }
 
   /// \brief Plain per-level sketches, index i = level L*+1+i (pre-noise).
   const std::vector<CountMinSketch>& sketches() const { return sketches_; }
 
-  /// \brief Streaming footprint: counter tree + sketches.
+  /// \brief Streaming footprint: counters + sketches, exactly
+  /// 8 (2^(L*+1) - 1) + (L - L*) j (8 w + sizeof(CompactHash)) bytes.
   size_t MemoryBytes() const;
 
  private:
-  friend class PrivHPBuilder;  // Finish() consumes tree_ and sketches_.
+  friend class PrivHPBuilder;  // Finish() consumes counts_ and sketches_.
 
-  PrivHPShard(const Domain* domain, ResolvedPlan plan, PartitionTree tree);
+  PrivHPShard(const Domain* domain, ResolvedPlan plan);
 
   /// Applies one validated window of \p n <= kWindow points of the flat
   /// arena (no further checks).
@@ -133,7 +142,7 @@ class PrivHPShard : public PointSink {
 
   const Domain* domain_;
   ResolvedPlan plan_;
-  PartitionTree tree_;
+  std::vector<double> counts_;            // BFS order, CompleteNodeId
   std::vector<CountMinSketch> sketches_;  // level l_star+1+i
   std::vector<uint64_t> path_scratch_;
   // Window scratch, at most kWindow entries each whatever the batch size:

@@ -209,6 +209,63 @@ bool BoxDomain::CellBoundsFor(int level, uint64_t index, double* lo,
   return true;
 }
 
+bool BoxDomain::CellBoundsBatch(const CellId* cells, size_t count,
+                                double* lo, double* hi) const {
+  const size_t d = lo_.size();
+  // stack_lo/hi[l * d + c]: coordinate c's bounds after the first l
+  // bisections of the previous cell; row 0 is the domain box.
+  thread_local std::vector<double> stack_lo;
+  thread_local std::vector<double> stack_hi;
+  stack_lo.resize((static_cast<size_t>(max_level_) + 1) * d);
+  stack_hi.resize(stack_lo.size());
+  std::copy(lo_.begin(), lo_.end(), stack_lo.begin());
+  std::copy(hi_.begin(), hi_.end(), stack_hi.begin());
+  int prev_level = 0;
+  uint64_t prev_index = 0;
+  for (size_t s = 0; s < count; ++s) {
+    const int level = cells[s].level;
+    const uint64_t index = cells[s].index;
+    PRIVHP_DCHECK(level >= 0 && level <= max_level_);
+    PRIVHP_DCHECK(index < (uint64_t{1} << level));
+    // Bisections shared with the previous cell: its first `shared` bits.
+    // Both prefixes cut to the shallower level, then the highest bit
+    // where they differ ends the shared run.
+    const int common = std::min(level, prev_level);
+    const uint64_t diff =
+        (index >> (level - common)) ^ (prev_index >> (prev_level - common));
+    const int shared =
+        diff == 0 ? common : CountLeadingZeros64(diff) - (64 - common);
+    size_t coord = static_cast<size_t>(shared) % d;
+    for (int step = shared; step < level; ++step) {
+      const double* from_lo = stack_lo.data() + step * d;
+      const double* from_hi = stack_hi.data() + step * d;
+      double* to_lo = stack_lo.data() + (step + 1) * d;
+      double* to_hi = stack_hi.data() + (step + 1) * d;
+      for (size_t c = 0; c < d; ++c) {
+        to_lo[c] = from_lo[c];
+        to_hi[c] = from_hi[c];
+      }
+      // Selects instead of branching: the bit is a coin flip per step.
+      const double cut_lo = from_lo[coord];
+      const double cut_hi = from_hi[coord];
+      const double mid = 0.5 * (cut_lo + cut_hi);
+      const bool upper = PrefixBit(index, level, step) != 0;
+      to_lo[coord] = upper ? mid : cut_lo;
+      to_hi[coord] = upper ? cut_hi : mid;
+      if (++coord == d) coord = 0;
+    }
+    const double* at_lo = stack_lo.data() + level * d;
+    const double* at_hi = stack_hi.data() + level * d;
+    for (size_t c = 0; c < d; ++c) {
+      lo[s * d + c] = at_lo[c];
+      hi[s * d + c] = at_hi[c];
+    }
+    prev_level = level;
+    prev_index = index;
+  }
+  return true;
+}
+
 Point BoxDomain::SampleCell(int level, uint64_t index,
                             RandomEngine* rng) const {
   std::vector<double> cell_lo, cell_hi;

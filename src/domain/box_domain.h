@@ -66,6 +66,15 @@ class BoxDomain : public Domain {
   bool CellBoundsFor(int level, uint64_t index, double* lo,
                      double* hi) const override;
 
+  /// \brief Prefix-shared batch of CellBoundsFor: keeps the bounds after
+  /// every bisection of the previous cell on a per-level stack, finds the
+  /// prefix the next cell shares with it (one XOR and a leading-zero
+  /// count), and walks only the remaining bisections. Each bound is the
+  /// result of the same midpoint steps as CellBoundsFor, so the tables
+  /// are bit-identical.
+  bool CellBoundsBatch(const CellId* cells, size_t count, double* lo,
+                       double* hi) const override;
+
  private:
   // Number of times coordinate i has been halved after `level` cuts.
   int CutsForCoord(int level, int i) const;

@@ -43,6 +43,18 @@ bool Domain::CellBoundsFor(int level, uint64_t index, double* lo,
   return false;
 }
 
+bool Domain::CellBoundsBatch(const CellId* cells, size_t count, double* lo,
+                             double* hi) const {
+  const size_t d = static_cast<size_t>(dimension());
+  for (size_t s = 0; s < count; ++s) {
+    if (!CellBoundsFor(cells[s].level, cells[s].index, lo + s * d,
+                       hi + s * d)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 Point Domain::CellCenter(int level, uint64_t index) const {
   RandomEngine rng(0x9e3779b97f4a7c15ULL ^ (index * 2654435761u + level));
   constexpr int kDraws = 32;

@@ -116,6 +116,16 @@ class Domain {
   virtual bool CellBoundsFor(int level, uint64_t index, double* lo,
                              double* hi) const;
 
+  /// \brief CellBoundsFor over \p count cells at once: cell s's bounds
+  /// go to lo[s * dimension()] and hi[s * dimension()], bit for bit what
+  /// CellBoundsFor writes. Returns false, leaving the outputs unspecified,
+  /// when the domain has no closed-form bounds. Any order is correct;
+  /// pre-order (a tree's leaves, CompiledSampler's slots) is the fast one
+  /// for BoxDomain, which re-walks only the bisections a cell does not
+  /// share with the one before it. The default loops CellBoundsFor.
+  virtual bool CellBoundsBatch(const CellId* cells, size_t count, double* lo,
+                               double* hi) const;
+
   /// \brief Locate all levels 0..max in one pass: out[l] = Locate(x, l).
   ///
   /// Default implementation derives all prefixes from Locate(x, max);

@@ -130,29 +130,20 @@ void CompiledSampler::RefreshView() {
 
 void CompiledSampler::BuildBoundsTables() {
   dim_ = domain_->dimension();
-  const size_t n = cells_.size();
-  slot_lo_.resize(n * static_cast<size_t>(dim_));
-  slot_ext_.resize(n * static_cast<size_t>(dim_));
-  std::vector<double> lo(dim_);
-  std::vector<double> hi(dim_);
-  has_bounds_ = true;
-  for (size_t s = 0; s < n; ++s) {
-    if (!domain_->CellBoundsFor(cells_[s].level, cells_[s].index, lo.data(),
-                                hi.data())) {
-      has_bounds_ = false;
-      slot_lo_.clear();
-      slot_ext_.clear();
-      RefreshView();
-      return;
-    }
-    double* lo_row = slot_lo_.data() + s * static_cast<size_t>(dim_);
-    double* ext_row = slot_ext_.data() + s * static_cast<size_t>(dim_);
-    for (int c = 0; c < dim_; ++c) {
-      lo_row[c] = lo[c];
-      // Exactly the (hi - lo) SampleCell forms per draw, computed once.
-      ext_row[c] = hi[c] - lo[c];
-    }
+  const size_t n = cells_.size() * static_cast<size_t>(dim_);
+  slot_lo_.resize(n);
+  slot_ext_.resize(n);
+  // The slots are the tree's leaves in pre-order, the order the batched
+  // bounds walk shares the most bisections in. slot_ext_ receives the
+  // upper bounds first.
+  has_bounds_ = domain_->CellBoundsBatch(cells_.data(), cells_.size(),
+                                         slot_lo_.data(), slot_ext_.data());
+  if (!has_bounds_) {
+    slot_lo_.clear();
+    slot_ext_.clear();
   }
+  // Exactly the (hi - lo) SampleCell forms per draw, computed once.
+  for (size_t j = 0; j < slot_ext_.size(); ++j) slot_ext_[j] -= slot_lo_[j];
   RefreshView();
 }
 

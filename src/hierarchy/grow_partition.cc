@@ -30,11 +30,10 @@ std::vector<NodeId> SelectTopK(const PartitionTree& tree,
   return candidates;
 }
 
-// Nodes in the tree once GrowPartition is done: the complete tree of
-// depth l_star, plus two children per hot node on every grown level.
-// The l_star level's \p leaves are all hot; after that, the top k of
-// the previous level's children are.
-size_t GrownNodeCount(const GrowOptions& options, size_t leaves) {
+}  // namespace
+
+size_t GrownNodeCount(const GrowOptions& options) {
+  const size_t leaves = size_t{1} << options.l_star;
   size_t nodes = 2 * leaves - 1;
   size_t hot = leaves;
   for (int level = options.l_star + 1; level <= options.grow_to; ++level) {
@@ -43,8 +42,6 @@ size_t GrownNodeCount(const GrowOptions& options, size_t leaves) {
   }
   return nodes;
 }
-
-}  // namespace
 
 Status GrowPartition(PartitionTree* tree, const LevelFrequencySource& source,
                      const GrowOptions& options) {
@@ -70,7 +67,7 @@ Status GrowPartition(PartitionTree* tree, const LevelFrequencySource& source,
 
   // Line 3: every level-L* node starts hot.
   std::vector<NodeId> hot = tree->NodesAtLevel(options.l_star);
-  tree->Reserve(GrownNodeCount(options, hot.size()));
+  tree->Reserve(GrownNodeCount(options));
 
   // Lines 4-10: expand hot nodes one level at a time.
   std::vector<NodeId> added;

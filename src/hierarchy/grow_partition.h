@@ -8,6 +8,7 @@
 #ifndef PRIVHP_HIERARCHY_GROW_PARTITION_H_
 #define PRIVHP_HIERARCHY_GROW_PARTITION_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/status.h"
@@ -46,6 +47,14 @@ struct GrowOptions {
   /// Disabled only by the EXP-CONS ablation.
   bool enforce_consistency = true;
 };
+
+/// \brief Nodes in the tree once GrowPartition is done: the complete
+/// tree of depth l_star, plus two children per hot node on every grown
+/// level. The 2^l_star leaves of level l_star are all hot; after that,
+/// the top k of the previous level's children are. A caller that builds
+/// the complete tree at this capacity (PartitionTree::Complete) never
+/// reallocates the arena.
+size_t GrownNodeCount(const GrowOptions& options);
 
 /// \brief Runs Algorithm 2 on \p tree.
 ///

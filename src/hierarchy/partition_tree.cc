@@ -1,6 +1,8 @@
 #include "hierarchy/partition_tree.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/bits.h"
 #include "common/macros.h"
@@ -13,8 +15,7 @@ PartitionTree::PartitionTree(const Domain* domain) : domain_(domain) {
                             kInvalidNode});
 }
 
-Result<PartitionTree> PartitionTree::Complete(const Domain* domain,
-                                              int depth) {
+Status CheckCompleteDepth(const Domain* domain, int depth) {
   if (domain == nullptr) {
     return Status::InvalidArgument("domain must not be null");
   }
@@ -28,18 +29,33 @@ Result<PartitionTree> PartitionTree::Complete(const Domain* domain,
         "complete tree of depth " + std::to_string(depth) +
         " would allocate 2^" + std::to_string(depth + 1) + " nodes");
   }
+  return Status::OK();
+}
+
+Result<PartitionTree> PartitionTree::Complete(const Domain* domain,
+                                              int depth,
+                                              const double* counts,
+                                              size_t capacity) {
+  PRIVHP_RETURN_NOT_OK(CheckCompleteDepth(domain, depth));
+  const size_t num_nodes = (size_t{2} << depth) - 1;
   PartitionTree tree(domain);
-  // Breadth-first expansion; the arena then stores levels contiguously.
-  std::vector<NodeId> frontier = {tree.root()};
-  for (int level = 0; level < depth; ++level) {
-    std::vector<NodeId> next;
-    next.reserve(frontier.size() * 2);
-    for (NodeId id : frontier) {
-      const NodeId left = tree.AddChildren(id);
-      next.push_back(left);
-      next.push_back(left + 1);
+  tree.nodes_.reserve(std::max(capacity, num_nodes));
+  tree.nodes_.resize(num_nodes);
+  // Breadth-first: node i is cell (l, i - (2^l - 1)) and its children
+  // are 2i + 1 and 2i + 2, so every link is arithmetic.
+  const size_t internal = num_nodes / 2;
+  for (int level = 0; level <= depth; ++level) {
+    const size_t first = (size_t{1} << level) - 1;
+    for (size_t i = first; i < 2 * first + 1; ++i) {
+      TreeNode& n = tree.nodes_[i];
+      n.cell = CellId{level, static_cast<uint64_t>(i - first)};
+      n.count = counts == nullptr ? 0.0 : counts[i];
+      n.parent = i == 0 ? kInvalidNode : static_cast<NodeId>((i - 1) / 2);
+      if (i < internal) {
+        n.left = static_cast<NodeId>(2 * i + 1);
+        n.right = static_cast<NodeId>(2 * i + 2);
+      }
     }
-    frontier = std::move(next);
   }
   return tree;
 }
@@ -87,42 +103,6 @@ int PartitionTree::MaxDepth() const {
   int depth = 0;
   for (const TreeNode& n : nodes_) depth = std::max(depth, n.cell.level);
   return depth;
-}
-
-void PartitionTree::PreOrder(const std::function<void(NodeId)>& fn) const {
-  std::vector<NodeId> stack = {root()};
-  while (!stack.empty()) {
-    const NodeId id = stack.back();
-    stack.pop_back();
-    fn(id);
-    const TreeNode& n = nodes_[id];
-    if (!n.is_leaf()) {
-      stack.push_back(n.right);
-      stack.push_back(n.left);
-    }
-  }
-}
-
-Status PartitionTree::MergeCounts(const PartitionTree& other) {
-  if (other.nodes_.size() != nodes_.size()) {
-    return Status::InvalidArgument(
-        "cannot merge trees with different node counts: " +
-        std::to_string(nodes_.size()) + " vs " +
-        std::to_string(other.nodes_.size()));
-  }
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    const TreeNode& a = nodes_[i];
-    const TreeNode& b = other.nodes_[i];
-    if (!(a.cell == b.cell) || a.left != b.left || a.right != b.right) {
-      return Status::InvalidArgument(
-          "cannot merge trees with different structure at node " +
-          std::to_string(i));
-    }
-  }
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    nodes_[i].count += other.nodes_[i].count;
-  }
-  return Status::OK();
 }
 
 size_t PartitionTree::MemoryBytes() const {

@@ -10,7 +10,6 @@
 #define PRIVHP_HIERARCHY_PARTITION_TREE_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/status.h"
@@ -25,10 +24,15 @@ inline constexpr NodeId kInvalidNode = -1;
 /// \brief Arena id of (level, index) in a complete BFS-built tree (as
 /// produced by PartitionTree::Complete): level l occupies slots
 /// [2^l - 1, 2^{l+1} - 1), so counters can be addressed without a
-/// root-to-node walk.
+/// root-to-node walk. The children of slot i are slots 2i + 1 and 2i + 2.
 inline NodeId CompleteNodeId(int level, uint64_t index) {
   return static_cast<NodeId>(((uint64_t{1} << level) - 1) + index);
 }
+
+/// \brief OK iff a complete tree of \p depth over \p domain can be
+/// built: InvalidArgument outside [0, domain->max_level()], OutOfRange
+/// past depth 30 (2^31 nodes would overflow NodeId).
+Status CheckCompleteDepth(const Domain* domain, int depth);
 
 /// \brief One subdomain Omega_theta and its (noisy) count.
 struct TreeNode {
@@ -49,9 +53,15 @@ class PartitionTree {
   /// Creates a tree holding only the root (Omega itself, count 0).
   explicit PartitionTree(const Domain* domain);
 
-  /// \brief Creates a complete tree of the given \p depth with zero counts
-  /// (Algorithm 1, Line 2).
-  static Result<PartitionTree> Complete(const Domain* domain, int depth);
+  /// \brief Creates a complete tree of the given \p depth (Algorithm 1,
+  /// Line 2), in breadth-first order (CompleteNodeId). Counts are zero,
+  /// or, when \p counts is given, node i holds counts[i] (2^(depth+1) - 1
+  /// of them, e.g. a shard's exact counters). The arena is reserved for
+  /// max(\p capacity, 2^(depth+1) - 1) nodes, so a caller that knows the
+  /// grown size allocates once.
+  static Result<PartitionTree> Complete(const Domain* domain, int depth,
+                                        const double* counts = nullptr,
+                                        size_t capacity = 0);
 
   const Domain* domain() const { return domain_; }
 
@@ -86,16 +96,24 @@ class PartitionTree {
   /// \brief Deepest level present.
   int MaxDepth() const;
 
-  /// \brief Calls \p fn on every node in pre-order (parent before children).
-  void PreOrder(const std::function<void(NodeId)>& fn) const;
-
-  /// \brief Element-wise adds \p other's counts into this tree.
-  ///
-  /// Counts are linear in the data, so trees accumulated over disjoint
-  /// stream shards merge exactly. Requires an identical arena: same node
-  /// count, cells and child links (true of any two Complete() trees of
-  /// the same depth over the same decomposition).
-  Status MergeCounts(const PartitionTree& other);
+  /// \brief Calls \p fn on every node in pre-order (parent before
+  /// children). A template, not a std::function, so the call inlines: the
+  /// release path walks 131K-node trees with it (the alias compile's
+  /// Leaves(), twice per build, and the consistency pass).
+  template <typename Fn>
+  void PreOrder(Fn&& fn) const {
+    std::vector<NodeId> stack = {root()};
+    while (!stack.empty()) {
+      const NodeId id = stack.back();
+      stack.pop_back();
+      fn(id);
+      const TreeNode& n = nodes_[id];
+      if (!n.is_leaf()) {
+        stack.push_back(n.right);
+        stack.push_back(n.left);
+      }
+    }
+  }
 
   /// \brief Bytes held by the node arena.
   size_t MemoryBytes() const;

@@ -91,19 +91,33 @@ Result<CsvPointReader> CsvPointReader::Open(const std::string& path,
   return CsvPointReader(std::move(in), dimension);
 }
 
-Result<bool> CsvPointReader::ReadLineInto(Point* out) {
+Result<bool> CsvPointReader::NextDataLine() {
   while (std::getline(in_, line_)) {
     ++line_number_;
-    if (IsSkippable(line_)) continue;
-    const Status parsed = ParseCsvPoint(line_, dimension_, out);
-    if (!parsed.ok()) {
-      return Status::InvalidArgument(parsed.message() + " (line " +
-                                     std::to_string(line_number_) + ")");
-    }
-    return true;
+    if (!IsSkippable(line_)) return true;
   }
   if (in_.bad()) return Status::IOError("read failure");
   return false;
+}
+
+Result<bool> CsvPointReader::ReadLineInto(Point* out) {
+  PRIVHP_ASSIGN_OR_RETURN(bool more, NextDataLine());
+  if (!more) return false;
+  const Status parsed = ParseCsvPoint(line_, dimension_, out);
+  if (!parsed.ok()) {
+    return Status::InvalidArgument(parsed.message() + " (line " +
+                                   std::to_string(line_number_) + ")");
+  }
+  return true;
+}
+
+Result<uint64_t> CsvPointReader::CountDataLines() {
+  uint64_t count = 0;
+  for (;;) {
+    PRIVHP_ASSIGN_OR_RETURN(bool more, NextDataLine());
+    if (!more) return count;
+    ++count;
+  }
 }
 
 Result<bool> CsvPointReader::Next(Point* out) { return ReadLineInto(out); }

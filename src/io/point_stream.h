@@ -40,8 +40,20 @@ class CsvPointReader : public PointSource {
   /// \brief Lines consumed so far (including skipped ones).
   size_t line_number() const { return line_number_; }
 
+  /// \brief Reads to the end of the file and returns how many data lines
+  /// (lines the dialect does not skip) it passed, without parsing them:
+  /// the point count of a well-formed file, for a stream horizon taken
+  /// before the real read. Malformed lines count too; the read reports
+  /// them.
+  Result<uint64_t> CountDataLines();
+
  private:
   CsvPointReader(std::ifstream in, int dimension);
+
+  /// Advances line_ to the next line the dialect does not skip; false at
+  /// the end of the file. The one place the skip rule is applied, so
+  /// CountDataLines and the reads cannot disagree on what a point is.
+  Result<bool> NextDataLine();
 
   /// Reads the next non-skippable line and parses it into \p out; the
   /// shared primitive behind Next and NextBatch, so the scalar and

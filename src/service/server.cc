@@ -109,11 +109,16 @@ struct PrivHPServer::Connection {
   std::deque<std::string> outbox GUARDED_BY(mu);
   /// Request-completion hand-off, consumed by the reactor in
   /// DrainReadyList: the executing request finished; optionally asks for
-  /// a drop and/or releases an unconsumed ingest stream expectation.
+  /// a drop.
   bool request_done GUARDED_BY(mu) = false;
   bool done_drop GUARDED_BY(mu) = false;
   DropReason done_drop_reason GUARDED_BY(mu) = DropReason::kNone;
-  bool done_release_stream GUARDED_BY(mu) = false;
+  /// A worker's INGEST will not consume its expected point stream. Set
+  /// before a pre-ack rejection's error frame is queued, and taken by
+  /// the reactor (ApplyStreamRelease) before it routes the next frame,
+  /// so a request the peer sends after reading the error is never
+  /// mistaken for stream data.
+  bool release_stream GUARDED_BY(mu) = false;
   /// A SAMPLE/EXPORT response that hit the output high-water mark,
   /// waiting for the peer to drain. The request slot stays occupied
   /// (executing == true) but no worker is held.
@@ -485,6 +490,14 @@ void PrivHPServer::RouteFrame(const std::shared_ptr<Connection>& conn,
       HandleAuthFrame(conn, frame);
       return;
     case Connection::InputMode::kIngest: {
+      // A rejected INGEST's expectation may have been released since the
+      // mode was last computed; if so, this frame is the peer's next
+      // request.
+      ApplyStreamRelease(conn);
+      if (conn->mode != Connection::InputMode::kIngest) {
+        RouteFrame(conn, std::move(frame));
+        return;
+      }
       // The frame belongs to an expected point stream: hand it to the
       // ingest worker through the bounded channel without decoding.
       const bool is_end =
@@ -592,6 +605,18 @@ void PrivHPServer::MaybeStartNext(const std::shared_ptr<Connection>& conn) {
   task.conn = conn;
   task.enqueued = std::chrono::steady_clock::now();
   SubmitTask(std::move(task));
+}
+
+void PrivHPServer::ApplyStreamRelease(
+    const std::shared_ptr<Connection>& conn) {
+  bool release = false;
+  {
+    MutexLock lock(conn->mu);
+    release = conn->release_stream;
+    conn->release_stream = false;
+  }
+  if (release && conn->streams_expected > 0) --conn->streams_expected;
+  RecomputeMode(conn);
 }
 
 void PrivHPServer::RecomputeMode(const std::shared_ptr<Connection>& conn) {
@@ -708,7 +733,6 @@ void PrivHPServer::DrainReadyList() {
     if (conn->dropped) continue;
     bool done = false;
     bool drop = false;
-    bool release_stream = false;
     DropReason reason = DropReason::kNone;
     {
       MutexLock lock(conn->mu);
@@ -719,18 +743,11 @@ void PrivHPServer::DrainReadyList() {
         conn->done_drop = false;
         reason = conn->done_drop_reason;
         conn->done_drop_reason = DropReason::kNone;
-        release_stream = conn->done_release_stream;
-        conn->done_release_stream = false;
         conn->executing = false;
       }
     }
+    ApplyStreamRelease(conn);
     if (done) {
-      if (release_stream && conn->streams_expected > 0) {
-        // The INGEST finished without consuming its point stream (it
-        // was rejected before the ack): the peer will not send one.
-        --conn->streams_expected;
-      }
-      RecomputeMode(conn);
       if (drop) {
         conn->close_after_flush = true;
         conn->flush_drop_reason = reason;
@@ -1020,7 +1037,7 @@ bool PrivHPServer::FinalizeRequest(const std::shared_ptr<Connection>& conn,
         conn->done_drop = true;
         conn->done_drop_reason = reason;
       }
-      if (!ingest_stream_consumed) conn->done_release_stream = true;
+      if (!ingest_stream_consumed) conn->release_stream = true;
     }
     NotifyConn(conn);
     return false;
@@ -1277,9 +1294,20 @@ void PrivHPServer::HandleIngestRequest(
     const std::shared_ptr<Connection>& conn, const ServiceRequest& req,
     RequestScope* scope, bool* drop, DropReason* reason,
     bool* stream_consumed) {
-  // Until the stream's end frame is consumed (or the reactor releases
-  // the expectation on a pre-ack rejection), the request owes one.
+  // Until the stream's end frame is consumed (or a pre-ack rejection
+  // releases the expectation), the request owes one.
   *stream_consumed = false;
+  // Release the expected stream before the error is queued: the peer may
+  // send its next request as soon as it reads the error, and the reactor
+  // must route that frame as a request, not as stream data.
+  auto reject = [&](const Status& error) {
+    {
+      MutexLock lock(conn->mu);
+      conn->release_stream = true;
+    }
+    *stream_consumed = true;
+    (void)EnqueueError(conn, error, scope);
+  };
 
   // Validate before acknowledging: the client only starts streaming
   // after the OK, so an error response here leaves the connection in
@@ -1300,7 +1328,7 @@ void PrivHPServer::HandleIngestRequest(
         std::to_string(options_.max_ingest_threads) + "]");
   }
   if (!invalid.ok()) {
-    (void)EnqueueError(conn, invalid, scope);
+    reject(invalid);
     return;
   }
 
@@ -1317,7 +1345,7 @@ void PrivHPServer::HandleIngestRequest(
   {
     Result<PrivHPBuilder> probe = PrivHPBuilder::Make(domain.get(), options);
     if (!probe.ok()) {
-      (void)EnqueueError(conn, probe.status(), scope);
+      reject(probe.status());
       return;
     }
   }

@@ -245,6 +245,10 @@ class PrivHPServer {
   /// Derives the routing mode from auth state and expected ingest
   /// streams.
   void RecomputeMode(const std::shared_ptr<Connection>& conn);
+  /// Drops one expected ingest stream if a worker released it (an
+  /// INGEST rejected before its ack, or one that ended without its
+  /// stream), then recomputes the routing mode.
+  void ApplyStreamRelease(const std::shared_ptr<Connection>& conn);
   /// Whether the reactor should keep EPOLLIN armed for this connection
   /// (auth/pipeline/ingest-channel caps pause reads — TCP backpressure).
   bool WantRead(const std::shared_ptr<Connection>& conn);

@@ -1,12 +1,12 @@
 #include "storage/artifact_packer.h"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <vector>
 
 #include "common/macros.h"
+#include "common/hash.h"
 #include "domain/domain_factory.h"
 #include "hierarchy/compiled_sampler.h"
 #include "hierarchy/tree_serialization.h"
@@ -17,19 +17,23 @@ namespace storage {
 
 namespace {
 
-// Appends one section's raw bytes as whole zero-padded pages, recording
-// one Checksum64 per page written.
+// Appends one section's raw bytes as whole pages, writing one checksum
+// per page to \p checksums. Full pages go out straight from \p data,
+// checksummed side by side in one PageChecksums call; only a partial
+// last page is copied, zero-padded, into \p page (page_size bytes of
+// scratch).
 Status WriteSection(AtomicFileWriter* w, const uint8_t* data, uint64_t bytes,
-                    uint32_t page_size, std::vector<uint64_t>* checksums) {
-  std::vector<uint8_t> page(page_size);
-  for (uint64_t off = 0; off < bytes; off += page_size) {
-    const uint64_t n = std::min<uint64_t>(page_size, bytes - off);
-    std::memcpy(page.data(), data + off, n);
-    if (n < page_size) std::memset(page.data() + n, 0, page_size - n);
-    checksums->push_back(Checksum64(page.data(), page_size));
-    PRIVHP_RETURN_NOT_OK(w->Append(page.data(), page_size));
-  }
-  return Status::OK();
+                    uint32_t page_size, uint64_t* checksums,
+                    std::vector<uint8_t>* page) {
+  const uint64_t full = bytes / page_size;
+  const uint64_t rest = bytes % page_size;
+  PageChecksums(data, page_size, full, checksums);
+  PRIVHP_RETURN_NOT_OK(w->Append(data, full * page_size));
+  if (rest == 0) return Status::OK();
+  std::memcpy(page->data(), data + full * page_size, rest);
+  std::memset(page->data() + rest, 0, page_size - rest);
+  checksums[full] = Checksum64(page->data(), page_size);
+  return w->Append(page->data(), page_size);
 }
 
 }  // namespace
@@ -91,17 +95,26 @@ Status PackArtifact(const PartitionTree& tree, const std::string& path,
     }
   }
 
-  std::vector<uint64_t> page_checksums;
-  page_checksums.reserve(header.data_pages());
+  // Data page p is file page first_data_page() + p.
+  std::vector<uint64_t> page_checksums(header.data_pages());
+  std::vector<uint8_t> page(header.page_size);
   for (int s = 0; s < kNumSections; ++s) {
     if (header.sections[s].num_elements == 0) continue;
     PRIVHP_CHECK(w.size() == header.sections[s].file_offset);
-    PRIVHP_RETURN_NOT_OK(WriteSection(
-        &w, section_data[s],
-        header.sections[s].num_elements * kSectionElemSize[s],
-        header.page_size, &page_checksums));
+    const uint64_t bytes =
+        header.sections[s].num_elements * kSectionElemSize[s];
+    const uint64_t first_page =
+        w.size() / header.page_size - header.first_data_page();
+    // The layout must hold this section's pages: their checksums go
+    // straight into the table.
+    PRIVHP_CHECK(first_page + (bytes + header.page_size - 1) /
+                                  header.page_size <=
+                 page_checksums.size());
+    PRIVHP_RETURN_NOT_OK(WriteSection(&w, section_data[s], bytes,
+                                      header.page_size,
+                                      page_checksums.data() + first_page,
+                                      &page));
   }
-  PRIVHP_CHECK(page_checksums.size() == header.data_pages());
   PRIVHP_CHECK(w.size() == header.file_bytes());
 
   const uint64_t table_bytes = page_checksums.size() * sizeof(uint64_t);

@@ -8,6 +8,10 @@
 // needs no compile step at all. Packing is deterministic: the same tree
 // packs to byte-identical files.
 //
+// Pages go out straight from the staged section arrays: a section's
+// full pages are checksummed in one PageChecksums call (common/hash.h)
+// and appended in one write; only its last, partial page is copied and
+// zero-padded.
 // The write is atomic (io/file_util.h): the pages are staged in a temp
 // file and renamed over the target only after fsync.
 

@@ -7,17 +7,19 @@
 // size divides the page size, so a section's pages form one contiguous
 // array that an mmapped reader can hand to the query templates and to
 // CompiledSampler::Borrow without copying. Integrity lives out-of-line:
-// one Checksum64 per data page in the checksum table, the table itself
-// covered by a checksum in the header.
+// one Checksum64 (common/hash.h) per data page in the checksum table, the
+// table itself covered by a checksum in the header. Pages are checksummed
+// independently, so pack and the mmap open verify all of a file's data
+// pages in one PageChecksums call, eight pages' chains interleaved; a
+// buffer pool verifies each page it faults in with one Checksum64.
 
 #ifndef PRIVHP_STORAGE_PAGE_H_
 #define PRIVHP_STORAGE_PAGE_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
-#include "common/random.h"
+#include "common/hash.h"
 #include "domain/domain.h"
 
 namespace privhp {
@@ -35,27 +37,6 @@ inline constexpr uint32_t kMaxPageSize = 1u << 20;
 /// divides the page size and no element ever straddles a page boundary.
 inline constexpr bool IsValidPageSize(uint64_t s) {
   return s >= kMinPageSize && s <= kMaxPageSize && (s & (s - 1)) == 0;
-}
-
-/// \brief Checksum over a byte range: 8-byte words folded through the
-/// SplitMix64 finalizer, length-seeded so zero padding of different
-/// lengths cannot collide. Not cryptographic — it catches torn writes
-/// and bit rot, not adversaries.
-inline uint64_t Checksum64(const void* data, size_t n) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  uint64_t h = Mix64(0x70726976687031ULL ^ n);  // "privhp1" ^ length
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    uint64_t w;
-    std::memcpy(&w, p + i, 8);
-    h = Mix64(h ^ w);
-  }
-  if (i < n) {
-    uint64_t w = 0;
-    std::memcpy(&w, p + i, n - i);
-    h = Mix64(h ^ w ^ (static_cast<uint64_t>(n - i) << 56));
-  }
-  return h;
 }
 
 /// \brief On-disk node record: TreeNode minus the parent link (no query

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "common/hash.h"
 #include "domain/domain_factory.h"
 #include "domain/point_batch.h"
 #include "hierarchy/tree_serialization.h"
@@ -93,7 +94,9 @@ Result<std::unique_ptr<const PagedArtifact>> PagedArtifact::Open(
     const PagedHeader& h = a->header_;
     // Verify the checksum table, then every data page, up front: after
     // Open() succeeds the mapped bytes are known-good and the hot path
-    // never checksums again.
+    // never checksums again. The pages are checksummed side by side in
+    // one PageChecksums call, then compared in page order, so the error
+    // names the lowest failing page.
     const uint8_t* table = a->map_.data() + h.checksum_table_offset;
     const uint64_t table_bytes =
         h.checksum_table_entries * sizeof(uint64_t);
@@ -101,13 +104,14 @@ Result<std::unique_ptr<const PagedArtifact>> PagedArtifact::Open(
       return Status::IOError(
           "paged artifact checksum table is corrupt: " + path);
     }
+    std::vector<uint64_t> actual(h.data_pages());
+    PageChecksums(a->map_.data() + h.data_offset, h.page_size,
+                  actual.size(), actual.data());
     for (uint64_t p = 0; p < h.data_pages(); ++p) {
       uint64_t expected;
       std::memcpy(&expected, table + p * sizeof(uint64_t),
                   sizeof(uint64_t));
-      const uint8_t* page =
-          a->map_.data() + h.data_offset + p * h.page_size;
-      if (Checksum64(page, h.page_size) != expected) {
+      if (actual[p] != expected) {
         return Status::IOError("paged artifact data page " +
                                std::to_string(p) +
                                " failed its checksum: " + path);

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
+
+#include "common/random.h"
 
 namespace privhp {
 namespace {
@@ -89,6 +92,46 @@ TEST(HashFamilyTest, SameSeedSameFamily) {
 TEST(HashFamilyTest, MemoryAccounted) {
   HashFamily family(5, 3);
   EXPECT_EQ(family.MemoryBytes(), 3 * 8 * 256 * sizeof(uint64_t));
+}
+
+// Each page's checksum is Checksum64 of that page, whatever the page
+// size and page count: 1..33 pages hit every tail of the 8-chain
+// interleave, and a sentinel past the end catches a store past the last
+// page.
+TEST(PageChecksumsTest, MatchChecksum64PerPage) {
+  constexpr size_t kMaxPages = 33;
+  const uint64_t kSentinel = 0x5e5e5e5e5e5e5e5eULL;
+  RandomEngine rng(31);
+  for (size_t page_size : {size_t{4096}, size_t{65536}, size_t{1} << 20}) {
+    std::vector<uint64_t> words(kMaxPages * page_size / 8);
+    for (uint64_t& w : words) w = rng.NextUint64();
+    const uint8_t* data = reinterpret_cast<const uint8_t*>(words.data());
+    for (size_t pages = 1; pages <= kMaxPages; ++pages) {
+      std::vector<uint64_t> out(pages + 1, kSentinel);
+      PageChecksums(data, page_size, pages, out.data());
+      for (size_t p = 0; p < pages; ++p) {
+        ASSERT_EQ(out[p], Checksum64(data + p * page_size, page_size))
+            << "page_size " << page_size << ", pages " << pages
+            << ", page " << p;
+      }
+      ASSERT_EQ(out[pages], kSentinel) << "pages " << pages;
+    }
+  }
+}
+
+// Pages need not start on an 8-byte boundary.
+TEST(PageChecksumsTest, AcceptsUnalignedStart) {
+  RandomEngine rng(32);
+  const size_t page_size = 4096;
+  const size_t pages = 19;
+  std::vector<uint8_t> bytes(pages * page_size + 3);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.NextUint64());
+  std::vector<uint64_t> out(pages);
+  PageChecksums(bytes.data() + 3, page_size, pages, out.data());
+  for (size_t p = 0; p < pages; ++p) {
+    ASSERT_EQ(out[p], Checksum64(bytes.data() + 3 + p * page_size, page_size))
+        << "page " << p;
+  }
 }
 
 }  // namespace

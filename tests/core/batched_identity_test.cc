@@ -60,11 +60,9 @@ PrivHPShard MakeShard(const Domain* domain, const PrivHPOptions& options) {
 // doubles, not EXPECT_DOUBLE_EQ: the contract is bitwise.
 void ExpectShardStateIdentical(const PrivHPShard& a, const PrivHPShard& b,
                                const char* label) {
-  ASSERT_EQ(a.tree().num_nodes(), b.tree().num_nodes());
-  for (size_t i = 0; i < a.tree().num_nodes(); ++i) {
-    ASSERT_EQ(a.tree().node(static_cast<NodeId>(i)).count,
-              b.tree().node(static_cast<NodeId>(i)).count)
-        << label << ": tree node " << i;
+  ASSERT_EQ(a.counts().size(), b.counts().size());
+  for (size_t i = 0; i < a.counts().size(); ++i) {
+    ASSERT_EQ(a.counts()[i], b.counts()[i]) << label << ": counter " << i;
   }
   ASSERT_EQ(a.sketches().size(), b.sketches().size());
   for (size_t s = 0; s < a.sketches().size(); ++s) {

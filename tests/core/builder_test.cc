@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/macros.h"
 
 #include "common/random.h"
@@ -84,7 +85,54 @@ TEST(BuilderTest, MemoryScalesWithK) {
   EXPECT_GT(b_large->MemoryBytes(), b_small->MemoryBytes());
   const auto breakdown = b_large->memory_breakdown();
   EXPECT_EQ(breakdown.total_bytes,
-            breakdown.tree_bytes + breakdown.sketch_bytes);
+            breakdown.counter_bytes + breakdown.sketch_bytes);
+}
+
+// The paper's M, exactly: 2^(L*+1) - 1 counters of 8 bytes and L - L*
+// sketches of j rows, each row w cells of 8 bytes plus its CompactHash.
+// Checked on the plans perfbench's `build` (n = 2^23) and `mixed`
+// (n = 2^18) workloads ship with, and on a 2-D plan.
+TEST(BuilderTest, MemoryBytesIsTheClosedForm) {
+  HypercubeDomain line(1);
+  HypercubeDomain square(2);
+  struct Case {
+    const Domain* domain;
+    uint64_t n;
+  };
+  for (const Case& c : {Case{&line, uint64_t{1} << 23},
+                        Case{&line, uint64_t{1} << 18},
+                        Case{&square, uint64_t{1} << 20}}) {
+    PrivHPOptions options;
+    options.epsilon = 1.0;
+    options.k = 32;
+    options.seed = 42;
+    options.expected_n = c.n;
+    auto builder = PrivHPBuilder::Make(c.domain, options);
+    ASSERT_TRUE(builder.ok());
+    const ResolvedPlan& p = builder->plan();
+    const size_t counters = (size_t{2} << p.l_star) - 1;
+    const size_t sketch_levels = static_cast<size_t>(p.l_max - p.l_star);
+    const size_t expected =
+        8 * counters + sketch_levels * p.sketch_depth *
+                           (8 * p.sketch_width + sizeof(CompactHash));
+    EXPECT_EQ(builder->MemoryBytes(), expected) << p.ToString();
+    const auto breakdown = builder->memory_breakdown();
+    EXPECT_EQ(breakdown.counter_bytes, 8 * counters);
+    EXPECT_EQ(breakdown.total_bytes, expected);
+    auto shard = builder->NewShard();
+    ASSERT_TRUE(shard.ok());
+    EXPECT_EQ(shard->MemoryBytes(), expected) << p.ToString();
+    // Ingest does not grow it: the window scratch is not streaming state.
+    RandomEngine rng(3);
+    PointBatch batch(c.domain->dimension());
+    for (int i = 0; i < 5000; ++i) {
+      Point x(static_cast<size_t>(c.domain->dimension()));
+      for (double& v : x) v = rng.UniformDouble();
+      batch.AppendPoint(x);
+    }
+    ASSERT_TRUE(shard->AddBatch(batch).ok());
+    EXPECT_EQ(shard->MemoryBytes(), expected) << p.ToString();
+  }
 }
 
 TEST(BuilderTest, PrivacyDisabledKeepsExactCountsAtExactLevels) {

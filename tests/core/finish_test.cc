@@ -3,7 +3,8 @@
 // (CountMinSketch::EstimateBatch) and reserves the tree's final node
 // count up front. Neither may change a byte of the release, and the
 // reserve must be exact. AbsorbShard must free the absorbed shard, and
-// only once it has been merged.
+// only once it has been merged; an absorbed shard cannot be absorbed
+// again.
 
 #include <gtest/gtest.h>
 
@@ -77,7 +78,10 @@ TEST(FinishTest, BatchedGrowthMatchesQueryOnlyGrowth) {
     ASSERT_TRUE(shard.ok());
     ASSERT_TRUE(shard->AddBatch(SkewedPoints(dim, 20000, 3 + dim)).ok());
 
-    PartitionTree tree = shard->tree();
+    auto complete = PartitionTree::Complete(&domain, plan.l_star,
+                                            shard->counts().data());
+    ASSERT_TRUE(complete.ok());
+    PartitionTree tree = std::move(*complete);
     RandomEngine rng(plan.seed);
     for (int l = 0; l <= plan.l_star; ++l) {
       for (uint64_t i = 0; i < (uint64_t{1} << l); ++i) {
@@ -144,7 +148,7 @@ TEST(FinishTest, AbsorbShardFreesTheShard) {
   EXPECT_EQ(builder->num_processed(), 1000u);
   // NOLINTNEXTLINE(bugprone-use-after-move): checks the state is gone.
   const PrivHPShard& absorbed = *shard;
-  EXPECT_EQ(absorbed.tree().num_nodes(), 0u);
+  EXPECT_TRUE(absorbed.counts().empty());
   EXPECT_TRUE(absorbed.sketches().empty());
 }
 
@@ -162,16 +166,45 @@ TEST(FinishTest, AbsorbShardKeepsARejectedShard) {
   auto shard = other->NewShard();
   ASSERT_TRUE(shard.ok());
   ASSERT_TRUE(shard->AddBatch(SkewedPoints(2, 1000, 1)).ok());
-  const size_t nodes = shard->tree().num_nodes();
+  const std::vector<double> counts = shard->counts();
   const size_t levels = shard->sketches().size();
   ASSERT_GT(levels, 0u);
   EXPECT_FALSE(builder->AbsorbShard(std::move(*shard)).ok());
   EXPECT_EQ(builder->num_processed(), 0u);
   // NOLINTNEXTLINE(bugprone-use-after-move): a rejected shard is kept.
   const PrivHPShard& kept = *shard;
-  EXPECT_EQ(kept.tree().num_nodes(), nodes);
+  EXPECT_EQ(kept.counts(), counts);
   EXPECT_EQ(kept.sketches().size(), levels);
   EXPECT_EQ(kept.num_processed(), 1000u);
+}
+
+// An absorbed shard is empty: absorbing it again is refused before
+// anything is added, and the release is the one absorb's release.
+TEST(FinishTest, AbsorbingAShardTwiceFails) {
+  HypercubeDomain domain(2);
+  PrivHPOptions options;
+  options.expected_n = size_t{1} << 12;
+  options.seed = 5;
+  std::string releases[2];
+  for (int absorbs = 1; absorbs <= 2; ++absorbs) {
+    auto builder = PrivHPBuilder::Make(&domain, options);
+    ASSERT_TRUE(builder.ok());
+    auto shard = builder->NewShard();
+    ASSERT_TRUE(shard.ok());
+    ASSERT_TRUE(shard->AddBatch(SkewedPoints(2, 1000, 1)).ok());
+    ASSERT_TRUE(builder->AbsorbShard(std::move(*shard)).ok());
+    if (absorbs == 2) {
+      // NOLINTNEXTLINE(bugprone-use-after-move): the second absorb.
+      EXPECT_TRUE(builder->AbsorbShard(std::move(*shard)).IsInvalidArgument());
+    }
+    EXPECT_EQ(builder->num_processed(), 1000u);
+    auto released = std::move(*builder).Finish();
+    ASSERT_TRUE(released.ok()) << released.status().ToString();
+    std::stringstream ss;
+    ASSERT_TRUE(SaveTree(released->tree(), &ss).ok());
+    releases[absorbs - 1] = ss.str();
+  }
+  EXPECT_EQ(releases[0], releases[1]);
 }
 
 }  // namespace

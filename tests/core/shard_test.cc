@@ -40,11 +40,9 @@ std::string Serialized(const PrivHPGenerator& generator) {
 }
 
 void ExpectShardsEqual(const PrivHPShard& a, const PrivHPShard& b) {
-  ASSERT_EQ(a.tree().num_nodes(), b.tree().num_nodes());
-  for (size_t i = 0; i < a.tree().num_nodes(); ++i) {
-    EXPECT_DOUBLE_EQ(a.tree().node(static_cast<NodeId>(i)).count,
-                     b.tree().node(static_cast<NodeId>(i)).count)
-        << "tree node " << i;
+  ASSERT_EQ(a.counts().size(), b.counts().size());
+  for (size_t i = 0; i < a.counts().size(); ++i) {
+    EXPECT_DOUBLE_EQ(a.counts()[i], b.counts()[i]) << "counter " << i;
   }
   ASSERT_EQ(a.sketches().size(), b.sketches().size());
   for (size_t s = 0; s < a.sketches().size(); ++s) {
@@ -69,13 +67,11 @@ TEST(ShardTest, AccumulatesExactNoiseFreeCounts) {
   ASSERT_TRUE(shard.AddBatch(data).ok());
   EXPECT_EQ(shard.num_processed(), 200u);
   // Pre-noise state: the root holds exactly the stream length.
-  EXPECT_DOUBLE_EQ(shard.tree().node(shard.tree().root()).count, 200.0);
+  EXPECT_DOUBLE_EQ(shard.counts()[CompleteNodeId(0, 0)], 200.0);
   // Level-1 counts partition the stream exactly.
-  double level1 = 0.0;
-  for (NodeId id : shard.tree().NodesAtLevel(1)) {
-    level1 += shard.tree().node(id).count;
-  }
-  EXPECT_DOUBLE_EQ(level1, 200.0);
+  const std::vector<double>& counts = shard.counts();
+  EXPECT_DOUBLE_EQ(
+      counts[CompleteNodeId(1, 0)] + counts[CompleteNodeId(1, 1)], 200.0);
 }
 
 TEST(ShardTest, ValidatesPointsLikeTheBuilder) {

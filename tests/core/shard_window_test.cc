@@ -115,11 +115,10 @@ PointBatch Repeated(int dim, size_t n) {
 void ExpectIdentical(const PrivHPShard& scalar, const PrivHPShard& batched,
                      const std::string& label) {
   ASSERT_EQ(scalar.num_processed(), batched.num_processed()) << label;
-  ASSERT_EQ(scalar.tree().num_nodes(), batched.tree().num_nodes()) << label;
-  for (size_t i = 0; i < scalar.tree().num_nodes(); ++i) {
-    ASSERT_EQ(scalar.tree().node(static_cast<NodeId>(i)).count,
-              batched.tree().node(static_cast<NodeId>(i)).count)
-        << label << ": tree node " << i;
+  ASSERT_EQ(scalar.counts().size(), batched.counts().size()) << label;
+  for (size_t i = 0; i < scalar.counts().size(); ++i) {
+    ASSERT_EQ(scalar.counts()[i], batched.counts()[i])
+        << label << ": counter " << i;
   }
   ASSERT_EQ(scalar.sketches().size(), batched.sketches().size()) << label;
   for (size_t s = 0; s < scalar.sketches().size(); ++s) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "domain/hypercube_domain.h"
 #include "domain/interval_domain.h"
 
@@ -118,39 +120,35 @@ TEST(PartitionTreeTest, MemoryGrowsWithNodes) {
   EXPECT_GT(large->MemoryBytes(), small->MemoryBytes());
 }
 
-TEST(PartitionTreeTest, MergeCountsAddsElementwise) {
+// Counts and capacity: node i of the breadth-first arena takes
+// counts[i], and the links are those of the zero-count tree.
+TEST(PartitionTreeTest, CompleteFromCountsKeepsBreadthFirstLayout) {
   IntervalDomain domain;
-  auto a = PartitionTree::Complete(&domain, 3);
-  auto b = PartitionTree::Complete(&domain, 3);
-  ASSERT_TRUE(a.ok() && b.ok());
-  for (size_t i = 0; i < a->num_nodes(); ++i) {
-    a->node(static_cast<NodeId>(i)).count = static_cast<double>(i);
-    b->node(static_cast<NodeId>(i)).count = 10.0;
+  std::vector<double> counts(15);
+  for (size_t i = 0; i < counts.size(); ++i) {
+    counts[i] = static_cast<double>(i) + 0.5;
   }
-  ASSERT_TRUE(a->MergeCounts(*b).ok());
-  for (size_t i = 0; i < a->num_nodes(); ++i) {
-    EXPECT_DOUBLE_EQ(a->node(static_cast<NodeId>(i)).count,
-                     static_cast<double>(i) + 10.0);
+  auto plain = PartitionTree::Complete(&domain, 3);
+  auto filled = PartitionTree::Complete(&domain, 3, counts.data(), 40);
+  ASSERT_TRUE(plain.ok() && filled.ok());
+  ASSERT_EQ(filled->num_nodes(), 15u);
+  EXPECT_GE(filled->capacity(), 40u);
+  for (size_t i = 0; i < 15; ++i) {
+    const TreeNode& a = plain->node(static_cast<NodeId>(i));
+    const TreeNode& b = filled->node(static_cast<NodeId>(i));
+    EXPECT_EQ(a.cell, b.cell) << i;
+    EXPECT_EQ(a.left, b.left) << i;
+    EXPECT_EQ(a.right, b.right) << i;
+    EXPECT_EQ(a.parent, b.parent) << i;
+    EXPECT_EQ(a.count, 0.0) << i;
+    EXPECT_EQ(b.count, counts[i]) << i;
+    EXPECT_EQ(static_cast<size_t>(CompleteNodeId(b.cell.level, b.cell.index)),
+              i);
   }
-  // The merged-from tree is untouched.
-  EXPECT_DOUBLE_EQ(b->node(0).count, 10.0);
-}
-
-TEST(PartitionTreeTest, MergeCountsRejectsDifferentStructure) {
-  IntervalDomain domain;
-  auto a = PartitionTree::Complete(&domain, 3);
-  auto shallower = PartitionTree::Complete(&domain, 2);
-  ASSERT_TRUE(a.ok() && shallower.ok());
-  EXPECT_TRUE(a->MergeCounts(*shallower).IsInvalidArgument());
-
-  // Same node count, different shape: grow one leaf of a depth-2 tree.
-  auto grown = PartitionTree::Complete(&domain, 2);
-  ASSERT_TRUE(grown.ok());
-  grown->AddChildren(grown->NodesAtLevel(2).front());
-  auto uneven = PartitionTree::Complete(&domain, 2);
-  ASSERT_TRUE(uneven.ok());
-  uneven->AddChildren(uneven->NodesAtLevel(2).back());
-  EXPECT_TRUE(grown->MergeCounts(*uneven).IsInvalidArgument());
+  // A capacity below the node count still holds the whole tree.
+  auto small = PartitionTree::Complete(&domain, 3, counts.data(), 1);
+  ASSERT_TRUE(small.ok());
+  EXPECT_EQ(small->num_nodes(), 15u);
 }
 
 }  // namespace

@@ -114,6 +114,31 @@ TEST(CsvPointReaderTest, SkipsCommentsAndBlanks) {
   std::remove(path.c_str());
 }
 
+// The pre-pass of unsized CLI builds: the reads' skip rule, no parsing,
+// so a malformed row counts and is left for the read to report, and a
+// last line without a newline counts like any other.
+TEST(CsvPointReaderTest, CountDataLinesSkipsLikeTheReads) {
+  const std::string path = TempPath("counted.csv");
+  WriteFile(path, "# header\n0.1,0.2\n\n   \n# mid\nbroken\n  # indented\n0.3");
+  auto reader = CsvPointReader::Open(path, 2);
+  ASSERT_TRUE(reader.ok());
+  auto count = reader->CountDataLines();
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(*count, 3u);
+  EXPECT_EQ(reader->line_number(), 8u);
+  std::remove(path.c_str());
+
+  const std::string good = TempPath("counted_good.csv");
+  WriteFile(good, "# header\n0.1\n\n0.2\n# mid\n0.3\n");
+  auto counter = CsvPointReader::Open(good, 1);
+  auto points = ReadPointsCsv(good, 1);
+  ASSERT_TRUE(counter.ok() && points.ok());
+  auto good_count = counter->CountDataLines();
+  ASSERT_TRUE(good_count.ok());
+  EXPECT_EQ(*good_count, points->size());
+  std::remove(good.c_str());
+}
+
 TEST(CsvPointReaderTest, ReportsLineNumberOnError) {
   const std::string path = TempPath("badline.csv");
   WriteFile(path, "0.1,0.2\nbroken\n");

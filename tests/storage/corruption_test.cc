@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -221,6 +222,28 @@ TEST_F(CorruptionTest, DataPageFlipFailsEagerlyUnderMmap) {
     ASSERT_FALSE(artifact.ok()) << path;
     EXPECT_TRUE(artifact.status().IsIOError());
   }
+}
+
+TEST_F(CorruptionTest, TwoFlipsInOneChecksumPassNameTheLowerPage) {
+  // Open checksums eight pages side by side per PageChecksums pass; with
+  // two bad pages in one pass the error still names the lower one.
+  PagedReadOptions header_probe;
+  auto pristine = PagedArtifact::Open(*packed_path_, header_probe);
+  ASSERT_TRUE(pristine.ok());
+  const PagedHeader& h = (*pristine)->header();
+  ASSERT_GE(h.data_pages(), 3u) << "tree too small for this test";
+  const uint64_t low = 1;
+  const uint64_t high = std::min<uint64_t>(h.data_pages() - 1, 6);
+  std::string bytes = BitFlipped(h.data_offset + high * kPage + 40);
+  bytes[h.data_offset + low * kPage + 9] ^= 0x01;
+  const std::string path = WriteVariant("data_two.phx", bytes);
+  auto artifact = PagedArtifact::Open(path);
+  ASSERT_FALSE(artifact.ok());
+  EXPECT_TRUE(artifact.status().IsIOError());
+  EXPECT_NE(artifact.status().message().find(
+                "data page " + std::to_string(low) + " failed"),
+            std::string::npos)
+      << artifact.status().message();
 }
 
 TEST_F(CorruptionTest, DataPageFlipSurfacesLazilyUnderPool) {

@@ -142,18 +142,14 @@ Result<int> RequireInt(const Args& args, const std::string& key) {
   return std::atoi(v->c_str());
 }
 
-// Counts the points of a CSV file in one O(1)-memory pass, for the
-// stream horizon (expected_n) when --n is absent.
+// Counts the points of a CSV file in one O(1)-memory pass that parses
+// nothing, for the stream horizon (expected_n) when --n is absent. A
+// malformed row is reported, with its line number, by the read that
+// follows.
 Result<uint64_t> CountCsvPoints(const std::string& path, int dim) {
   PRIVHP_ASSIGN_OR_RETURN(CsvPointReader reader,
                           CsvPointReader::Open(path, dim));
-  uint64_t count = 0;
-  Point scratch;
-  for (;;) {
-    PRIVHP_ASSIGN_OR_RETURN(bool more, reader.Next(&scratch));
-    if (!more) return count;
-    ++count;
-  }
+  return reader.CountDataLines();
 }
 
 int Build(const Args& args) {
