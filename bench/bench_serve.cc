@@ -262,20 +262,21 @@ int RunBench(const Config& config) {
     }
   }
 
-  const PrivHPServer::Stats stats = (*server)->stats();
+  const obs::MetricsSnapshot stats = (*server)->StatsSnapshot();
+  const uint64_t errors = stats.CounterOr("server.errors");
   std::printf(
       "server: %llu connections, %llu requests, %llu points sampled, "
       "%llu errors\n",
-      static_cast<unsigned long long>(stats.connections),
-      static_cast<unsigned long long>(stats.requests),
-      static_cast<unsigned long long>(stats.sampled_points),
-      static_cast<unsigned long long>(stats.errors));
+      static_cast<unsigned long long>(stats.CounterOr("server.connections")),
+      static_cast<unsigned long long>(stats.CounterOr("server.requests")),
+      static_cast<unsigned long long>(stats.CounterOr("sample.points")),
+      static_cast<unsigned long long>(errors));
   (*server)->Stop();
   std::remove(socket_path.c_str());
-  if (failures > 0 || stats.errors > 0) {
+  if (failures > 0 || errors > 0) {
     std::fprintf(stderr, "bench_serve: %d client failures, %llu server "
                          "errors\n",
-                 failures, static_cast<unsigned long long>(stats.errors));
+                 failures, static_cast<unsigned long long>(errors));
     return 1;
   }
   return 0;
@@ -489,16 +490,17 @@ int RunPipeline(const Config& config) {
     }
   }
 
-  const PrivHPServer::Stats stats = (*server)->stats();
+  const uint64_t errors =
+      (*server)->StatsSnapshot().CounterOr("server.errors");
   staller->Close();
   (*server)->Stop();
   std::remove(socket_path.c_str());
-  if (failures > 0 || checks_failed > 0 || stats.errors > 0) {
+  if (failures > 0 || checks_failed > 0 || errors > 0) {
     std::fprintf(stderr,
                  "bench_serve --pipeline: %d client failures, %d check "
                  "failures, %llu server errors\n",
                  failures, checks_failed,
-                 static_cast<unsigned long long>(stats.errors));
+                 static_cast<unsigned long long>(errors));
     return 1;
   }
   if (config.smoke) std::printf("pipeline smoke: all checks passed\n");

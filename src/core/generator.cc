@@ -26,10 +26,14 @@ Result<PrivHPGenerator> PrivHPGenerator::Load(const Domain* domain,
                                               const std::string& path) {
   PRIVHP_ASSIGN_OR_RETURN(PartitionTree loaded,
                           LoadTreeFromFile(domain, path));
-  ResolvedPlan plan;  // A loaded artifact carries no build metadata.
-  plan.l_max = loaded.MaxDepth();
-  plan.grow_to = loaded.MaxDepth();
-  return PrivHPGenerator(std::move(loaded), std::move(plan));
+  return FromLoadedTree(std::move(loaded));
+}
+
+PrivHPGenerator PrivHPGenerator::FromLoadedTree(PartitionTree tree) {
+  ResolvedPlan plan;
+  plan.l_max = tree.MaxDepth();
+  plan.grow_to = tree.MaxDepth();
+  return PrivHPGenerator(std::move(tree), std::move(plan));
 }
 
 }  // namespace privhp

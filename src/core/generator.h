@@ -72,6 +72,9 @@ class PrivHPGenerator {
   Status Save(const std::string& path) const;
   static Result<PrivHPGenerator> Load(const Domain* domain,
                                       const std::string& path);
+  /// \brief Wraps a tree loaded from a file; the plan carries only its
+  /// depth (a loaded artifact has no build metadata).
+  static PrivHPGenerator FromLoadedTree(PartitionTree tree);
 
  private:
   PartitionTree tree_;

@@ -1,9 +1,10 @@
 // Reconstructing a Domain from its serialized identity.
 //
 // A released tree file records the domain name and dimension (format v2);
-// the service layer's artifact registry uses this factory to rebuild the
-// matching domain when loading an artifact by path, so a serving process
-// needs no out-of-band knowledge of how an artifact was built. Only
+// the tree loader (LoadSelfDescribedTree) and the paged artifact reader
+// use this factory to rebuild the matching domain when loading an
+// artifact by path, so a serving or packing process needs no out-of-band
+// knowledge of how an artifact was built. Only
 // domains whose geometry is fully determined by (name, dimension) are
 // constructible — parameterized domains (GeoDomain bounding boxes, custom
 // BoxDomains) must be supplied by the caller instead.

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/macros.h"
+#include "domain/domain_factory.h"
 #include "io/file_util.h"
 
 namespace privhp {
@@ -141,6 +142,34 @@ Result<PartitionTree> LoadTreeFromFile(const Domain* domain,
   std::ifstream in(path);
   if (!in) return Status::IOError("cannot open for read: " + path);
   return LoadTree(domain, &in);
+}
+
+Result<SelfDescribedTree> LoadSelfDescribedTree(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return Status::IOError("cannot open for read: " + path);
+  std::string magic;
+  std::string domain_name;
+  int dimension = 0;
+  if (!std::getline(in, magic) || !std::getline(in, domain_name)) {
+    return Status::IOError("truncated tree header in " + path);
+  }
+  if (magic == kMagicV1) {
+    return Status::InvalidArgument(
+        "tree format v2 required (v1 files carry no dimension and cannot "
+        "be validated): " +
+        path);
+  }
+  if (!(in >> dimension)) {
+    return Status::IOError("missing dimension line in " + path);
+  }
+  PRIVHP_ASSIGN_OR_RETURN(std::unique_ptr<Domain> domain,
+                          MakeDomainByName(domain_name, dimension));
+  // LoadTree re-reads the header and re-validates name, dimension and
+  // structure against the rebuilt domain.
+  in.clear();
+  in.seekg(0);
+  PRIVHP_ASSIGN_OR_RETURN(PartitionTree tree, LoadTree(domain.get(), &in));
+  return SelfDescribedTree{std::move(domain), std::move(tree)};
 }
 
 }  // namespace privhp

@@ -24,10 +24,12 @@
 
 #include <iosfwd>
 #include <limits>
+#include <memory>
 #include <ostream>
 #include <string>
 
 #include "common/status.h"
+#include "domain/domain.h"
 #include "hierarchy/partition_tree.h"
 
 namespace privhp {
@@ -69,6 +71,19 @@ Result<PartitionTree> LoadTree(const Domain* domain, std::istream* is);
 Status SaveTreeToFile(const PartitionTree& tree, const std::string& path);
 Result<PartitionTree> LoadTreeFromFile(const Domain* domain,
                                        const std::string& path);
+
+/// \brief A tree file loaded over the domain its own header names.
+struct SelfDescribedTree {
+  std::unique_ptr<Domain> domain;
+  PartitionTree tree;  ///< points at *domain
+};
+
+/// \brief Loads a v2 tree file without out-of-band knowledge of how it
+/// was built: the header's domain name and dimension rebuild the domain
+/// (MakeDomainByName), then the tree loads and validates against it.
+/// v1 files are rejected (InvalidArgument): they carry no dimension, so
+/// the domain cannot be rebuilt or checked.
+Result<SelfDescribedTree> LoadSelfDescribedTree(const std::string& path);
 
 }  // namespace privhp
 

@@ -1,11 +1,9 @@
 #include "service/artifact_registry.h"
 
-#include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "common/macros.h"
-#include "domain/domain_factory.h"
 #include "hierarchy/tree_serialization.h"
 #include "storage/file_io.h"
 
@@ -28,34 +26,11 @@ Result<std::shared_ptr<const ServedArtifact>> ServedArtifact::FromFile(
   if (storage::PagedArtifact::SniffPagedFile(path)) {
     return FromPagedFile(path, storage::PagedReadOptions{});
   }
-  // Peek the header to learn which domain the tree was released over;
-  // PrivHPGenerator::Load then re-validates name, dimension and structure
-  // against the reconstructed domain (the format v2 checks).
-  std::string magic;
-  std::string domain_name;
-  int dimension = 0;
-  {
-    std::ifstream in(path);
-    if (!in) return Status::IOError("cannot open for read: " + path);
-    if (!std::getline(in, magic) || !std::getline(in, domain_name)) {
-      return Status::IOError("truncated tree header in " + path);
-    }
-    if (magic == "privhp-tree-v1") {
-      return Status::InvalidArgument(
-          "registry requires tree format v2 (v1 files carry no dimension "
-          "and cannot be validated): " +
-          path);
-    }
-    if (!(in >> dimension)) {
-      return Status::IOError("missing dimension line in " + path);
-    }
-  }
-  PRIVHP_ASSIGN_OR_RETURN(std::unique_ptr<Domain> domain,
-                          MakeDomainByName(domain_name, dimension));
-  PRIVHP_ASSIGN_OR_RETURN(PrivHPGenerator generator,
-                          PrivHPGenerator::Load(domain.get(), path));
-  return Make(std::unique_ptr<const Domain>(std::move(domain)),
-              std::move(generator), "file:" + path);
+  PRIVHP_ASSIGN_OR_RETURN(SelfDescribedTree loaded,
+                          LoadSelfDescribedTree(path));
+  return Make(std::move(loaded.domain),
+              PrivHPGenerator::FromLoadedTree(std::move(loaded.tree)),
+              "file:" + path);
 }
 
 Result<std::shared_ptr<const ServedArtifact>> ServedArtifact::FromPagedFile(

@@ -7,13 +7,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <utility>
 
 #include "common/macros.h"
 #include "core/builder.h"
-#include "core/queries.h"
 #include "domain/hypercube_domain.h"
 #include "io/socket_point_stream.h"
+#include "service/handlers.h"
 
 namespace privhp {
 
@@ -111,19 +112,30 @@ struct PrivHPServer::Connection {
   /// DrainReadyList: the executing request finished; optionally asks for
   /// a drop.
   bool request_done GUARDED_BY(mu) = false;
-  bool done_drop GUARDED_BY(mu) = false;
-  DropReason done_drop_reason GUARDED_BY(mu) = DropReason::kNone;
+  std::optional<DropReason> done_drop GUARDED_BY(mu);
   /// A worker's INGEST will not consume its expected point stream. Set
-  /// before a pre-ack rejection's error frame is queued, and taken by
-  /// the reactor (ApplyStreamRelease) before it routes the next frame,
-  /// so a request the peer sends after reading the error is never
-  /// mistaken for stream data.
+  /// in the same hold of mu that queues a pre-ack rejection's error
+  /// frame (CompleteRequest), and taken by the reactor
+  /// (ApplyStreamRelease) before it routes the next frame, so a request
+  /// the peer sends after reading the error is never mistaken for
+  /// stream data.
   bool release_stream GUARDED_BY(mu) = false;
   /// A SAMPLE/EXPORT response that hit the output high-water mark,
   /// waiting for the peer to drain. The request slot stays occupied
   /// (executing == true) but no worker is held.
   std::unique_ptr<ResponseStream> parked GUARDED_BY(mu);
   bool resume_scheduled GUARDED_BY(mu) = false;
+
+  /// Appends \p frame to the outbox; returns the wire bytes queued (the
+  /// 4-byte frame header included, matching the writer's pending_bytes
+  /// so queued_bytes drains exactly to zero), or 0 once closed.
+  size_t QueueLocked(std::string frame) REQUIRES(mu) {
+    if (closed) return 0;
+    const size_t wire_bytes = frame.size() + 4;
+    outbox.push_back(std::move(frame));
+    queued_bytes.fetch_add(wire_bytes, std::memory_order_relaxed);
+    return wire_bytes;
+  }
 
   /// Bytes queued toward the peer (outbox + writer, frame headers
   /// included) — atomic so stream producers can check the high-water
@@ -191,8 +203,6 @@ struct PrivHPServer::SampleStream : ResponseStream {
       remaining -= chunk;
     }
     if (!sink->FinishStream().ok()) return PumpResult::kFailed;
-    server->stats_.sampled_points.fetch_add(total,
-                                            std::memory_order_relaxed);
     server->metrics_->sample_points->Add(static_cast<int64_t>(total));
     return PumpResult::kDone;
   }
@@ -323,20 +333,6 @@ void PrivHPServer::Stop() {
   }
 }
 
-PrivHPServer::Stats PrivHPServer::stats() const {
-  Stats s;
-  s.connections = stats_.connections.load(std::memory_order_relaxed);
-  s.requests = stats_.requests.load(std::memory_order_relaxed);
-  s.errors = stats_.errors.load(std::memory_order_relaxed);
-  s.sampled_points = stats_.sampled_points.load(std::memory_order_relaxed);
-  s.ingested_points = stats_.ingested_points.load(std::memory_order_relaxed);
-  s.ingests_published =
-      stats_.ingests_published.load(std::memory_order_relaxed);
-  s.listener_failure_streaks =
-      stats_.listener_failure_streaks.load(std::memory_order_relaxed);
-  return s;
-}
-
 // ---------------------------------------------------------------------------
 // Reactor side
 // ---------------------------------------------------------------------------
@@ -394,7 +390,7 @@ void PrivHPServer::AcceptPending(size_t listener_index) {
     }
     if (would_block) break;
     state.consecutive_failures = 0;
-    stats_.connections.fetch_add(1, std::memory_order_relaxed);
+    metrics_->connections->Inc();
     metrics_->connections_open->Add(1);
     if (state.is_tcp) {
       // Responses are written as soon as the peer can take them; never
@@ -429,10 +425,10 @@ void PrivHPServer::PauseListener(size_t listener_index, const Status& error) {
   // server that never accepts again. The backoff cap keeps even a
   // structurally dead fd (EBADF) from hogging the reactor, and a
   // sustained streak is surfaced via stderr and
-  // Stats::listener_failure_streaks.
+  // server.listener_failure_streaks.
   ++state.consecutive_failures;
   if (state.consecutive_failures == 16) {
-    stats_.listener_failure_streaks.fetch_add(1, std::memory_order_relaxed);
+    metrics_->listener_failure_streaks->Inc();
   }
   if (state.consecutive_failures % 16 == 0) {
     std::fprintf(stderr,
@@ -520,7 +516,7 @@ void PrivHPServer::RouteFrame(const std::shared_ptr<Connection>& conn,
     case Connection::InputMode::kRequest:
       break;
   }
-  stats_.requests.fetch_add(1, std::memory_order_relaxed);
+  metrics_->requests->Inc();
   PendingRequest pending;
   pending.bytes_in = frame.size();
   Result<ServiceRequest> parsed = ParseRequest(frame);
@@ -554,40 +550,31 @@ void PrivHPServer::HandleAuthFrame(const std::shared_ptr<Connection>& conn,
   // is involved, and keeping unauthenticated peers away from the worker
   // pool means a flood of bad handshakes cannot starve real requests.
   const auto started = std::chrono::steady_clock::now();
-  stats_.requests.fetch_add(1, std::memory_order_relaxed);
+  metrics_->requests->Inc();
   EndpointMetrics& ep = metrics_->ForOp(ServiceOp::kAuth);
   ep.requests->Inc();
   Result<ServiceRequest> parsed = ParseRequest(frame);
-  Status verdict = Status::OK();
+  Result<std::string> verdict = Status::FailedPrecondition(
+      "authentication required: first frame must be AUTH");
   if (!parsed.ok()) {
     verdict = parsed.status();
-  } else if (parsed->op != ServiceOp::kAuth) {
-    verdict = Status::FailedPrecondition(
-        "authentication required: first frame must be AUTH");
-  } else if (parsed->token != options_.auth_token) {
-    verdict = Status::FailedPrecondition("authentication failed");
+  } else if (parsed->op == ServiceOp::kAuth) {
+    verdict = HandleAuth(*parsed, options_.auth_token);
   }
-  uint64_t bytes_out = 0;
   if (verdict.ok()) {
     conn->authed = true;
     RecomputeMode(conn);
-    std::string ok = BeginOkResponse().Take();
-    bytes_out = ok.size();
-    (void)EnqueueFrame(conn, std::move(ok), nullptr);
   } else {
-    stats_.errors.fetch_add(1, std::memory_order_relaxed);
-    ep.errors->Inc();
-    std::string err = EncodeErrorResponse(verdict);
-    bytes_out = err.size();
-    (void)EnqueueFrame(conn, std::move(err), nullptr);
     conn->reading_disabled = true;
     conn->close_after_flush = true;
     conn->flush_drop_reason = DropReason::kAuth;
   }
+  std::string reply = ReplyFrame(std::move(verdict), &ep);
   ep.latency_ns->Record(
       ElapsedNs(started, std::chrono::steady_clock::now()));
   ep.bytes_in->Record(frame.size());
-  ep.bytes_out->Record(bytes_out);
+  ep.bytes_out->Record(reply.size());
+  (void)EnqueueFrame(conn, std::move(reply), nullptr);
 }
 
 void PrivHPServer::MaybeStartNext(const std::shared_ptr<Connection>& conn) {
@@ -732,25 +719,21 @@ void PrivHPServer::DrainReadyList() {
     conn->in_ready.store(false, std::memory_order_release);
     if (conn->dropped) continue;
     bool done = false;
-    bool drop = false;
-    DropReason reason = DropReason::kNone;
+    std::optional<DropReason> drop;
     {
       MutexLock lock(conn->mu);
       done = conn->request_done;
       if (done) {
         conn->request_done = false;
-        drop = conn->done_drop;
-        conn->done_drop = false;
-        reason = conn->done_drop_reason;
-        conn->done_drop_reason = DropReason::kNone;
+        drop = std::exchange(conn->done_drop, std::nullopt);
         conn->executing = false;
       }
     }
     ApplyStreamRelease(conn);
     if (done) {
-      if (drop) {
+      if (drop.has_value()) {
         conn->close_after_flush = true;
-        conn->flush_drop_reason = reason;
+        conn->flush_drop_reason = *drop;
         conn->reading_disabled = true;
       } else {
         MaybeStartNext(conn);
@@ -960,63 +943,75 @@ bool PrivHPServer::ExecuteRequest(const std::shared_ptr<Connection>& conn,
   RequestScope scope;
   scope.started = std::chrono::steady_clock::now();
   scope.bytes_in = pending.bytes_in;
+  RequestOutcome outcome;
   if (!pending.parse_error.ok()) {
     // Unparseable frame: answer once and close. There is no endpoint to
     // charge the error to, so only the server totals see it.
-    stats_.errors.fetch_add(1, std::memory_order_relaxed);
-    (void)EnqueueFrame(conn, EncodeErrorResponse(pending.parse_error),
-                       &scope);
-    return FinalizeRequest(conn, &scope, /*drop_connection=*/true,
-                           DropReason::kNone,
-                           /*ingest_stream_consumed=*/true);
+    outcome = RequestOutcome::Reply(pending.parse_error);
+    outcome.drop = DropReason::kNone;
+  } else {
+    scope.ep = &metrics_->ForOp(pending.req.op);
+    scope.ep->requests->Inc();
+    outcome = DispatchRequest(conn, pending.req, engine, &scope);
   }
-  scope.ep = &metrics_->ForOp(pending.req.op);
-  scope.ep->requests->Inc();
-  bool drop = false;
-  DropReason reason = DropReason::kNone;
-  bool stream_consumed = true;
-  std::unique_ptr<ResponseStream> stream;
-  DispatchRequest(conn, pending.req, engine, &scope, &drop, &reason,
-                  &stream_consumed, &stream);
-  if (stream != nullptr) {
-    stream->scope = scope;
-    return RunStream(std::move(stream));
+  if (outcome.stream != nullptr) {
+    outcome.stream->scope = scope;
+    return RunStream(std::move(outcome.stream));
   }
-  return FinalizeRequest(conn, &scope, drop, reason, stream_consumed);
+  return CompleteRequest(conn, &scope, std::move(outcome));
 }
 
 bool PrivHPServer::RunStream(std::unique_ptr<ResponseStream> stream) {
   const std::shared_ptr<Connection> conn = stream->conn;
   const ResponseStream::PumpResult result = stream->Pump();
   if (result == ResponseStream::PumpResult::kParked) {
-    bool parked_ok = false;
     {
       MutexLock lock(conn->mu);
-      if (!conn->closed) {
-        conn->parked = std::move(stream);
-        parked_ok = true;
-      }
+      if (!conn->closed) conn->parked = std::move(stream);
     }
-    if (!parked_ok) {
-      // The connection dropped while we streamed (stream was not taken);
-      // finish the request so its slot is not stuck (no one will read
-      // the response anyway).
-      return FinalizeRequest(conn, &stream->scope,
-                             /*drop_connection=*/false, DropReason::kNone,
-                             /*ingest_stream_consumed=*/true);
+    if (stream == nullptr) {
+      NotifyConn(conn);
+      return false;
     }
-    NotifyConn(conn);
-    return false;
+    // The connection dropped while we streamed (stream was not taken);
+    // finish the request so its slot is not stuck (no one will read
+    // the response anyway).
+    return CompleteRequest(conn, &stream->scope, RequestOutcome());
   }
-  return FinalizeRequest(conn, &stream->scope,
-                         result == ResponseStream::PumpResult::kFailed,
-                         DropReason::kNone, /*ingest_stream_consumed=*/true);
+  RequestOutcome outcome;
+  if (result == ResponseStream::PumpResult::kFailed) {
+    outcome.drop = DropReason::kNone;
+  }
+  return CompleteRequest(conn, &stream->scope, std::move(outcome));
 }
 
-bool PrivHPServer::FinalizeRequest(const std::shared_ptr<Connection>& conn,
-                                   RequestScope* scope, bool drop_connection,
-                                   DropReason reason,
-                                   bool ingest_stream_consumed) {
+PrivHPServer::RequestOutcome PrivHPServer::RequestOutcome::Reply(
+    Result<std::string> reply) {
+  RequestOutcome outcome;
+  outcome.reply = std::move(reply);
+  return outcome;
+}
+
+PrivHPServer::RequestOutcome PrivHPServer::RequestOutcome::Drop(
+    DropReason reason) {
+  RequestOutcome outcome;
+  outcome.drop = reason;
+  return outcome;
+}
+
+std::string PrivHPServer::ReplyFrame(Result<std::string> reply,
+                                     EndpointMetrics* ep) {
+  if (reply.ok()) return std::move(*reply);
+  metrics_->errors->Inc();
+  if (ep != nullptr) ep->errors->Inc();
+  return EncodeErrorResponse(reply.status());
+}
+
+bool PrivHPServer::CompleteRequest(const std::shared_ptr<Connection>& conn,
+                                   RequestScope* scope,
+                                   RequestOutcome outcome) {
+  std::string frame = ReplyFrame(std::move(outcome.reply), scope->ep);
+  scope->bytes_out += frame.size();
   // Record before the slot can move on: the connection's next pipelined
   // request (a STATS, say — whether started inline by this worker or by
   // the reactor once it sees request_done) must observe this one's
@@ -1027,49 +1022,44 @@ bool PrivHPServer::FinalizeRequest(const std::shared_ptr<Connection>& conn,
     scope->ep->bytes_in->Record(scope->bytes_in);
     scope->ep->bytes_out->Record(scope->bytes_out);
   }
-  if (drop_connection || !ingest_stream_consumed) {
-    // The reactor has cleanup to do (close after flush / release the
-    // expected ingest stream); hand the slot back through request_done.
-    {
-      MutexLock lock(conn->mu);
+  // The reactor has cleanup to do (close after flush / release the
+  // expected ingest stream): hand the slot back through request_done.
+  // Otherwise the worker keeps the execution slot and may continue with
+  // the connection's next pending request inline.
+  const bool hand_back = outcome.drop.has_value() || outcome.release_stream;
+  size_t queued = 0;
+  {
+    // The reply and the flags land under one hold of mu, so the reactor
+    // never flushes a rejected INGEST's error without also seeing its
+    // stream released: a request the peer sends after reading the error
+    // is routed as a request, never as stream data.
+    MutexLock lock(conn->mu);
+    if (!frame.empty()) queued = conn->QueueLocked(std::move(frame));
+    if (outcome.release_stream) conn->release_stream = true;
+    if (hand_back) {
       conn->request_done = true;
-      if (drop_connection) {
-        conn->done_drop = true;
-        conn->done_drop_reason = reason;
-      }
-      if (!ingest_stream_consumed) conn->release_stream = true;
+      conn->done_drop = outcome.drop;
     }
-    NotifyConn(conn);
-    return false;
   }
-  // Clean completion: the worker keeps the execution slot and may
-  // continue with the connection's next pending request inline. Output
-  // pumping was already scheduled by EnqueueFrame's NotifyConn.
-  return true;
+  if (queued > 0) {
+    metrics_->output_queue_bytes->Add(static_cast<int64_t>(queued));
+  }
+  if (queued > 0 || hand_back) NotifyConn(conn);
+  return !hand_back;
 }
 
 Status PrivHPServer::EnqueueFrame(const std::shared_ptr<Connection>& conn,
                                   std::string frame, RequestScope* scope) {
   if (scope != nullptr) scope->bytes_out += frame.size();
-  // Account the 4-byte frame header too, matching the writer's
-  // pending_bytes so queued_bytes drains exactly to zero.
-  const size_t wire_bytes = frame.size() + 4;
+  size_t queued;
   {
     MutexLock lock(conn->mu);
-    if (conn->closed) return Status::IOError("connection dropped");
-    conn->outbox.push_back(std::move(frame));
-    conn->queued_bytes.fetch_add(wire_bytes, std::memory_order_relaxed);
+    queued = conn->QueueLocked(std::move(frame));
   }
-  metrics_->output_queue_bytes->Add(static_cast<int64_t>(wire_bytes));
+  if (queued == 0) return Status::IOError("connection dropped");
+  metrics_->output_queue_bytes->Add(static_cast<int64_t>(queued));
   NotifyConn(conn);
   return Status::OK();
-}
-
-Status PrivHPServer::EnqueueError(const std::shared_ptr<Connection>& conn,
-                                  const Status& error, RequestScope* scope) {
-  stats_.errors.fetch_add(1, std::memory_order_relaxed);
-  if (scope != nullptr && scope->ep != nullptr) scope->ep->errors->Inc();
-  return EnqueueFrame(conn, EncodeErrorResponse(error), scope);
 }
 
 void PrivHPServer::NotifyConn(const std::shared_ptr<Connection>& conn) {
@@ -1085,153 +1075,59 @@ void PrivHPServer::NotifyConn(const std::shared_ptr<Connection>& conn) {
 // Request dispatch (worker threads)
 // ---------------------------------------------------------------------------
 
-void PrivHPServer::DispatchRequest(
+PrivHPServer::RequestOutcome PrivHPServer::DispatchRequest(
     const std::shared_ptr<Connection>& conn, const ServiceRequest& req,
-    RandomEngine* engine, RequestScope* scope, bool* drop,
-    DropReason* reason, bool* stream_consumed,
-    std::unique_ptr<ResponseStream>* stream_out) {
+    RandomEngine* engine, RequestScope* scope) {
   switch (req.op) {
-    case ServiceOp::kPing:
-      (void)EnqueueFrame(conn, BeginOkResponse().Take(), scope);
-      return;
-    case ServiceOp::kList: {
-      WireWriter w = BeginOkResponse();
-      const std::vector<std::string> names = registry_->List();
-      w.PutU32(static_cast<uint32_t>(names.size()));
-      for (const std::string& name : names) w.PutString(name);
-      (void)EnqueueFrame(conn, w.Take(), scope);
-      return;
-    }
-    case ServiceOp::kStats: {
-      WireWriter w = BeginOkResponse();
-      EncodeStatsSnapshot(StatsSnapshot(), &w);
-      (void)EnqueueFrame(conn, w.Take(), scope);
-      return;
-    }
+    case ServiceOp::kSample:
+      return HandleSampleRequest(conn, req, engine, scope);
+    case ServiceOp::kExport:
+      return HandleExportRequest(conn, req, scope);
+    case ServiceOp::kIngest:
+      return HandleIngestRequest(conn, req, scope);
     case ServiceOp::kAuth: {
       // Reached only when the reactor did not demand the handshake up
       // front (Unix transport, or no token configured): a correct or
       // unnecessary token is fine, a wrong one is rejected on any
       // transport.
-      if (options_.auth_token.empty() || req.token == options_.auth_token) {
-        (void)EnqueueFrame(conn, BeginOkResponse().Take(), scope);
-      } else {
-        (void)EnqueueError(
-            conn, Status::FailedPrecondition("authentication failed"),
-            scope);
-        *drop = true;
-        *reason = DropReason::kAuth;
-      }
-      return;
+      RequestOutcome outcome =
+          RequestOutcome::Reply(HandleAuth(req, options_.auth_token));
+      if (!outcome.reply.ok()) outcome.drop = DropReason::kAuth;
+      return outcome;
     }
-    case ServiceOp::kSample:
-      HandleSampleRequest(conn, req, engine, scope, drop, stream_out);
-      return;
-    case ServiceOp::kIngest:
-      HandleIngestRequest(conn, req, scope, drop, reason, stream_consumed);
-      return;
-    default:
-      break;
+    case ServiceOp::kPing:
+      return RequestOutcome::Reply(HandlePing());
+    case ServiceOp::kList:
+      return RequestOutcome::Reply(HandleList(*registry_));
+    case ServiceOp::kStats:
+      return RequestOutcome::Reply(HandleStats(StatsSnapshot()));
+    case ServiceOp::kRange:
+      return RequestOutcome::Reply(HandleRange(req, *registry_));
+    case ServiceOp::kQuantile:
+      return RequestOutcome::Reply(HandleQuantile(req, *registry_));
+    case ServiceOp::kHeavy:
+      return RequestOutcome::Reply(HandleHeavy(req, *registry_));
   }
-
-  // The remaining reads resolve an artifact first. They go through the
-  // representation-independent ServedArtifact query surface, so a
-  // heap-loaded tree, an mmapped paged file and a buffer-pooled paged
-  // file all answer with identical bytes.
-  Result<std::shared_ptr<const ServedArtifact>> artifact =
-      registry_->Get(req.artifact);
-  if (!artifact.ok()) {
-    (void)EnqueueError(conn, artifact.status(), scope);
-    return;
-  }
-
-  switch (req.op) {
-    case ServiceOp::kRange: {
-      if (req.level > 62 || (req.index >> req.level) != 0) {
-        (void)EnqueueError(conn,
-                           Status::InvalidArgument(
-                               "cell index out of range for level " +
-                               std::to_string(req.level)),
-                           scope);
-        return;
-      }
-      Result<double> fraction = (*artifact)->RangeMass(
-          CellId{static_cast<int>(req.level), req.index});
-      if (!fraction.ok()) {
-        (void)EnqueueError(conn, fraction.status(), scope);
-        return;
-      }
-      WireWriter w = BeginOkResponse();
-      w.PutDouble(*fraction);
-      (void)EnqueueFrame(conn, w.Take(), scope);
-      return;
-    }
-    case ServiceOp::kQuantile: {
-      Result<std::vector<double>> values = (*artifact)->Quantiles(req.qs);
-      if (!values.ok()) {
-        (void)EnqueueError(conn, values.status(), scope);
-        return;
-      }
-      WireWriter w = BeginOkResponse();
-      w.PutU32(static_cast<uint32_t>(values->size()));
-      for (double v : *values) w.PutDouble(v);
-      (void)EnqueueFrame(conn, w.Take(), scope);
-      return;
-    }
-    case ServiceOp::kHeavy: {
-      Result<std::vector<HeavyCell>> heavy =
-          (*artifact)->Heavy(req.threshold);
-      if (!heavy.ok()) {
-        (void)EnqueueError(conn, heavy.status(), scope);
-        return;
-      }
-      WireWriter w = BeginOkResponse();
-      w.PutU32(static_cast<uint32_t>(heavy->size()));
-      for (const HeavyCell& cell : *heavy) {
-        w.PutU32(static_cast<uint32_t>(cell.cell.level));
-        w.PutU64(cell.cell.index);
-        w.PutDouble(cell.fraction);
-      }
-      (void)EnqueueFrame(conn, w.Take(), scope);
-      return;
-    }
-    case ServiceOp::kExport: {
-      // The artifact pin moves into the stream via ExportBlob's copy.
-      HandleExportRequest(conn, req, scope, drop, stream_out);
-      return;
-    }
-    default:
-      (void)EnqueueError(
-          conn, Status::Internal("unhandled opcode in dispatch"), scope);
-      return;
-  }
+  return RequestOutcome::Reply(
+      Status::Internal("unhandled opcode in dispatch"));
 }
 
-void PrivHPServer::HandleSampleRequest(
+PrivHPServer::RequestOutcome PrivHPServer::HandleSampleRequest(
     const std::shared_ptr<Connection>& conn, const ServiceRequest& req,
-    RandomEngine* engine, RequestScope* scope, bool* drop,
-    std::unique_ptr<ResponseStream>* stream_out) {
+    RandomEngine* engine, RequestScope* scope) {
   Result<std::shared_ptr<const ServedArtifact>> artifact =
       registry_->Get(req.artifact);
-  if (!artifact.ok()) {
-    (void)EnqueueError(conn, artifact.status(), scope);
-    return;
-  }
+  if (!artifact.ok()) return RequestOutcome::Reply(artifact.status());
   if (options_.max_sample_points > 0 && req.m > options_.max_sample_points) {
-    (void)EnqueueError(conn,
-                       Status::InvalidArgument(
-                           "m exceeds the server's per-request limit "
-                           "of " +
-                           std::to_string(options_.max_sample_points)),
-                       scope);
-    return;
+    return RequestOutcome::Reply(Status::InvalidArgument(
+        "m exceeds the server's per-request limit of " +
+        std::to_string(options_.max_sample_points)));
   }
   WireWriter header = BeginOkResponse();
   header.PutU32(static_cast<uint32_t>((*artifact)->domain().dimension()));
   header.PutU64(req.m);
   if (!EnqueueFrame(conn, header.Take(), scope).ok()) {
-    *drop = true;
-    return;
+    return RequestOutcome::Drop(DropReason::kNone);
   }
 
   auto stream = std::make_unique<SampleStream>();
@@ -1252,24 +1148,19 @@ void PrivHPServer::HandleSampleRequest(
         return EnqueueFrame(raw->conn, std::move(payload), &raw->scope);
       }),
       options_.sample_batch);
-  *stream_out = std::move(stream);
+  RequestOutcome outcome;
+  outcome.stream = std::move(stream);
+  return outcome;
 }
 
-void PrivHPServer::HandleExportRequest(
+PrivHPServer::RequestOutcome PrivHPServer::HandleExportRequest(
     const std::shared_ptr<Connection>& conn, const ServiceRequest& req,
-    RequestScope* scope, bool* drop,
-    std::unique_ptr<ResponseStream>* stream_out) {
+    RequestScope* scope) {
   Result<std::shared_ptr<const ServedArtifact>> artifact =
       registry_->Get(req.artifact);
-  if (!artifact.ok()) {
-    (void)EnqueueError(conn, artifact.status(), scope);
-    return;
-  }
+  if (!artifact.ok()) return RequestOutcome::Reply(artifact.status());
   Result<std::string> blob = (*artifact)->ExportBlob();
-  if (!blob.ok()) {
-    (void)EnqueueError(conn, blob.status(), scope);
-    return;
-  }
+  if (!blob.ok()) return RequestOutcome::Reply(blob.status());
 
   // Stream the blob across as many chunk frames as it needs: the OK
   // header promises the total, each chunk carries raw bytes, and the
@@ -1278,8 +1169,7 @@ void PrivHPServer::HandleExportRequest(
   WireWriter header = BeginOkResponse();
   header.PutU64(blob->size());
   if (!EnqueueFrame(conn, header.Take(), scope).ok()) {
-    *drop = true;
-    return;
+    return RequestOutcome::Drop(DropReason::kNone);
   }
   auto stream = std::make_unique<ExportStream>();
   stream->server = this;
@@ -1287,49 +1177,38 @@ void PrivHPServer::HandleExportRequest(
   stream->blob = std::move(*blob);
   stream->chunk_bytes = std::min<size_t>(
       std::max<size_t>(1, options_.export_chunk_bytes), kMaxFrameBytes - 16);
-  *stream_out = std::move(stream);
+  RequestOutcome outcome;
+  outcome.stream = std::move(stream);
+  return outcome;
 }
 
-void PrivHPServer::HandleIngestRequest(
+PrivHPServer::RequestOutcome PrivHPServer::HandleIngestRequest(
     const std::shared_ptr<Connection>& conn, const ServiceRequest& req,
-    RequestScope* scope, bool* drop, DropReason* reason,
-    bool* stream_consumed) {
-  // Until the stream's end frame is consumed (or a pre-ack rejection
-  // releases the expectation), the request owes one.
-  *stream_consumed = false;
-  // Release the expected stream before the error is queued: the peer may
-  // send its next request as soon as it reads the error, and the reactor
-  // must route that frame as a request, not as stream data.
-  auto reject = [&](const Status& error) {
-    {
-      MutexLock lock(conn->mu);
-      conn->release_stream = true;
-    }
-    *stream_consumed = true;
-    (void)EnqueueError(conn, error, scope);
+    RequestScope* scope) {
+  // A rejection before the ack releases the point stream the peer would
+  // have sent: the client only starts streaming after the OK, so the
+  // error leaves the connection in sync.
+  auto reject = [](const Status& error) {
+    RequestOutcome outcome = RequestOutcome::Reply(error);
+    outcome.release_stream = true;
+    return outcome;
   };
 
-  // Validate before acknowledging: the client only starts streaming
-  // after the OK, so an error response here leaves the connection in
-  // sync (the reactor releases the expected stream when we finish).
-  Status invalid = Status::OK();
   if (req.artifact.empty()) {
-    invalid = Status::InvalidArgument("ingest needs an artifact name");
-  } else if (req.dim < 1 || req.dim > 64) {
-    invalid = Status::InvalidArgument("ingest dim must be in [1, 64]");
-  } else if (req.n == 0) {
-    invalid = Status::InvalidArgument(
-        "ingest needs the expected stream length n (the streaming horizon)");
-  } else if (req.threads < 1 ||
-             req.threads >
-                 static_cast<uint32_t>(options_.max_ingest_threads)) {
-    invalid = Status::InvalidArgument(
-        "ingest threads must be in [1, " +
-        std::to_string(options_.max_ingest_threads) + "]");
+    return reject(Status::InvalidArgument("ingest needs an artifact name"));
   }
-  if (!invalid.ok()) {
-    reject(invalid);
-    return;
+  if (req.dim < 1 || req.dim > 64) {
+    return reject(Status::InvalidArgument("ingest dim must be in [1, 64]"));
+  }
+  if (req.n == 0) {
+    return reject(Status::InvalidArgument(
+        "ingest needs the expected stream length n (the streaming horizon)"));
+  }
+  if (req.threads < 1 ||
+      req.threads > static_cast<uint32_t>(options_.max_ingest_threads)) {
+    return reject(Status::InvalidArgument(
+        "ingest threads must be in [1, " +
+        std::to_string(options_.max_ingest_threads) + "]"));
   }
 
   auto domain = std::make_unique<HypercubeDomain>(static_cast<int>(req.dim));
@@ -1344,14 +1223,10 @@ void PrivHPServer::HandleIngestRequest(
   // anything.
   {
     Result<PrivHPBuilder> probe = PrivHPBuilder::Make(domain.get(), options);
-    if (!probe.ok()) {
-      reject(probe.status());
-      return;
-    }
+    if (!probe.ok()) return reject(probe.status());
   }
   if (!EnqueueFrame(conn, BeginOkResponse().Take(), scope).ok()) {
-    *drop = true;
-    return;
+    return RequestOutcome::Drop(DropReason::kNone);
   }
 
   // The point stream arrives through the connection's ingest channel:
@@ -1398,51 +1273,49 @@ void PrivHPServer::HandleIngestRequest(
   scope->bytes_in += source.bytes_received();
   metrics_->ingest_batches->Add(
       static_cast<int64_t>(source.num_batches()));
-  *stream_consumed = source.finished();
+  RequestOutcome outcome;
   if (!generator.ok()) {
-    // A cancelled stream (shutdown, or the peer idle-timing out) has no
-    // live sender to resync with — draining would just park the worker
-    // for a second timeout window, so drop the connection instead.
     if (source.cancelled()) {
-      *drop = true;
-      *reason = timed_out ? DropReason::kIdle : DropReason::kNone;
-      return;
+      // A cancelled stream (shutdown, or the peer idle-timing out) has
+      // no live sender to resync with — draining would just park the
+      // worker for a second timeout window, so drop the connection.
+      outcome = RequestOutcome::Drop(timed_out ? DropReason::kIdle
+                                               : DropReason::kNone);
+    } else if (!source.SkipToEnd().ok()) {
+      // Regaining frame sync failed: the connection is beyond saving,
+      // and the build error (not the drain error) is what is worth
+      // reporting — to no one.
+      outcome = RequestOutcome::Drop(DropReason::kNone);
+    } else {
+      outcome = RequestOutcome::Reply(generator.status());
     }
-    // Otherwise regain frame sync so the error reaches the client; if
-    // the drain itself fails the connection is beyond saving, and the
-    // build error (not the drain error) is what is worth reporting.
-    if (!source.SkipToEnd().ok()) {
-      *drop = true;
-      return;
+  } else {
+    metrics_->ingest_points->Add(
+        static_cast<int64_t>(source.num_received()));
+    const uint64_t nodes = generator->tree().num_nodes();
+    const double mass = generator->TotalMass();
+    const Status published = registry_->Publish(
+        req.artifact,
+        ServedArtifact::Make(std::move(domain), std::move(*generator),
+                             "ingest"));
+    if (published.ok()) {
+      metrics_->ingests_published->Inc();
+      WireWriter w = BeginOkResponse();
+      w.PutU64(nodes);
+      w.PutDouble(mass);
+      outcome = RequestOutcome::Reply(w.Take());
+    } else {
+      outcome = RequestOutcome::Reply(published);
     }
-    *stream_consumed = source.finished();
-    (void)EnqueueError(conn, generator.status(), scope);
-    return;
   }
-  stats_.ingested_points.fetch_add(source.num_received(),
-                                   std::memory_order_relaxed);
-  metrics_->ingest_points->Add(static_cast<int64_t>(source.num_received()));
-
-  const uint64_t nodes = generator->tree().num_nodes();
-  const double mass = generator->TotalMass();
-  const Status published = registry_->Publish(
-      req.artifact,
-      ServedArtifact::Make(std::move(domain), std::move(*generator),
-                           "ingest"));
-  if (!published.ok()) {
-    (void)EnqueueError(conn, published, scope);
-    return;
-  }
-  stats_.ingests_published.fetch_add(1, std::memory_order_relaxed);
-
-  WireWriter w = BeginOkResponse();
-  w.PutU64(nodes);
-  w.PutDouble(mass);
-  (void)EnqueueFrame(conn, w.Take(), scope);
+  // Until its end frame is consumed the request owes the stream; a
+  // stream that ended early is released for the reactor to forget.
+  outcome.release_stream = !source.finished();
+  return outcome;
 }
 
 // ---------------------------------------------------------------------------
-// Stats snapshot (unchanged wire surface)
+// Stats snapshot
 // ---------------------------------------------------------------------------
 
 obs::MetricsSnapshot PrivHPServer::StatsSnapshot() const {
@@ -1453,18 +1326,6 @@ obs::MetricsSnapshot PrivHPServer::StatsSnapshot() const {
   auto gauge = [&snap](std::string name, int64_t value) {
     snap.gauges.push_back({std::move(name), value});
   };
-
-  // The pre-metrics AtomicStats counters, under "server.*" — they are
-  // bumped on paths the per-op metrics do not see (unparseable frames,
-  // listener trouble), so both inventories stay in the one snapshot.
-  const Stats s = stats();
-  counter("server.connections", s.connections);
-  counter("server.requests", s.requests);
-  counter("server.errors", s.errors);
-  counter("server.sampled_points", s.sampled_points);
-  counter("server.ingested_points", s.ingested_points);
-  counter("server.ingests_published", s.ingests_published);
-  counter("server.listener_failure_streaks", s.listener_failure_streaks);
 
   // Serving-tier state is read at snapshot time rather than maintained
   // by hot-path increments: the registry and pools already keep these

@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -160,25 +161,9 @@ class PrivHPServer {
 
   const ServerOptions& options() const { return options_; }
 
-  /// \brief Monotonic counters, snapshot at call time.
-  struct Stats {
-    uint64_t connections = 0;
-    uint64_t requests = 0;
-    uint64_t errors = 0;
-    uint64_t sampled_points = 0;
-    uint64_t ingested_points = 0;
-    uint64_t ingests_published = 0;
-    /// Times a listener entered a sustained accept-failure streak
-    /// (>= 16 consecutive failures); the reactor keeps retrying with
-    /// capped backoff, but a non-zero value means some endpoint has
-    /// been refusing connections and deserves a look.
-    uint64_t listener_failure_streaks = 0;
-  };
-  Stats stats() const;
-
   /// \brief Everything the server knows about itself, merged into one
-  /// snapshot: the metrics registry's counters/gauges/histograms, the
-  /// legacy Stats counters (as "server.*"), and snapshot-time registry
+  /// snapshot: the metrics registry's counters/gauges/histograms (the
+  /// server totals among them, as "server.*") and snapshot-time registry
   /// and per-artifact gauges ("registry.*", "artifact.<name>.*",
   /// aggregated buffer-pool counters under "pool.*"). This is the
   /// payload the STATS op encodes.
@@ -208,6 +193,28 @@ class PrivHPServer {
     uint64_t bytes_in = 0;
     uint64_t bytes_out = 0;
     std::chrono::steady_clock::time_point started;
+  };
+
+  /// What a request leaves for the worker's completion site
+  /// (CompleteRequest) to apply. Handlers fill it in and return; they
+  /// never queue an error frame or touch the connection's hand-off
+  /// flags themselves.
+  struct RequestOutcome {
+    /// The reply still to queue: an OK frame, or the error the
+    /// completion site encodes. An empty frame means the handler already
+    /// queued its response (a stream header, an INGEST ack).
+    Result<std::string> reply = std::string();
+    /// Set when the connection closes after the flush; the value
+    /// classifies the drop.
+    std::optional<DropReason> drop;
+    /// The INGEST point stream the peer was expected to send will not be
+    /// consumed: the reactor stops routing its frames to the channel.
+    bool release_stream = false;
+    /// A SAMPLE/EXPORT response still to pump.
+    std::unique_ptr<ResponseStream> stream;
+
+    static RequestOutcome Reply(Result<std::string> reply);
+    static RequestOutcome Drop(DropReason reason);
   };
 
   /// A request frame the reactor parsed and queued for execution. A
@@ -277,39 +284,39 @@ class PrivHPServer {
   bool ExecuteRequest(const std::shared_ptr<Connection>& conn,
                       PendingRequest pr, RandomEngine* engine);
   bool RunStream(std::unique_ptr<ResponseStream> stream);
-  /// Records the request's metrics, then either keeps the slot with the
-  /// worker (clean completion, returns true) or marks it done for the
-  /// reactor (drop / ingest-stream release, returns false). Recording
+  /// The one site that applies a finished request: encodes the reply
+  /// (ReplyFrame), records the request's metrics, then — under one hold
+  /// of conn->mu — queues the reply and sets the release/drop hand-off
+  /// flags. Keeps the slot with the worker on a clean completion
+  /// (returns true) or marks it done for the reactor when there is a
+  /// drop or a stream release to apply (returns false). Recording
   /// happens before either hand-off, so the next pipelined request on
   /// the connection observes this one's metrics.
-  bool FinalizeRequest(const std::shared_ptr<Connection>& conn,
-                       RequestScope* scope, bool drop_connection,
-                       DropReason reason, bool ingest_stream_consumed);
+  bool CompleteRequest(const std::shared_ptr<Connection>& conn,
+                       RequestScope* scope, RequestOutcome outcome);
+  /// The reply's wire frame: the OK frame itself, or the encoded error —
+  /// the only place an error frame is made, and the only place
+  /// server.errors and op.<name>.errors advance.
+  std::string ReplyFrame(Result<std::string> reply, EndpointMetrics* ep);
 
-  void DispatchRequest(const std::shared_ptr<Connection>& conn,
-                       const ServiceRequest& req, RandomEngine* engine,
-                       RequestScope* scope, bool* drop, DropReason* reason,
-                       bool* stream_consumed,
-                       std::unique_ptr<ResponseStream>* stream_out);
-  void HandleSampleRequest(const std::shared_ptr<Connection>& conn,
-                           const ServiceRequest& req, RandomEngine* engine,
-                           RequestScope* scope, bool* drop,
-                           std::unique_ptr<ResponseStream>* stream_out);
-  void HandleExportRequest(const std::shared_ptr<Connection>& conn,
-                           const ServiceRequest& req, RequestScope* scope,
-                           bool* drop,
-                           std::unique_ptr<ResponseStream>* stream_out);
-  void HandleIngestRequest(const std::shared_ptr<Connection>& conn,
-                           const ServiceRequest& req, RequestScope* scope,
-                           bool* drop, DropReason* reason,
-                           bool* stream_consumed);
+  RequestOutcome DispatchRequest(const std::shared_ptr<Connection>& conn,
+                                 const ServiceRequest& req,
+                                 RandomEngine* engine, RequestScope* scope);
+  RequestOutcome HandleSampleRequest(const std::shared_ptr<Connection>& conn,
+                                     const ServiceRequest& req,
+                                     RandomEngine* engine,
+                                     RequestScope* scope);
+  RequestOutcome HandleExportRequest(const std::shared_ptr<Connection>& conn,
+                                     const ServiceRequest& req,
+                                     RequestScope* scope);
+  RequestOutcome HandleIngestRequest(const std::shared_ptr<Connection>& conn,
+                                     const ServiceRequest& req,
+                                     RequestScope* scope);
 
   /// Appends one response frame to the connection's output queue and
   /// wakes the reactor; fails (IOError) once the connection is dropped.
   Status EnqueueFrame(const std::shared_ptr<Connection>& conn,
                       std::string frame, RequestScope* scope);
-  Status EnqueueError(const std::shared_ptr<Connection>& conn,
-                      const Status& error, RequestScope* scope);
   /// Puts \p conn on the reactor's ready list and wakes the loop.
   void NotifyConn(const std::shared_ptr<Connection>& conn) EXCLUDES(ready_mu_);
 
@@ -352,17 +359,6 @@ class PrivHPServer {
   // (new response frames, request completion, parked streams).
   Mutex ready_mu_;
   std::vector<std::shared_ptr<Connection>> ready_ GUARDED_BY(ready_mu_);
-
-  struct AtomicStats {
-    std::atomic<uint64_t> connections{0};
-    std::atomic<uint64_t> requests{0};
-    std::atomic<uint64_t> errors{0};
-    std::atomic<uint64_t> sampled_points{0};
-    std::atomic<uint64_t> ingested_points{0};
-    std::atomic<uint64_t> ingests_published{0};
-    std::atomic<uint64_t> listener_failure_streaks{0};
-  };
-  AtomicStats stats_;
 };
 
 }  // namespace privhp

@@ -66,6 +66,12 @@ ServiceMetrics::ServiceMetrics(obs::MetricsRegistry* registry) {
     ops_[i].bytes_in = registry->GetHistogram(prefix + "bytes_in");
     ops_[i].bytes_out = registry->GetHistogram(prefix + "bytes_out");
   }
+  connections = registry->GetCounter("server.connections");
+  requests = registry->GetCounter("server.requests");
+  errors = registry->GetCounter("server.errors");
+  ingests_published = registry->GetCounter("server.ingests_published");
+  listener_failure_streaks =
+      registry->GetCounter("server.listener_failure_streaks");
   queue_wait_ns = registry->GetHistogram("server.queue_wait_ns");
   queue_depth = registry->GetGauge("server.queue_depth");
   workers_busy = registry->GetGauge("server.workers_busy");

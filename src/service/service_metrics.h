@@ -43,6 +43,18 @@ class ServiceMetrics {
 
   EndpointMetrics& ForOp(ServiceOp op) { return ops_[ServiceOpIndex(op)]; }
 
+  // Server totals, on paths the per-op metrics do not all see
+  // (unparseable frames, the reactor's AUTH handshakes, listeners).
+  obs::Counter* connections;               ///< peers accepted
+  obs::Counter* requests;                  ///< request frames routed
+  obs::Counter* errors;                    ///< error responses queued
+  obs::Counter* ingests_published;         ///< INGEST artifacts published
+  /// Times a listener entered a sustained accept-failure streak (>= 16
+  /// consecutive failures); the reactor keeps retrying with capped
+  /// backoff, but a non-zero value means some endpoint has been
+  /// refusing connections and deserves a look.
+  obs::Counter* listener_failure_streaks;
+
   // Server-level instrumentation.
   obs::Histogram* queue_wait_ns;  ///< request parse-to-worker-dequeue wait
   obs::Gauge* queue_depth;        ///< requests awaiting a worker

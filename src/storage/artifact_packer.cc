@@ -1,13 +1,10 @@
 #include "storage/artifact_packer.h"
 
 #include <cstring>
-#include <fstream>
-#include <memory>
 #include <vector>
 
 #include "common/macros.h"
 #include "common/hash.h"
-#include "domain/domain_factory.h"
 #include "hierarchy/compiled_sampler.h"
 #include "hierarchy/tree_serialization.h"
 #include "io/file_util.h"
@@ -130,31 +127,9 @@ Status PackArtifact(const PartitionTree& tree, const std::string& path,
 
 Status PackTreeFile(const std::string& tree_path, const std::string& out_path,
                     const PackOptions& options) {
-  // Same header peek the registry does: the v2 header names the domain
-  // the tree was released over.
-  std::string magic;
-  std::string domain_name;
-  int dimension = 0;
-  {
-    std::ifstream in(tree_path);
-    if (!in) return Status::IOError("cannot open for read: " + tree_path);
-    if (!std::getline(in, magic) || !std::getline(in, domain_name)) {
-      return Status::IOError("truncated tree header in " + tree_path);
-    }
-    if (magic == "privhp-tree-v1") {
-      return Status::InvalidArgument(
-          "pack requires tree format v2 (v1 files carry no dimension): " +
-          tree_path);
-    }
-    if (!(in >> dimension)) {
-      return Status::IOError("missing dimension line in " + tree_path);
-    }
-  }
-  PRIVHP_ASSIGN_OR_RETURN(std::unique_ptr<Domain> domain,
-                          MakeDomainByName(domain_name, dimension));
-  PRIVHP_ASSIGN_OR_RETURN(PartitionTree tree,
-                          LoadTreeFromFile(domain.get(), tree_path));
-  return PackArtifact(tree, out_path, options);
+  PRIVHP_ASSIGN_OR_RETURN(SelfDescribedTree loaded,
+                          LoadSelfDescribedTree(tree_path));
+  return PackArtifact(loaded.tree, out_path, options);
 }
 
 }  // namespace storage

@@ -209,9 +209,11 @@ TEST_F(ServerTest, ConcurrentSeededSamplesAreReproducible) {
   }
   for (std::thread& c : clients) c.join();
 
-  const PrivHPServer::Stats stats = server_->stats();
-  EXPECT_GE(stats.requests, uint64_t{kClients * kRequests});
-  EXPECT_GE(stats.sampled_points, uint64_t{kClients * kRequests * kM});
+  const obs::MetricsSnapshot stats = server_->StatsSnapshot();
+  EXPECT_GE(stats.CounterOr("server.requests"),
+            uint64_t{kClients * kRequests});
+  EXPECT_GE(stats.CounterOr("sample.points"),
+            uint64_t{kClients * kRequests * kM});
 }
 
 // Concurrent SAMPLE clients all pin the same ServedArtifact, so they

@@ -22,6 +22,10 @@
 namespace privhp {
 namespace {
 
+// CounterOr fallback that no real counter reaches: tells "absent" apart
+// from "present and zero".
+constexpr uint64_t kAbsent = ~uint64_t{0};
+
 class StatsRequestTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -146,9 +150,41 @@ TEST_F(StatsRequestTest, ScriptedSequenceAdvancesCountersAndHistograms) {
   EXPECT_GT(snap.GaugeOr("artifact.alpha.nodes"), 0);
   EXPECT_EQ(snap.GaugeOr("artifact.alpha.repr", -1), 0);  // heap
 
-  // Legacy server totals ride along under "server.*".
+  // Server totals ride along under "server.*"; sampled points are
+  // counted once, as sample.points.
   EXPECT_EQ(snap.CounterOr("server.errors"), 2u);
-  EXPECT_EQ(snap.CounterOr("server.sampled_points"), 300u);
+  EXPECT_EQ(snap.CounterOr("server.sampled_points", kAbsent), kAbsent);
+}
+
+TEST_F(StatsRequestTest, ServerTotalsAreRegistryCounters) {
+  auto client = Connect();
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->Sample("alpha", 120, /*seed=*/5).ok());
+  EXPECT_FALSE(client->RangeMass("ghost", CellId{1, 0}).ok());
+
+  // Every total is counted before the response it describes is queued,
+  // so the snapshot is exact once the error reply has been read.
+  const obs::MetricsSnapshot snap = server_->StatsSnapshot();
+  EXPECT_EQ(snap.CounterOr("server.connections", kAbsent), 1u);
+  EXPECT_EQ(snap.CounterOr("server.requests", kAbsent), 2u);
+  EXPECT_EQ(snap.CounterOr("server.errors", kAbsent), 1u);
+  EXPECT_EQ(snap.CounterOr("server.ingests_published", kAbsent), 0u);
+  EXPECT_EQ(snap.CounterOr("server.listener_failure_streaks", kAbsent), 0u);
+  // Points are counted once, as sample.points / ingest.points.
+  EXPECT_EQ(snap.CounterOr("server.sampled_points", kAbsent), kAbsent);
+  EXPECT_EQ(snap.CounterOr("server.ingested_points", kAbsent), kAbsent);
+  EXPECT_EQ(snap.CounterOr("sample.points", kAbsent), 120u);
+
+  // The same totals live in the registry the server records into, and
+  // reach a STATS peer (whose own request is the third).
+  const obs::MetricsSnapshot shared = metrics_.Snapshot();
+  EXPECT_EQ(shared.CounterOr("server.connections", kAbsent), 1u);
+  EXPECT_EQ(shared.CounterOr("server.errors", kAbsent), 1u);
+  auto remote = client->Stats();
+  ASSERT_TRUE(remote.ok());
+  EXPECT_EQ(remote->CounterOr("server.requests", kAbsent), 3u);
+  EXPECT_EQ(remote->CounterOr("server.errors", kAbsent), 1u);
+  EXPECT_EQ(remote->CounterOr("server.ingested_points", kAbsent), kAbsent);
 }
 
 TEST_F(StatsRequestTest, WireRoundTripMatchesServerSnapshot) {

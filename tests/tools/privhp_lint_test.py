@@ -10,6 +10,7 @@ the real tree, asserting exact rule IDs:
   * src/ itself is silent (the gate the CI job enforces);
   * PHL006 takes its limit from the nearest .clang-format;
   * PHL007 applies to the ingest layers (io/, domain/, core/) only;
+  * PHL008 applies to service/handlers.{h,cc} only;
   * --check-tidy-config accepts the repo config and rejects configs
     with undocumented opt-outs or a missing WarningsAsErrors.
 
@@ -92,6 +93,12 @@ class BadFixturesTest(unittest.TestCase):
         self.expect("bad/io/point_sink.h", "PHL007", [11, 17, 24])
         self.expect("bad/core/shard.cc", "PHL007", [7, 11])
 
+    def test_phl008_socket_free_handlers(self):
+        # Both includes and all three names, in the .cc and the .h; not
+        # the comment or the string that mention them.
+        self.expect("bad/service/handlers.cc", "PHL008", [4, 5, 9, 10, 12])
+        self.expect("bad/service/handlers.h", "PHL008", [5, 9])
+
     def test_no_cross_rule_noise(self):
         # A file seeded for one rule must not trip a different rule.
         for path, _, rule in self.findings:
@@ -101,7 +108,9 @@ class BadFixturesTest(unittest.TestCase):
                         "bad/service/queue.cc": "PHL004",
                         "bad/common/long_lines.cc": "PHL006",
                         "bad/io/point_sink.h": "PHL007",
-                        "bad/core/shard.cc": "PHL007"}[path]
+                        "bad/core/shard.cc": "PHL007",
+                        "bad/service/handlers.cc": "PHL008",
+                        "bad/service/handlers.h": "PHL008"}[path]
             self.assertEqual(rule, expected,
                              "unexpected %s in %s" % (rule, path))
 

@@ -413,15 +413,16 @@ int Serve(const Args& args) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
   }
   (*server)->Stop();
-  const PrivHPServer::Stats stats = (*server)->stats();
+  const obs::MetricsSnapshot stats = (*server)->StatsSnapshot();
+  auto count = [&stats](const char* name) {
+    return static_cast<unsigned long long>(stats.CounterOr(name));
+  };
   std::fprintf(stderr,
                "served %llu requests on %llu connections "
                "(%llu points sampled, %llu ingested, %llu errors)\n",
-               static_cast<unsigned long long>(stats.requests),
-               static_cast<unsigned long long>(stats.connections),
-               static_cast<unsigned long long>(stats.sampled_points),
-               static_cast<unsigned long long>(stats.ingested_points),
-               static_cast<unsigned long long>(stats.errors));
+               count("server.requests"), count("server.connections"),
+               count("sample.points"), count("ingest.points"),
+               count("server.errors"));
   return 0;
 }
 

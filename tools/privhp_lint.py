@@ -47,6 +47,12 @@ extend it):
           scalar reference. Code that holds vectors of points (eval/,
           baselines/) converts with PointBatch::FromPoints/ToPoints.
 
+  PHL008  socket-free handlers
+          service/handlers.{h,cc} may not include io/frame_socket.h or
+          service/event_loop.h, and may not name Socket, Connection or
+          EnqueueFrame: a handler maps a parsed request to its reply,
+          and only the server's worker turns that reply into a frame.
+
 Also provides --check-tidy-config, which validates .clang-tidy: every
 disabled check must carry a documented reason comment (the per-check
 opt-outs are part of the reviewable contract, not silent suppressions).
@@ -326,6 +332,31 @@ def check_point_currency(path, text):
 
 
 # ---------------------------------------------------------------------------
+# PHL008: the request handlers never see a socket or a connection.
+# ---------------------------------------------------------------------------
+
+SOCKET_INCLUDE_RE = re.compile(
+    r'^[ \t]*#[ \t]*include[ \t]*'
+    r'"(io/frame_socket\.h|service/event_loop\.h)"', re.M)
+SOCKET_NAME_RE = re.compile(r"\b(Socket|Connection|EnqueueFrame)\b")
+
+
+def check_socket_free(path, raw, text):
+    violations = []
+    for m in SOCKET_INCLUDE_RE.finditer(raw):
+        violations.append(Violation(
+            path, line_of(raw, m.start()), "PHL008",
+            "handlers include '%s'; they map a parsed request to its "
+            "reply and never see a socket" % m.group(1)))
+    for m in SOCKET_NAME_RE.finditer(text):
+        violations.append(Violation(
+            path, line_of(text, m.start()), "PHL008",
+            "handlers name '%s'; only the server's worker turns a reply "
+            "into a frame on a connection" % m.group(1)))
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # Rule routing: which rules apply to which paths.
 # ---------------------------------------------------------------------------
 
@@ -353,6 +384,10 @@ def is_sync_header(path):
     return norm(path).endswith("common/sync.h")
 
 
+def is_request_handler(path):
+    return re.search(r"service/handlers\.(h|cc)$", norm(path)) is not None
+
+
 def is_ingest_layer(path):
     parent = os.path.basename(os.path.dirname(os.path.abspath(path)))
     return parent in ("io", "domain", "core")
@@ -377,6 +412,8 @@ def lint_file(path, display_path=None):
         violations += check_naked_mutex(display_path, text)
     if is_ingest_layer(path):
         violations += check_point_currency(display_path, text)
+    if is_request_handler(path):
+        violations += check_socket_free(display_path, raw, text)
     limit = column_limit_in(os.path.dirname(os.path.abspath(path)))
     if limit is not None:
         violations += check_column_limit(display_path, raw, limit)
