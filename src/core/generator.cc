@@ -6,16 +6,27 @@
 namespace privhp {
 
 PrivHPGenerator::PrivHPGenerator(PartitionTree tree, ResolvedPlan plan)
-    : tree_(std::move(tree)), plan_(std::move(plan)), sampler_(tree_) {}
+    : tree_(std::move(tree)), plan_(std::move(plan)) {}
+
+const CompiledSampler& PrivHPGenerator::sampler() const {
+  const CompiledSampler* compiled =
+      lazy_->compiled.load(std::memory_order_acquire);
+  if (compiled != nullptr) return *compiled;
+  std::call_once(lazy_->once, [this]() {
+    lazy_->table.emplace(tree_);
+    lazy_->compiled.store(&*lazy_->table, std::memory_order_release);
+  });
+  return *lazy_->table;
+}
 
 std::vector<Point> PrivHPGenerator::Generate(size_t m,
                                              RandomEngine* rng) const {
-  return sampler_.SampleBatch(m, rng);
+  return sampler().SampleBatch(m, rng);
 }
 
 Status PrivHPGenerator::GenerateTo(size_t m, RandomEngine* rng,
                                    PointSink* sink) const {
-  return sampler_.GenerateTo(m, rng, sink);
+  return sampler().GenerateTo(m, rng, sink);
 }
 
 Status PrivHPGenerator::Save(const std::string& path) const {

@@ -8,6 +8,10 @@
 #ifndef PRIVHP_CORE_GENERATOR_H_
 #define PRIVHP_CORE_GENERATOR_H_
 
+#include <atomic>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,12 +24,14 @@ namespace privhp {
 
 /// \brief eps-DP synthetic data generator backed by a decomposition tree.
 ///
-/// The sampling distribution is compiled once at construction into an
-/// alias table (hierarchy/compiled_sampler.h), so every Sample /
-/// Generate / GenerateTo call is O(1) per point — repeated sampling
-/// never rebuilds sampler state, and every holder of the generator
-/// (including every concurrent SAMPLE request pinning a ServedArtifact)
-/// shares the one compiled table.
+/// The sampling distribution is compiled into an alias table
+/// (hierarchy/compiled_sampler.h) on the first sampler() / Sample /
+/// Generate* call — once, however many threads make that call at the
+/// same time — so every draw is O(1) per point, repeated sampling never
+/// rebuilds sampler state, and every holder of the generator (including
+/// every concurrent SAMPLE request pinning a ServedArtifact) shares the
+/// one compiled table. A generator that is only saved or packed never
+/// compiles: the packer compiles its own table to write it.
 class PrivHPGenerator {
  public:
   /// \param tree Final consistent tree (moved in).
@@ -33,7 +39,7 @@ class PrivHPGenerator {
   PrivHPGenerator(PartitionTree tree, ResolvedPlan plan);
 
   /// \brief One synthetic point.
-  Point Sample(RandomEngine* rng) const { return sampler_.Sample(rng); }
+  Point Sample(RandomEngine* rng) const { return sampler().Sample(rng); }
 
   /// \brief \p m synthetic points (the dataset Y of the problem statement).
   std::vector<Point> Generate(size_t m, RandomEngine* rng) const;
@@ -41,7 +47,7 @@ class PrivHPGenerator {
   /// \brief \p m synthetic points into a columnar batch (cleared first)
   /// — the zero-allocation sampling hot path.
   Status GenerateBatch(size_t m, RandomEngine* rng, PointBatch* out) const {
-    return sampler_.SampleTo(m, rng, out);
+    return sampler().SampleTo(m, rng, out);
   }
 
   /// \brief Streams \p m synthetic points into \p sink without
@@ -52,8 +58,14 @@ class PrivHPGenerator {
   /// Generate() for a given rng state.
   Status GenerateTo(size_t m, RandomEngine* rng, PointSink* sink) const;
 
-  /// \brief The compiled sampling distribution (shared hot path).
-  const CompiledSampler& sampler() const { return sampler_; }
+  /// \brief The compiled sampling distribution (shared hot path),
+  /// compiled from the tree on the first call. Thread-safe.
+  const CompiledSampler& sampler() const;
+
+  /// \brief Whether sampler() has compiled the table yet.
+  bool sampler_compiled() const {
+    return lazy_->compiled.load(std::memory_order_acquire) != nullptr;
+  }
 
   /// \brief The underlying tree (the private artifact itself).
   const PartitionTree& tree() const { return tree_; }
@@ -77,12 +89,20 @@ class PrivHPGenerator {
   static PrivHPGenerator FromLoadedTree(PartitionTree tree);
 
  private:
+  // The table compiled from tree_ on first use. Self-contained (no
+  // pointer into the tree arena, only the stable Domain pointer), and
+  // held by shared_ptr: copies and moves of the generator cost a
+  // reference count and share one table. That is sound because no
+  // holder can mutate the tree, so every copy compiles the same bytes.
+  struct LazySampler {
+    std::once_flag once;
+    std::optional<CompiledSampler> table;
+    std::atomic<const CompiledSampler*> compiled{nullptr};
+  };
+
   PartitionTree tree_;
   ResolvedPlan plan_;
-  // Compiled from tree_ at construction. Self-contained (holds no
-  // pointer into the tree arena, only the stable Domain pointer), so the
-  // generator stays freely movable and copyable.
-  CompiledSampler sampler_;
+  std::shared_ptr<LazySampler> lazy_ = std::make_shared<LazySampler>();
 };
 
 }  // namespace privhp

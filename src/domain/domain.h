@@ -28,9 +28,19 @@ namespace privhp {
 
 /// \brief Identifies one subdomain Omega_theta: `level` = |theta|,
 /// `index` = theta read as a binary number (MSB = first split).
+///
+/// Every byte is a member: the 4 bytes between level and index are an
+/// explicit, always-zero pad, so a CellId (and the TreeNode holding one)
+/// is written to a paged artifact as it sits in memory
+/// (storage/page.h's PackedCell and PackedTreeNode share its layout).
 struct CellId {
-  int level = 0;
+  int32_t level = 0;
+  uint32_t pad = 0;
   uint64_t index = 0;
+
+  constexpr CellId() = default;
+  constexpr CellId(int cell_level, uint64_t cell_index)
+      : level(cell_level), index(cell_index) {}
 
   bool operator==(const CellId& other) const {
     return level == other.level && index == other.index;

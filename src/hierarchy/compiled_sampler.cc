@@ -10,8 +10,13 @@ namespace privhp {
 
 CompiledSampler::CompiledSampler(const PartitionTree& tree)
     : domain_(tree.domain()) {
+  const std::vector<NodeId> leaves = tree.Leaves();
+  // One slot per leaf at most: reserving it keeps MemoryBytes() within
+  // MemoryBytesBound().
+  cells_.reserve(leaves.size());
   std::vector<double> masses;
-  for (NodeId id : tree.Leaves()) {
+  masses.reserve(leaves.size());
+  for (NodeId id : leaves) {
     const TreeNode& n = tree.node(id);
     if (n.count > 0.0) {
       cells_.push_back(n.cell);
@@ -216,6 +221,18 @@ size_t CompiledSampler::MemoryBytes() const {
          accept_.capacity() * sizeof(double) +
          alias_.capacity() * sizeof(uint32_t) +
          (slot_lo_.capacity() + slot_ext_.capacity()) * sizeof(double);
+}
+
+size_t CompiledSampler::MemoryBytesBound(const PartitionTree& tree) {
+  // Every node has 0 or 2 children, so N nodes hold (N + 1) / 2 leaves.
+  // Each slot takes a cell, an accept probability, an alias and two
+  // bounds rows (sized even when the domain has no closed-form bounds:
+  // BuildBoundsTables clears them without freeing).
+  const size_t leaves = (tree.num_nodes() + 1) / 2;
+  const size_t dim = static_cast<size_t>(tree.domain()->dimension());
+  return sizeof(CompiledSampler) +
+         leaves * (sizeof(CellId) + sizeof(double) + sizeof(uint32_t) +
+                   2 * dim * sizeof(double));
 }
 
 }  // namespace privhp

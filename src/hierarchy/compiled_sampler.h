@@ -148,6 +148,11 @@ class CompiledSampler {
   /// borrowed sampler holds pointers into someone else's bytes).
   size_t MemoryBytes() const;
 
+  /// \brief An upper bound on MemoryBytes() of the table compiled from
+  /// \p tree, computed without compiling it — what a holder that
+  /// compiles on first use charges up front.
+  static size_t MemoryBytesBound(const PartitionTree& tree);
+
  private:
   CompiledSampler() = default;
 

@@ -11,8 +11,7 @@ namespace privhp {
 
 PartitionTree::PartitionTree(const Domain* domain) : domain_(domain) {
   PRIVHP_CHECK(domain_ != nullptr);
-  nodes_.push_back(TreeNode{CellId{0, 0}, 0.0, kInvalidNode, kInvalidNode,
-                            kInvalidNode});
+  nodes_.push_back(TreeNode{CellId{0, 0}, 0.0, kInvalidNode, kInvalidNode});
 }
 
 Status CheckCompleteDepth(const Domain* domain, int depth) {
@@ -50,7 +49,6 @@ Result<PartitionTree> PartitionTree::Complete(const Domain* domain,
       TreeNode& n = tree.nodes_[i];
       n.cell = CellId{level, static_cast<uint64_t>(i - first)};
       n.count = counts == nullptr ? 0.0 : counts[i];
-      n.parent = i == 0 ? kInvalidNode : static_cast<NodeId>((i - 1) / 2);
       if (i < internal) {
         n.left = static_cast<NodeId>(2 * i + 1);
         n.right = static_cast<NodeId>(2 * i + 2);
@@ -65,9 +63,8 @@ NodeId PartitionTree::AddChildren(NodeId id) {
   PRIVHP_DCHECK(nodes_[id].is_leaf());
   const CellId cell = nodes_[id].cell;
   const NodeId left = static_cast<NodeId>(nodes_.size());
-  nodes_.push_back(TreeNode{cell.Left(), 0.0, kInvalidNode, kInvalidNode, id});
-  nodes_.push_back(
-      TreeNode{cell.Right(), 0.0, kInvalidNode, kInvalidNode, id});
+  nodes_.push_back(TreeNode{cell.Left(), 0.0, kInvalidNode, kInvalidNode});
+  nodes_.push_back(TreeNode{cell.Right(), 0.0, kInvalidNode, kInvalidNode});
   nodes_[id].left = left;
   nodes_[id].right = left + 1;
   return left;

@@ -35,12 +35,16 @@ inline NodeId CompleteNodeId(int level, uint64_t index) {
 Status CheckCompleteDepth(const Domain* domain, int depth);
 
 /// \brief One subdomain Omega_theta and its (noisy) count.
+///
+/// 32 bytes with no implicit padding, laid out exactly like the paged
+/// format's PackedTreeNode (storage/page.h static_asserts it), so the
+/// node arena is the packed node section and PackArtifact writes it as
+/// it is. No upward link: a node's parent is Find(cell.Parent()).
 struct TreeNode {
   CellId cell;
   double count = 0.0;
   NodeId left = kInvalidNode;
   NodeId right = kInvalidNode;
-  NodeId parent = kInvalidNode;
 
   bool is_leaf() const { return left == kInvalidNode; }
 };
@@ -79,6 +83,9 @@ class PartitionTree {
   TreeNode& node(NodeId id) { return nodes_[id]; }
   const TreeNode& node(NodeId id) const { return nodes_[id]; }
 
+  /// \brief The node arena: num_nodes() nodes, contiguous, in id order.
+  const TreeNode* arena() const { return nodes_.data(); }
+
   /// \brief Adds both children of \p id with zero counts; \p id must be a
   /// leaf. Returns the left child id (right child is the next id).
   NodeId AddChildren(NodeId id);
@@ -99,7 +106,7 @@ class PartitionTree {
   /// \brief Calls \p fn on every node in pre-order (parent before
   /// children). A template, not a std::function, so the call inlines: the
   /// release path walks 131K-node trees with it (the alias compile's
-  /// Leaves(), twice per build, and the consistency pass).
+  /// Leaves() and the consistency pass).
   template <typename Fn>
   void PreOrder(Fn&& fn) const {
     std::vector<NodeId> stack = {root()};

@@ -93,7 +93,10 @@ double ServedArtifact::TotalMass() const {
 
 size_t ServedArtifact::ResidentBytes() const {
   if (paged_) return paged_->ResidentBytes();
-  return generator_->MemoryBytes() + generator_->sampler().MemoryBytes();
+  // The table is charged from load, compiled yet or not, so the budget
+  // a LoadFile checks against does not grow on the first SAMPLE.
+  return generator_->MemoryBytes() +
+         CompiledSampler::MemoryBytesBound(generator_->tree());
 }
 
 Status ArtifactRegistry::Publish(

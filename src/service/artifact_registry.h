@@ -13,8 +13,8 @@
 //
 // An artifact is served from one of three representations behind the
 // same query surface, chosen at load time:
-//   - heap: a v2 tree file parsed into a PartitionTree + freshly
-//     compiled sampler (also the shape INGEST publishes);
+//   - heap: a v2 tree file parsed into a PartitionTree whose sampler
+//     compiles on the first SAMPLE (also the shape INGEST publishes);
 //   - mmap: a packed paged file (storage/paged_artifact.h) mapped and
 //     walked in place — near-zero startup, no heap copy of the tree;
 //   - pooled: the same paged file behind a bounded buffer pool, picked
@@ -47,9 +47,9 @@ namespace privhp {
 /// Immutable after construction: concurrent readers share it through
 /// const shared_ptrs, so serving needs no per-artifact locking (the
 /// pooled representation synchronizes internally). Heap-backed
-/// artifacts carry their CompiledSampler alias table (built once at
-/// publish/load time); paged artifacts borrow the table straight from
-/// the file.
+/// artifacts compile their CompiledSampler alias table once, on the
+/// first SAMPLE (PrivHPGenerator::sampler()); paged artifacts borrow
+/// the table straight from the file.
 class ServedArtifact {
  public:
   /// \brief Wraps a generator built over \p domain (which the generator's
@@ -126,9 +126,11 @@ class ServedArtifact {
   /// \brief Noisy root count.
   double TotalMass() const;
 
-  /// \brief Bytes this artifact keeps addressable (tree + table on the
-  /// heap path; map or pool on the paged paths) — what the registry's
-  /// memory budget meters.
+  /// \brief Bytes this artifact keeps addressable (tree plus the alias
+  /// table's CompiledSampler::MemoryBytesBound on the heap path, charged
+  /// from load although the table compiles on the first SAMPLE; map or
+  /// pool on the paged paths) — what the registry's memory budget
+  /// meters.
   size_t ResidentBytes() const;
 
  private:

@@ -133,14 +133,36 @@ struct PrivHPServer::Connection {
     if (closed) return 0;
     const size_t wire_bytes = frame.size() + 4;
     outbox.push_back(std::move(frame));
-    queued_bytes.fetch_add(wire_bytes, std::memory_order_relaxed);
+    // Only this function adds to queued_bytes, always under mu, so the
+    // empty-to-pending transition is seen here. Stamp it before the
+    // release-add publishes the bytes: a sweep that acquires the bytes
+    // also sees the fresh stamp.
+    if (queued_bytes.load(std::memory_order_relaxed) == 0) {
+      output_pending_since.store(
+          std::chrono::steady_clock::now().time_since_epoch().count(),
+          std::memory_order_relaxed);
+    }
+    queued_bytes.fetch_add(wire_bytes, std::memory_order_release);
     return wire_bytes;
+  }
+
+  /// When output last went from empty to pending. The write-stall clock
+  /// runs from the later of this and last_write_progress, so a reply
+  /// queued long after the previous flush (or after accept, when a slow
+  /// request held every worker) starts with a fresh clock.
+  std::chrono::steady_clock::time_point OutputPendingSince() const {
+    return std::chrono::steady_clock::time_point(
+        std::chrono::steady_clock::duration(
+            output_pending_since.load(std::memory_order_relaxed)));
   }
 
   /// Bytes queued toward the peer (outbox + writer, frame headers
   /// included) — atomic so stream producers can check the high-water
   /// mark without taking the reactor's state apart.
   std::atomic<size_t> queued_bytes{0};
+  /// steady_clock ticks of the last empty-to-pending transition
+  /// (QueueLocked); read through OutputPendingSince().
+  std::atomic<std::chrono::steady_clock::rep> output_pending_since{0};
 
   /// Membership in the reactor's ready list (dedup for NotifyConn).
   std::atomic<bool> in_ready{false};
@@ -186,10 +208,11 @@ struct PrivHPServer::SampleStream : ResponseStream {
     // Generate one wire batch at a time so a park (or shutdown) can
     // interrupt a large response between frames. The artifact's
     // sampling state (compiled alias table, mmapped table or buffer
-    // pool) was set up once at publish/load time and is shared by every
-    // concurrent request through the registry's shared_ptr — nothing is
-    // rebuilt per request or per chunk, and the point stream is
-    // bit-identical whichever representation serves it.
+    // pool) is set up once — at load time, or by the first SAMPLE of a
+    // heap artifact — and shared by every concurrent request through the
+    // registry's shared_ptr: nothing is rebuilt per request or per
+    // chunk, and the point stream is bit-identical whichever
+    // representation serves it.
     while (remaining > 0) {
       if (server->stopping_.load()) return PumpResult::kFailed;
       if (conn->queued_bytes.load(std::memory_order_relaxed) >= high) {
@@ -769,11 +792,13 @@ void PrivHPServer::SweepDeadlines(std::chrono::steady_clock::time_point now) {
   std::vector<std::pair<std::shared_ptr<Connection>, DropReason>> expired;
   for (const auto& entry : conns_) {
     const std::shared_ptr<Connection>& conn = entry.second;
-    if (conn->queued_bytes.load(std::memory_order_relaxed) > 0) {
-      // Output is pending: the clock that matters is write progress. A
-      // peer that stopped reading is a backpressure casualty, whatever
-      // else it is doing.
-      const auto stalled = now - conn->last_write_progress;
+    if (conn->queued_bytes.load(std::memory_order_acquire) > 0) {
+      // Output is pending: the clock that matters is write progress
+      // since the output became pending. A peer that stopped reading is
+      // a backpressure casualty, whatever else it is doing.
+      const auto stalled =
+          now - std::max(conn->last_write_progress,
+                         conn->OutputPendingSince());
       const bool hit =
           (options_.send_timeout_seconds > 0 && stalled >= send_limit) ||
           (options_.idle_timeout_seconds > 0 && stalled >= idle_limit);
@@ -937,9 +962,10 @@ bool PrivHPServer::ExecuteRequest(const std::shared_ptr<Connection>& conn,
                                   RandomEngine* engine) {
   // Latency covers dispatch through the last response frame enqueued
   // (parked stream time included: a slow-reading peer IS tail latency to
-  // the next request on this connection). Bytes in/out are per-request
-  // wire payloads — INGEST adds its streamed point frames, SAMPLE its
-  // response stream.
+  // the next request on this connection). Bytes in is the request frame,
+  // for INGEST too: its point stream's size is the un-noised stream
+  // length, which no metric may reveal. Bytes out is every frame queued
+  // for the request, SAMPLE's response stream included.
   RequestScope scope;
   scope.started = std::chrono::steady_clock::now();
   scope.bytes_in = pending.bytes_in;
@@ -1268,11 +1294,9 @@ PrivHPServer::RequestOutcome PrivHPServer::HandleIngestRequest(
   SocketPointSource source(std::move(recv), static_cast<int>(req.dim));
   Result<PrivHPGenerator> generator = PrivHPBuilder::BuildParallel(
       domain.get(), options, &source, static_cast<int>(req.threads));
-  // The streamed point frames are this request's real bytes-in, whether
-  // or not the build succeeded; the batch counter feeds ingest.batches.
-  scope->bytes_in += source.bytes_received();
-  metrics_->ingest_batches->Add(
-      static_cast<int64_t>(source.num_batches()));
+  // No metric reads the stream's length (points, frames or bytes): it is
+  // the un-noised n, and op.ingest.bytes_in counts only the request
+  // frame (privhp_lint PHL005).
   RequestOutcome outcome;
   if (!generator.ok()) {
     if (source.cancelled()) {
@@ -1290,8 +1314,6 @@ PrivHPServer::RequestOutcome PrivHPServer::HandleIngestRequest(
       outcome = RequestOutcome::Reply(generator.status());
     }
   } else {
-    metrics_->ingest_points->Add(
-        static_cast<int64_t>(source.num_received()));
     const uint64_t nodes = generator->tree().num_nodes();
     const double mass = generator->TotalMass();
     const Status published = registry_->Publish(

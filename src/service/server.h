@@ -33,9 +33,10 @@
 // engine so the response is reproducible no matter which worker serves
 // it, and a seedless SAMPLE derives a per-request engine from the
 // worker's own (advancing it), so concurrent fresh samples never
-// correlate. Sampling state is the CompiledSampler alias table built
-// once inside each published PrivHPGenerator: it is immutable after
-// construction, so every concurrent SAMPLE request pinning the artifact
+// correlate. Sampling state is the CompiledSampler alias table each
+// published PrivHPGenerator compiles once, on its first SAMPLE (the
+// first of several concurrent ones compiles, the rest wait for it): it
+// is immutable afterwards, so every SAMPLE request pinning the artifact
 // shares the one compiled table race-free.
 
 #ifndef PRIVHP_SERVICE_SERVER_H_
@@ -185,8 +186,9 @@ class PrivHPServer {
   enum class DropReason { kNone, kIdle, kBackpressure, kAuth };
 
   /// Per-request bookkeeping threaded through dispatch: which endpoint's
-  /// metrics to charge, and the request/response wire payload bytes
-  /// (every frame enqueued on behalf of the request accumulates here, so
+  /// metrics to charge, the request frame's payload bytes (never an
+  /// INGEST's point stream), and the response payload bytes (every
+  /// frame enqueued on behalf of the request accumulates here, so
   /// SAMPLE's many point frames and EXPORT's chunk frames all count).
   struct RequestScope {
     EndpointMetrics* ep = nullptr;

@@ -82,8 +82,6 @@ ServiceMetrics::ServiceMetrics(obs::MetricsRegistry* registry) {
       registry->GetCounter("server.connections_dropped.backpressure");
   dropped_auth = registry->GetCounter("server.connections_dropped.auth");
   output_queue_bytes = registry->GetGauge("server.output_queue_bytes");
-  ingest_points = registry->GetCounter("ingest.points");
-  ingest_batches = registry->GetCounter("ingest.batches");
   sample_points = registry->GetCounter("sample.points");
 }
 

@@ -5,8 +5,11 @@
 // locks on the hot path. One EndpointMetrics per wire op gives every
 // endpoint its own latency / bytes-in / bytes-out histograms and
 // request / error counters under "op.<name>.*", plus server-level
-// queue and worker instrumentation under "server.*" and the ingest
-// pipeline counters under "ingest.*".
+// queue and worker instrumentation under "server.*" and the SAMPLE
+// point counter "sample.points". Nothing here counts an INGEST's point
+// stream — its points, frames or bytes are the un-noised stream length
+// (sensitivity 1), so op.ingest.bytes_in records only the request frame
+// (tools/privhp_lint.py PHL005 keeps it that way).
 
 #ifndef PRIVHP_SERVICE_SERVICE_METRICS_H_
 #define PRIVHP_SERVICE_SERVICE_METRICS_H_
@@ -68,9 +71,6 @@ class ServiceMetrics {
   obs::Counter* dropped_auth;            ///< failed AUTH handshakes
   obs::Gauge* output_queue_bytes;        ///< response bytes queued, all peers
 
-  // Ingest pipeline (points and wire batch frames absorbed by builds).
-  obs::Counter* ingest_points;
-  obs::Counter* ingest_batches;
   // Sampling pipeline (points streamed out of SAMPLE responses).
   obs::Counter* sample_points;
 

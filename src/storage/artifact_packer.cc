@@ -55,26 +55,12 @@ Status PackArtifact(const PartitionTree& tree, const std::string& path,
                     tree.num_nodes(), view.num_slots, has_bounds,
                     sampler.total_mass(), domain->Name()));
 
-  // Stage node and cell records explicitly so the on-disk pad bytes are
-  // zero regardless of what the in-memory structs carry.
-  std::vector<PackedTreeNode> nodes(tree.num_nodes());
-  for (size_t i = 0; i < tree.num_nodes(); ++i) {
-    const TreeNode& n = tree.node(static_cast<NodeId>(i));
-    nodes[i].level = n.cell.level;
-    nodes[i].index = n.cell.index;
-    nodes[i].count = n.count;
-    nodes[i].left = n.left;
-    nodes[i].right = n.right;
-  }
-  std::vector<PackedCell> cells(view.num_slots);
-  for (size_t i = 0; i < view.num_slots; ++i) {
-    cells[i].level = view.cells[i].level;
-    cells[i].index = view.cells[i].index;
-  }
-
+  // TreeNode and CellId are laid out exactly like PackedTreeNode and
+  // PackedCell, pads included (storage/page.h), so the node arena and
+  // the table's cells go out as they sit in memory.
   const uint8_t* section_data[kNumSections] = {
-      reinterpret_cast<const uint8_t*>(nodes.data()),
-      reinterpret_cast<const uint8_t*>(cells.data()),
+      reinterpret_cast<const uint8_t*>(tree.arena()),
+      reinterpret_cast<const uint8_t*>(view.cells),
       reinterpret_cast<const uint8_t*>(view.accept),
       reinterpret_cast<const uint8_t*>(view.alias),
       reinterpret_cast<const uint8_t*>(view.slot_lo),

@@ -1,14 +1,16 @@
 // Packs a released tree into the paged artifact format.
 //
 // Packing compiles the tree's alias table (the same CompiledSampler
-// construction the heap serving path runs at load time) and writes the
+// construction a heap generator runs on its first sample) and writes the
 // node arena plus the table's exact arrays as paged sections — so a
 // reader that mmaps the file and Borrow()s the table draws the very
 // bytes a heap-loaded sampler would, and serving a packed artifact
 // needs no compile step at all. Packing is deterministic: the same tree
 // packs to byte-identical files.
 //
-// Pages go out straight from the staged section arrays: a section's
+// Pages go out straight from memory: the nodes section is the tree's
+// own node arena and the cells section the table's own CellId array
+// (both share their on-disk record layout, storage/page.h); a section's
 // full pages are checksummed in one PageChecksums call (common/hash.h)
 // and appended in one write; only its last, partial page is copied and
 // zero-padded.

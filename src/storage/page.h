@@ -21,6 +21,7 @@
 
 #include "common/hash.h"
 #include "domain/domain.h"
+#include "hierarchy/partition_tree.h"
 
 namespace privhp {
 namespace storage {
@@ -39,10 +40,11 @@ inline constexpr bool IsValidPageSize(uint64_t s) {
   return s >= kMinPageSize && s <= kMaxPageSize && (s & (s - 1)) == 0;
 }
 
-/// \brief On-disk node record: TreeNode minus the parent link (no query
-/// walks upward), padded to 32 bytes so records never straddle a page.
-/// Fields are little-endian, like the wire format; pad bytes are written
-/// as zero so packing is deterministic and pages checksum reproducibly.
+/// \brief On-disk node record, 32 bytes so records never straddle a
+/// page. Fields are little-endian, like the wire format; pad bytes are
+/// zero so packing is deterministic and pages checksum reproducibly.
+/// TreeNode has exactly this layout (its CellId pad is an always-zero
+/// member), so the packer writes the tree's node arena as the section.
 struct PackedTreeNode {
   int32_t level = 0;
   uint32_t pad0 = 0;
@@ -53,6 +55,19 @@ struct PackedTreeNode {
 };
 static_assert(sizeof(PackedTreeNode) == 32,
               "PackedTreeNode must be exactly 32 bytes on disk");
+static_assert(
+    sizeof(TreeNode) == sizeof(PackedTreeNode) &&
+        offsetof(TreeNode, cell) + offsetof(CellId, level) ==
+            offsetof(PackedTreeNode, level) &&
+        offsetof(TreeNode, cell) + offsetof(CellId, pad) ==
+            offsetof(PackedTreeNode, pad0) &&
+        offsetof(TreeNode, cell) + offsetof(CellId, index) ==
+            offsetof(PackedTreeNode, index) &&
+        offsetof(TreeNode, count) == offsetof(PackedTreeNode, count) &&
+        offsetof(TreeNode, left) == offsetof(PackedTreeNode, left) &&
+        offsetof(TreeNode, right) == offsetof(PackedTreeNode, right),
+    "TreeNode must remain layout-identical to PackedTreeNode: the packer "
+    "writes the node arena as the nodes section");
 
 /// \brief On-disk leaf-cell record, layout-compatible with CellId so an
 /// mmapped cells section can be lent to CompiledSampler::Borrow without
@@ -66,9 +81,11 @@ static_assert(sizeof(PackedCell) == 16,
               "PackedCell must be exactly 16 bytes on disk");
 static_assert(sizeof(CellId) == sizeof(PackedCell) &&
                   offsetof(CellId, index) == offsetof(PackedCell, index) &&
+                  offsetof(CellId, pad) == offsetof(PackedCell, pad0) &&
                   offsetof(CellId, level) == offsetof(PackedCell, level),
-              "CellId must remain layout-compatible with PackedCell: the "
-              "mmap read path reinterprets the cells section as CellId[]");
+              "CellId must remain layout-identical to PackedCell: the "
+              "packer writes the alias table's cells as the section, and "
+              "the mmap read path reinterprets it as CellId[]");
 
 }  // namespace storage
 }  // namespace privhp

@@ -47,10 +47,10 @@ class PagedTreeView {
                                 std::to_string(id) + " out of range");
       return safe;
     }
-    PackedTreeNode rec;
-    const Status read = artifact_->ReadElem(kSectionNodes,
-                                            static_cast<uint64_t>(id), &rec,
-                                            sizeof(rec));
+    // A node record is a TreeNode byte for byte (storage/page.h).
+    TreeNode n;
+    const Status read = artifact_->ReadElem(
+        kSectionNodes, static_cast<uint64_t>(id), &n, sizeof(n));
     if (!read.ok()) {
       status_ = read;
       return safe;
@@ -60,18 +60,13 @@ class PagedTreeView {
     const auto valid_child = [this](int32_t c) {
       return c > 0 && static_cast<uint64_t>(c) < artifact_->header_.num_nodes;
     };
-    const bool leaf = rec.left == kInvalidNode && rec.right == kInvalidNode;
-    if (!leaf && (!valid_child(rec.left) || !valid_child(rec.right))) {
+    const bool leaf = n.left == kInvalidNode && n.right == kInvalidNode;
+    if (!leaf && (!valid_child(n.left) || !valid_child(n.right))) {
       status_ = Status::IOError("corrupt artifact: node " +
                                 std::to_string(id) +
                                 " has an invalid child id");
       return safe;
     }
-    TreeNode n;
-    n.cell = CellId{rec.level, rec.index};
-    n.count = rec.count;
-    n.left = rec.left;
-    n.right = rec.right;
     return n;
   }
 

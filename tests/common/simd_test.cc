@@ -263,9 +263,9 @@ TEST_P(SimdDistributionTest, InCellSamplingIsUniformPerCoordinate) {
   // One positive-mass leaf: every sampled point lands in that single
   // cell, so its in-cell offsets must be uniform over the cell box.
   const CellId target{4, 9};
-  for (NodeId id = tree->Find(target); id != kInvalidNode;
-       id = tree->node(id).parent) {
-    tree->node(id).count = 3.0;
+  for (CellId c = target;; c = c.Parent()) {
+    tree->node(tree->Find(c)).count = 3.0;
+    if (c.level == 0) break;
   }
   CompiledSampler sampler(*tree);
   ASSERT_EQ(sampler.num_cells(), 1u);

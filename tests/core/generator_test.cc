@@ -4,7 +4,10 @@
 
 #include "common/macros.h"
 
+#include <atomic>
 #include <cstdio>
+#include <thread>
+#include <vector>
 
 #include "core/builder.h"
 #include "domain/hypercube_domain.h"
@@ -74,6 +77,53 @@ TEST(GeneratorTest, MemoryMatchesTree) {
       BuildSmall(&domain, GenerateUniform(2, 1000, &rng));
   EXPECT_EQ(generator.MemoryBytes(), generator.tree().MemoryBytes());
   EXPECT_GT(generator.MemoryBytes(), 0u);
+}
+
+TEST(GeneratorTest, CompilesOnFirstSampleAndCopiesShareTheTable) {
+  HypercubeDomain domain(2);
+  RandomEngine rng(37);
+  const PrivHPGenerator generator =
+      BuildSmall(&domain, GenerateUniform(2, 1000, &rng));
+  EXPECT_FALSE(generator.sampler_compiled());
+  const PrivHPGenerator copy = generator;  // before the compile
+  (void)generator.Sample(&rng);
+  EXPECT_TRUE(generator.sampler_compiled());
+  EXPECT_TRUE(copy.sampler_compiled());
+  EXPECT_EQ(&copy.sampler(), &generator.sampler());
+}
+
+// Eight threads race to make the first draw; the one compile they share
+// must draw exactly what a generator compiled up front draws.
+TEST(GeneratorTest, ConcurrentFirstSamplesMatchPrecompiled) {
+  HypercubeDomain domain(2);
+  RandomEngine rng(41);
+  const PrivHPGenerator lazy =
+      BuildSmall(&domain, GenerateGaussianMixture(2, 3000, 3, 0.05, &rng));
+  const PrivHPGenerator reference(lazy.tree(), lazy.plan());
+  (void)reference.sampler();
+  ASSERT_FALSE(lazy.sampler_compiled());
+
+  constexpr int kThreads = 8;
+  constexpr size_t kPoints = 2000;
+  std::vector<std::vector<Point>> drawn(kThreads);
+  std::vector<const CompiledSampler*> tables(kThreads, nullptr);
+  std::atomic<int> waiting{kThreads};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      RandomEngine engine(1000 + t);
+      drawn[t] = lazy.Generate(kPoints, &engine);
+      tables[t] = &lazy.sampler();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t) {
+    RandomEngine engine(1000 + t);
+    EXPECT_EQ(drawn[t], reference.Generate(kPoints, &engine)) << t;
+    EXPECT_EQ(tables[t], tables[0]) << t;
+  }
 }
 
 TEST(GeneratorTest, LoadRejectsMissingFile) {

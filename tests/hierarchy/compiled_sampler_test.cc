@@ -175,6 +175,33 @@ TEST(CompiledSamplerTest, UniformFallbackOnZeroMass) {
   EXPECT_EQ(sampler.SampleLeafCell(&rng), (CellId{0, 0}));
 }
 
+// MemoryBytesBound charges one slot per leaf without compiling: exact
+// when every leaf has mass, an over-count by the zero-mass leaves
+// otherwise, and never below what the compile holds.
+TEST(CompiledSamplerTest, MemoryBytesBoundCoversTheCompiledTable) {
+  HypercubeDomain square(2);
+  auto complete = PartitionTree::Complete(&square, 6);
+  ASSERT_TRUE(complete.ok());
+  for (size_t i = 0; i < complete->num_nodes(); ++i) {
+    complete->node(static_cast<NodeId>(i)).count = 1.0;
+  }
+  EXPECT_EQ(CompiledSampler(*complete).MemoryBytes(),
+            CompiledSampler::MemoryBytesBound(*complete));
+
+  IntervalDomain interval;
+  PartitionTree sparse =
+      TreeWithLeafMasses(&interval, 3, {1, 0, 2, 0, 0, 3, 0, 4});
+  EXPECT_LT(CompiledSampler(sparse).MemoryBytes(),
+            CompiledSampler::MemoryBytesBound(sparse));
+
+  PartitionTree empty(&interval);
+  empty.node(empty.root()).count = 0.0;
+  const NodeId left = empty.AddChildren(empty.root());
+  empty.AddChildren(left);
+  EXPECT_LE(CompiledSampler(empty).MemoryBytes(),
+            CompiledSampler::MemoryBytesBound(empty));
+}
+
 TEST(CompiledSamplerTest, SelfContainedAfterTreeMutation) {
   IntervalDomain domain;
   PartitionTree tree = TreeWithLeafMasses(&domain, 2, {1, 0, 0, 3});
@@ -198,9 +225,9 @@ TEST(CompiledSamplerTest, PointsLandInsideSampledCells) {
   auto tree = PartitionTree::Complete(&domain, 4);
   ASSERT_TRUE(tree.ok());
   const CellId target{4, 9};
-  for (NodeId id = tree->Find(target); id != kInvalidNode;
-       id = tree->node(id).parent) {
-    tree->node(id).count = 5.0;
+  for (CellId c = target;; c = c.Parent()) {
+    tree->node(tree->Find(c)).count = 5.0;
+    if (c.level == 0) break;
   }
   CompiledSampler sampler(*tree);
   ASSERT_EQ(sampler.num_cells(), 1u);

@@ -58,7 +58,7 @@ TEST(PartitionTreeTest, AddChildrenLinksBothSides) {
   const TreeNode& root = tree.node(tree.root());
   EXPECT_EQ(root.left, left);
   EXPECT_EQ(root.right, left + 1);
-  EXPECT_EQ(tree.node(left).parent, tree.root());
+  EXPECT_EQ(tree.Find(tree.node(left).cell.Parent()), tree.root());
   EXPECT_EQ(tree.node(left).cell, (CellId{1, 0}));
   EXPECT_EQ(tree.node(left + 1).cell, (CellId{1, 1}));
 }
@@ -82,8 +82,8 @@ TEST(PartitionTreeTest, PreOrderVisitsParentsFirst) {
   std::vector<bool> seen(tree->num_nodes(), false);
   tree->PreOrder([&](NodeId id) {
     const TreeNode& n = tree->node(id);
-    if (n.parent != kInvalidNode) {
-      EXPECT_TRUE(seen[n.parent]);
+    if (id != tree->root()) {
+      EXPECT_TRUE(seen[tree->Find(n.cell.Parent())]);
     }
     seen[id] = true;
     levels.push_back(n.cell.level);
@@ -139,7 +139,10 @@ TEST(PartitionTreeTest, CompleteFromCountsKeepsBreadthFirstLayout) {
     EXPECT_EQ(a.cell, b.cell) << i;
     EXPECT_EQ(a.left, b.left) << i;
     EXPECT_EQ(a.right, b.right) << i;
-    EXPECT_EQ(a.parent, b.parent) << i;
+    if (i > 0) {
+      EXPECT_EQ(plain->Find(a.cell.Parent()), filled->Find(b.cell.Parent()))
+          << i;
+    }
     EXPECT_EQ(a.count, 0.0) << i;
     EXPECT_EQ(b.count, counts[i]) << i;
     EXPECT_EQ(static_cast<size_t>(CompleteNodeId(b.cell.level, b.cell.index)),

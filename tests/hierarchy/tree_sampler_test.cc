@@ -57,9 +57,9 @@ TEST(TreeSamplerTest, PointsLandInsideSampledLeafCells) {
   ASSERT_TRUE(tree.ok());
   // Mass concentrated on one deep cell.
   const CellId target{4, 9};
-  for (NodeId id = tree->Find(target); id != kInvalidNode;
-       id = tree->node(id).parent) {
-    tree->node(id).count = 5.0;
+  for (CellId c = target;; c = c.Parent()) {
+    tree->node(tree->Find(c)).count = 5.0;
+    if (c.level == 0) break;
   }
   TreeSampler sampler(&(*tree));
   RandomEngine rng(9);

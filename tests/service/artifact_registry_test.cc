@@ -53,6 +53,29 @@ TEST(ArtifactRegistryTest, PublishGetListRemove) {
   EXPECT_EQ(registry.size(), 1u);
 }
 
+// A heap artifact compiles its alias table on its first SAMPLE, not at
+// publish; its resident bytes charge the table's bound throughout.
+TEST(ArtifactRegistryTest, HeapArtifactCompilesOnFirstSample) {
+  auto artifact = MakeArtifact(11);
+  const PrivHPGenerator& generator = artifact->generator();
+  const size_t resident = artifact->ResidentBytes();
+  EXPECT_EQ(resident, generator.MemoryBytes() +
+                          CompiledSampler::MemoryBytesBound(generator.tree()));
+  ASSERT_TRUE(artifact->RangeMass(CellId{1, 0}).ok());
+  ASSERT_TRUE(artifact->Quantiles({0.5}).ok());
+  ASSERT_TRUE(artifact->Heavy(0.1).ok());
+  ASSERT_TRUE(artifact->ExportBlob().ok());
+  EXPECT_FALSE(generator.sampler_compiled());
+
+  CollectingSink sink;
+  RandomEngine rng(3);
+  ASSERT_TRUE(artifact->GenerateTo(10, &rng, &sink).ok());
+  EXPECT_TRUE(generator.sampler_compiled());
+  EXPECT_EQ(artifact->ResidentBytes(), resident);
+  EXPECT_LE(generator.MemoryBytes() + generator.sampler().MemoryBytes(),
+            resident);
+}
+
 TEST(ArtifactRegistryTest, RejectsEmptyNameAndNullArtifact) {
   ArtifactRegistry registry;
   EXPECT_TRUE(registry.Publish("", MakeArtifact(1)).IsInvalidArgument());

@@ -21,6 +21,7 @@
 #include "core/builder.h"
 #include "domain/interval_domain.h"
 #include "io/frame_socket.h"
+#include "io/point_sink.h"
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/server.h"
@@ -134,6 +135,92 @@ TEST(BackpressureTest, SlowReaderStaysBoundedAndIsEventuallyDropped) {
       5000));
   EXPECT_TRUE(client->Ping().ok());
 
+  (*server)->Stop();
+  std::remove(path.c_str());
+}
+
+// Hands out \p batches one-point batches, pausing before each, so an
+// INGEST fed from it holds its worker for about batches * pause.
+class SlowSource : public PointSource {
+ public:
+  SlowSource(int batches, std::chrono::milliseconds pause)
+      : left_(batches), pause_(pause) {}
+
+  Result<bool> Next(Point*) override {
+    return Status::Internal("SlowSource is read by batch");
+  }
+
+  Result<size_t> NextBatch(size_t, PointBatch* out) override {
+    out->Reset(1);
+    if (left_ == 0) return size_t{0};
+    std::this_thread::sleep_for(pause_);
+    --left_;
+    const double x = 0.25;
+    out->AppendFlat(&x, 1);
+    return size_t{1};
+  }
+
+ private:
+  int left_;
+  std::chrono::milliseconds pause_;
+};
+
+// The write-stall clock starts when output becomes pending, not at
+// accept: replies that wait for the only worker longer than the send
+// timeout are still answered, not dropped as stalled readers.
+TEST(BackpressureTest, ReplyQueuedBehindSlowIngestIsNotAStall) {
+  const std::string path = ::testing::TempDir() + "/bp_queued_" +
+                           std::to_string(::getpid()) + ".sock";
+  ArtifactRegistry registry;
+  PublishArtifact(&registry, "beta");
+
+  ServerOptions options;
+  options.unix_path = path;
+  options.num_workers = 1;
+  options.send_timeout_seconds = 1;
+  auto server = PrivHPServer::Start(&registry, options);
+  ASSERT_TRUE(server.ok());
+
+  auto ingester = PrivHPClient::ConnectUnix(path);
+  ASSERT_TRUE(ingester.ok());
+  Status ingested = Status::OK();
+  std::thread ingest([&] {
+    SlowSource source(12, std::chrono::milliseconds(200));
+    PrivHPClient::IngestSpec spec;
+    spec.n = 100;
+    ingested = ingester->Ingest("fresh", spec, &source).status();
+  });
+  ASSERT_TRUE(WaitFor(
+      [&] {
+        return (*server)->StatsSnapshot().GaugeOr("server.workers_busy") ==
+               1;
+      },
+      5000));
+
+  // Each client's PING waits behind the INGEST for well over the send
+  // timeout after its connection was accepted.
+  constexpr int kClients = 8;
+  std::vector<PrivHPClient> clients;
+  for (int c = 0; c < kClients; ++c) {
+    auto client = PrivHPClient::ConnectUnix(path);
+    ASSERT_TRUE(client.ok());
+    clients.push_back(std::move(*client));
+  }
+  std::vector<Status> pinged(kClients, Status::OK());
+  std::vector<std::thread> pingers;
+  for (int c = 0; c < kClients; ++c) {
+    pingers.emplace_back([&, c] { pinged[c] = clients[c].Ping(); });
+  }
+  for (std::thread& t : pingers) t.join();
+  ingest.join();
+
+  EXPECT_TRUE(ingested.ok()) << ingested.ToString();
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_TRUE(pinged[c].ok()) << c << ": " << pinged[c].ToString();
+  }
+  EXPECT_EQ((*server)->StatsSnapshot().CounterOr(
+                "server.connections_dropped.backpressure"),
+            0u);
   (*server)->Stop();
   std::remove(path.c_str());
 }

@@ -15,6 +15,7 @@
 
 #include "core/builder.h"
 #include "domain/interval_domain.h"
+#include "io/point_sink.h"
 #include "obs/metrics_registry.h"
 #include "service/client.h"
 #include "service/server.h"
@@ -170,7 +171,8 @@ TEST_F(StatsRequestTest, ServerTotalsAreRegistryCounters) {
   EXPECT_EQ(snap.CounterOr("server.errors", kAbsent), 1u);
   EXPECT_EQ(snap.CounterOr("server.ingests_published", kAbsent), 0u);
   EXPECT_EQ(snap.CounterOr("server.listener_failure_streaks", kAbsent), 0u);
-  // Points are counted once, as sample.points / ingest.points.
+  // Sampled points are counted once, as sample.points; ingested points
+  // are not counted at all (IngestExportsNoStreamLength).
   EXPECT_EQ(snap.CounterOr("server.sampled_points", kAbsent), kAbsent);
   EXPECT_EQ(snap.CounterOr("server.ingested_points", kAbsent), kAbsent);
   EXPECT_EQ(snap.CounterOr("sample.points", kAbsent), 120u);
@@ -185,6 +187,44 @@ TEST_F(StatsRequestTest, ServerTotalsAreRegistryCounters) {
   EXPECT_EQ(remote->CounterOr("server.requests", kAbsent), 3u);
   EXPECT_EQ(remote->CounterOr("server.errors", kAbsent), 1u);
   EXPECT_EQ(remote->CounterOr("server.ingested_points", kAbsent), kAbsent);
+}
+
+// An INGEST's stream length is the un-noised n (sensitivity 1): no
+// metric may reveal it. Two sessions of very different lengths leave
+// identical traces — no ingest.* counters, and op.ingest.bytes_in holds
+// only the two equal-size request frames.
+TEST_F(StatsRequestTest, IngestExportsNoStreamLength) {
+  auto client = Connect();
+  ASSERT_TRUE(client.ok());
+  RandomEngine rng(17);
+  for (const size_t n : {size_t{300}, size_t{6000}}) {
+    PointBatch data(1);
+    for (size_t i = 0; i < n; ++i) {
+      const double x = rng.UniformDouble();
+      data.AppendFlat(&x, 1);
+    }
+    PrivHPClient::IngestSpec spec;
+    spec.n = 1000;  // the declared plan, the same for both sessions
+    spec.batch = 100;
+    PointBatchSource source(&data);
+    auto report = client->Ingest("fresh", spec, &source);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->points_sent, n);
+  }
+
+  const obs::MetricsSnapshot snap = server_->StatsSnapshot();
+  EXPECT_EQ(snap.CounterOr("server.ingests_published", kAbsent), 2u);
+  EXPECT_EQ(snap.CounterOr("ingest.points", kAbsent), kAbsent);
+  EXPECT_EQ(snap.CounterOr("ingest.batches", kAbsent), kAbsent);
+  EXPECT_EQ(snap.CounterOr("server.ingested_points", kAbsent), kAbsent);
+  const obs::HistogramSnapshot* ingest_in =
+      snap.FindHistogram("op.ingest.bytes_in");
+  ASSERT_NE(ingest_in, nullptr);
+  EXPECT_EQ(ingest_in->Count(), 2u);
+  EXPECT_EQ(ingest_in->sum, 2 * ingest_in->max);
+  // The request frame alone: far below even the short stream's 2400
+  // point bytes.
+  EXPECT_LT(ingest_in->max, 100u);
 }
 
 TEST_F(StatsRequestTest, WireRoundTripMatchesServerSnapshot) {

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -22,6 +23,7 @@
 #include "core/builder.h"
 #include "core/generator.h"
 #include "core/queries.h"
+#include "domain/hypercube_domain.h"
 #include "domain/interval_domain.h"
 #include "hierarchy/tree_serialization.h"
 #include "io/point_sink.h"
@@ -354,6 +356,90 @@ TEST_F(PackedArtifactTest, PackTreeFileRoundTrip) {
   EXPECT_FALSE(PackTreeFile(packed_path, TestPath("nope.phx")).ok());
   std::remove(tree_path.c_str());
   std::remove(packed_path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// The nodes section is the node arena
+// ---------------------------------------------------------------------
+
+// The nodes section as the format defines it, built without relying on
+// TreeNode's layout: one PackedTreeNode per node in id order, each
+// field copied by name, pads zero, then zero-filled to a whole page.
+std::string EncodeNodeSection(const PartitionTree& tree, uint32_t page_size) {
+  const size_t bytes = tree.num_nodes() * sizeof(PackedTreeNode);
+  std::string out((bytes + page_size - 1) / page_size * page_size, '\0');
+  for (size_t i = 0; i < tree.num_nodes(); ++i) {
+    const TreeNode& n = tree.node(static_cast<NodeId>(i));
+    PackedTreeNode rec;
+    rec.level = n.cell.level;
+    rec.pad0 = 0;
+    rec.index = n.cell.index;
+    rec.count = n.count;
+    rec.left = n.left;
+    rec.right = n.right;
+    std::memcpy(&out[i * sizeof(rec)], &rec, sizeof(rec));
+  }
+  return out;
+}
+
+// Packs \p tree at 4 KiB pages and returns the file's nodes section,
+// whole pages (the padding of the last one included).
+std::string PackedNodeSection(const PartitionTree& tree,
+                              const std::string& path) {
+  PackOptions options;
+  options.page_size = 4096;
+  EXPECT_TRUE(PackArtifact(tree, path, options).ok());
+  const std::string file = ReadAll(path);
+  std::remove(path.c_str());
+  auto header = ParseHeaderPage(reinterpret_cast<const uint8_t*>(file.data()),
+                                file.size(), file.size());
+  EXPECT_TRUE(header.ok()) << header.status().message();
+  if (!header.ok()) return "";
+  const PagedSection& nodes = header->sections[kSectionNodes];
+  EXPECT_EQ(nodes.num_elements, tree.num_nodes());
+  const uint64_t pages =
+      (nodes.num_elements * sizeof(PackedTreeNode) + 4095) / 4096;
+  return file.substr(nodes.file_offset, pages * 4096);
+}
+
+TEST(NodeSectionTest, OneDimensionalTreeMatchesFieldByFieldEncoding) {
+  BuiltArtifact built = BuildArtifact(3000, 11);
+  ASSERT_NE(built.generator, nullptr);
+  const PartitionTree& tree = built.generator->tree();
+  EXPECT_EQ(PackedNodeSection(tree, TestPath("nodes_1d.phx")),
+            EncodeNodeSection(tree, 4096));
+}
+
+TEST(NodeSectionTest, TwoDimensionalTreeMatchesFieldByFieldEncoding) {
+  HypercubeDomain domain(2);
+  PrivHPOptions options;
+  options.expected_n = 3000;
+  options.seed = 5;
+  auto builder = PrivHPBuilder::Make(&domain, options);
+  ASSERT_TRUE(builder.ok());
+  RandomEngine rng(21);
+  for (int i = 0; i < 3000; ++i) {
+    const double u = rng.UniformDouble();
+    ASSERT_TRUE(builder->Add(Point{u * u, rng.UniformDouble()}).ok());
+  }
+  auto generator = std::move(*builder).Finish();
+  ASSERT_TRUE(generator.ok());
+  const PartitionTree& tree = generator->tree();
+  ASSERT_GT(tree.MaxDepth(), 1);
+  EXPECT_EQ(PackedNodeSection(tree, TestPath("nodes_2d.phx")),
+            EncodeNodeSection(tree, 4096));
+
+  // A tree rebuilt by the loader (LoadSelfDescribedTree replays
+  // AddChildren) packs to the same section as the live tree.
+  const std::string tree_path = TestPath("nodes_2d.tree");
+  ASSERT_TRUE(SaveTreeToFile(tree, tree_path).ok());
+  auto loaded = LoadSelfDescribedTree(tree_path);
+  std::remove(tree_path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  const std::string reloaded =
+      PackedNodeSection(loaded->tree, TestPath("nodes_2d_reloaded.phx"));
+  EXPECT_EQ(reloaded, EncodeNodeSection(loaded->tree, 4096));
+  EXPECT_EQ(reloaded, EncodeNodeSection(tree, 4096));
 }
 
 TEST(PackArtifactTest, DefaultPageSizeWorks) {

@@ -113,6 +113,35 @@ TEST_F(RegistryPagedTest, TightBudgetForcesBufferPool) {
   EXPECT_LT(registry.resident_bytes(), static_cast<size_t>(*file_size));
 }
 
+// A heap artifact's alias table counts against the budget from load,
+// before any SAMPLE compiles it: a paged file that fits beside the tree
+// alone, but not beside tree and table, is pooled.
+TEST_F(RegistryPagedTest, HeapTableCountsAgainstBudgetBeforeFirstSample) {
+  auto file_size = storage::FileSize(packed_path_);
+  ASSERT_TRUE(file_size.ok());
+  const size_t table_bytes =
+      CompiledSampler::MemoryBytesBound(generator_->tree());
+  RegistryOptions options;
+  options.memory_budget_bytes = generator_->MemoryBytes() +
+                                static_cast<size_t>(*file_size) +
+                                table_bytes / 2;
+  options.pool_bytes_per_artifact = 32u << 10;
+  ArtifactRegistry registry(options);
+  ASSERT_TRUE(registry.LoadFile("heap", tree_path_).ok());
+  auto heap = registry.Get("heap");
+  ASSERT_TRUE(heap.ok());
+  ASSERT_FALSE((*heap)->is_paged());
+  EXPECT_FALSE((*heap)->generator().sampler_compiled());
+  EXPECT_EQ(registry.resident_bytes(),
+            generator_->MemoryBytes() + table_bytes);
+
+  ASSERT_TRUE(registry.LoadFile("paged", packed_path_).ok());
+  auto paged = registry.Get("paged");
+  ASSERT_TRUE(paged.ok());
+  ASSERT_TRUE((*paged)->is_paged());
+  EXPECT_TRUE((*paged)->paged()->pooled());
+}
+
 TEST_F(RegistryPagedTest, GenerousBudgetStillMmaps) {
   auto file_size = storage::FileSize(packed_path_);
   ASSERT_TRUE(file_size.ok());

@@ -8,6 +8,7 @@ the real tree, asserting exact rule IDs:
     line), and nothing else;
   * the clean/ mirror — same shapes, invariants respected — is silent;
   * src/ itself is silent (the gate the CI job enforces);
+  * PHL005 applies to the metrics code (service/, obs/) only;
   * PHL006 takes its limit from the nearest .clang-format;
   * PHL007 applies to the ingest layers (io/, domain/, core/) only;
   * PHL008 applies to service/handlers.{h,cc} only;
@@ -82,6 +83,12 @@ class BadFixturesTest(unittest.TestCase):
         self.expect("bad/service/queue.cc", "PHL004",
                     [12, 12, 18, 18, 27, 28])
 
+    def test_phl005_stream_length_metrics(self):
+        # A direct read in a metric call (split over two lines), one in a
+        # bytes_in update, and one through a variable; not the comment
+        # or the string that mention them.
+        self.expect("bad/service/ingest_metrics.cc", "PHL005", [8, 10, 12])
+
     def test_phl006_column_limit(self):
         # 81- and 100-column lines; not the 80-column line, the em-dash
         # line of 80 characters (but more bytes), or the long #include.
@@ -103,6 +110,7 @@ class BadFixturesTest(unittest.TestCase):
         # A file seeded for one rule must not trip a different rule.
         for path, _, rule in self.findings:
             expected = {"bad/service/protocol.cc": "PHL001",
+                        "bad/service/ingest_metrics.cc": "PHL005",
                         "bad/common/simd_avx2.cc": "PHL002",
                         "bad/core/sampler.cc": "PHL003",
                         "bad/service/queue.cc": "PHL004",
@@ -123,6 +131,26 @@ class CleanTest(unittest.TestCase):
     def test_src_tree_is_silent(self):
         code, _, err = run_lint(os.path.join(ROOT, "src"))
         self.assertEqual(code, 0, "src/ flagged:\n" + err)
+
+
+class StreamLengthScopeTest(unittest.TestCase):
+    """PHL005 covers the metrics code (service/, obs/) and nothing else."""
+
+    def test_only_metrics_layers(self):
+        source = ("void F(Counter* c, const Sink& s) "
+                  "{ c->Add(s.num_processed()); }\n")
+        with tempfile.TemporaryDirectory() as root:
+            for layer in ("service", "obs", "core"):
+                os.makedirs(os.path.join(root, layer))
+                with open(os.path.join(root, layer, "m.cc"), "w") as f:
+                    f.write(source)
+            code, _, err = run_lint(root)
+            self.assertEqual(code, 1)
+            flagged = sorted(
+                os.path.relpath(p, root)
+                for p in re.findall(r"(\S+):\d+: PHL005: ", err))
+            self.assertEqual(flagged, [os.path.join("obs", "m.cc"),
+                                       os.path.join("service", "m.cc")])
 
 
 class ColumnLimitTest(unittest.TestCase):

@@ -75,6 +75,26 @@ struct Args {
   }
 };
 
+// "; peak RSS <x> MiB" from this process's VmHWM (/proc/self/status), or
+// "" where that is not available. VmHWM belongs to this program image;
+// getrusage()'s ru_maxrss would also carry the peak of whatever process
+// spawned it (a 14 MiB Python test script, say) across the exec.
+std::string PeakRssNote() {
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) return "";
+  char line[256];
+  unsigned long long kib = 0;
+  bool found = false;
+  while (!found && std::fgets(line, sizeof(line), status) != nullptr) {
+    found = std::sscanf(line, "VmHWM: %llu kB", &kib) == 1;
+  }
+  std::fclose(status);
+  if (!found) return "";
+  char note[64];
+  std::snprintf(note, sizeof(note), "; peak RSS %.1f MiB", kib / 1024.0);
+  return note;
+}
+
 int Usage() {
   std::fprintf(
       stderr,
@@ -195,8 +215,8 @@ int Build(const Args& args) {
     std::fprintf(stderr, "%s\n", saved.ToString().c_str());
     return 1;
   }
-  std::fprintf(stderr, "wrote %s (%zu nodes)\n", out->c_str(),
-               generator->tree().num_nodes());
+  std::fprintf(stderr, "wrote %s (%zu nodes)%s\n", out->c_str(),
+               generator->tree().num_nodes(), PeakRssNote().c_str());
   return 0;
 }
 
@@ -419,10 +439,11 @@ int Serve(const Args& args) {
   };
   std::fprintf(stderr,
                "served %llu requests on %llu connections "
-               "(%llu points sampled, %llu ingested, %llu errors)\n",
+               "(%llu points sampled, %llu ingests published, "
+               "%llu errors)%s\n",
                count("server.requests"), count("server.connections"),
-               count("sample.points"), count("ingest.points"),
-               count("server.errors"));
+               count("sample.points"), count("server.ingests_published"),
+               count("server.errors"), PeakRssNote().c_str());
   return 0;
 }
 
@@ -599,11 +620,11 @@ int Ingest(const Args& args) {
   }
   std::fprintf(stderr,
                "ingested %llu points; published '%s' (%llu nodes, total "
-               "mass %.1f)\n",
+               "mass %.1f)%s\n",
                static_cast<unsigned long long>(report->points_sent),
                artifact->c_str(),
                static_cast<unsigned long long>(report->nodes),
-               report->total_mass);
+               report->total_mass, PeakRssNote().c_str());
   return 0;
 }
 
@@ -703,9 +724,9 @@ void PrintServerSummary(const obs::MetricsSnapshot& snap) {
       static_cast<unsigned long long>(
           snap.CounterOr("pool.checksum_verifies")));
   std::printf(
-      "ingest points %llu batches %llu  sampled points %llu\n",
-      static_cast<unsigned long long>(snap.CounterOr("ingest.points")),
-      static_cast<unsigned long long>(snap.CounterOr("ingest.batches")),
+      "ingests published %llu  sampled points %llu\n",
+      static_cast<unsigned long long>(
+          snap.CounterOr("server.ingests_published")),
       static_cast<unsigned long long>(snap.CounterOr("sample.points")));
 }
 

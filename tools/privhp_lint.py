@@ -30,14 +30,24 @@ extend it):
           locking goes through the thread-safety-annotated wrappers so
           Clang's -Wthread-safety sees every contract.
 
+  PHL005  no metric reveals the stream length
+          In the metrics code (service/, obs/), no metric may be fed
+          from num_processed(), num_received(), num_batches() or
+          bytes_received(),
+          directly or through a variable assigned from one: an INGEST's
+          point, frame or byte count is the un-noised stream length
+          (sensitivity 1), and only plan parameters and post-processing
+          of the release may be exported. A statement is a metric sink
+          when it names metrics_, a bytes_in/bytes_out field, or calls
+          ->Add/Inc/Record/Set.
+
   PHL006  column limit
           No line may be longer than the ColumnLimit of the nearest
           .clang-format (80 under the repo's Google style; columns are
           characters, so a UTF-8 em dash counts as one). The blocking
           clang-format CI job rejects such lines, and this rule catches
           them where no clang-format binary is installed. #include lines
-          are exempt, as clang-format never breaks them. (PHL005 is
-          reserved for the metrics leak audit.)
+          are exempt, as clang-format never breaks them.
 
   PHL007  one point currency
           In the ingest layers (io/, domain/, core/), no AddAll,
@@ -268,6 +278,46 @@ def check_naked_mutex(path, text):
 
 
 # ---------------------------------------------------------------------------
+# PHL005: no metric is fed from a stream-length read.
+# ---------------------------------------------------------------------------
+
+STREAM_LENGTH_RE = re.compile(
+    r"\b(num_processed|num_received|num_batches|bytes_received)\s*\(\s*\)")
+METRIC_SINK_RE = re.compile(
+    r"\bmetrics_\b|\bbytes_(?:in|out)\b|->\s*(?:Add|Inc|Record|Set)\s*\(")
+STATEMENT_RE = re.compile(r"[^;{}]+")
+ASSIGNED_RE = re.compile(r"(\w+)\s*(?:=|\{)\s*[^=]")
+
+
+def check_stream_length_metrics(path, text):
+    violations = []
+    tainted = {}  # variable -> the read it was assigned from
+    for stmt in STATEMENT_RE.finditer(text):
+        body = stmt.group(0)
+        read = STREAM_LENGTH_RE.search(body)
+        if read and not METRIC_SINK_RE.search(body):
+            lhs = ASSIGNED_RE.search(body[:read.start()])
+            if lhs:
+                tainted[lhs.group(1)] = read.group(1)
+            continue
+        if not METRIC_SINK_RE.search(body):
+            continue
+        source = read.group(1) if read else None
+        if source is None:
+            for name, origin in tainted.items():
+                if re.search(r"\b%s\b" % re.escape(name), body):
+                    source = origin
+                    break
+        if source:
+            violations.append(Violation(
+                path, line_of(text, stmt.start() + len(body) -
+                              len(body.lstrip())), "PHL005",
+                "metric fed from %s(); an INGEST's point, frame and byte "
+                "counts are the un-noised stream length" % source))
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # PHL006: no line longer than the nearest .clang-format's ColumnLimit.
 # ---------------------------------------------------------------------------
 
@@ -388,6 +438,11 @@ def is_request_handler(path):
     return re.search(r"service/handlers\.(h|cc)$", norm(path)) is not None
 
 
+def is_metrics_layer(path):
+    parent = os.path.basename(os.path.dirname(os.path.abspath(path)))
+    return parent in ("service", "obs")
+
+
 def is_ingest_layer(path):
     parent = os.path.basename(os.path.dirname(os.path.abspath(path)))
     return parent in ("io", "domain", "core")
@@ -410,6 +465,8 @@ def lint_file(path, display_path=None):
         violations += check_rng_discipline(display_path, text)
     if not is_sync_header(path):
         violations += check_naked_mutex(display_path, text)
+    if is_metrics_layer(path):
+        violations += check_stream_length_metrics(display_path, text)
     if is_ingest_layer(path):
         violations += check_point_currency(display_path, text)
     if is_request_handler(path):
