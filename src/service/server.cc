@@ -35,9 +35,12 @@ constexpr int kMaxAcceptsPerRound = 64;
 
 // Bounds on the per-connection ingest frame channel (reactor-to-worker
 // hand-off of streamed point frames). When full, the reactor stops
-// reading the connection, which the peer sees as TCP backpressure.
+// reading the connection, which the peer sees as TCP backpressure. One
+// reactor round's worth of frames keeps the worker fed; a deeper channel
+// only parks more of the stream in server memory while the worker is
+// behind.
 constexpr size_t kIngestChannelMaxBytes = size_t{8} << 20;
-constexpr size_t kIngestChannelMaxFrames = 256;
+constexpr size_t kIngestChannelMaxFrames = kMaxFramesPerRound;
 
 // How many pipelined requests one worker may drain from a single
 // connection before handing the execution slot back through the task
@@ -1371,6 +1374,12 @@ obs::MetricsSnapshot PrivHPServer::StatsSnapshot() const {
     gauge(prefix + "nodes", static_cast<int64_t>((*artifact)->num_nodes()));
     gauge(prefix + "repr",
           static_cast<int64_t>((*artifact)->representation()));
+    // The file's page size (0 for heap): what one pool miss reads and
+    // checksums. A format parameter, not derived from the data.
+    const storage::PagedArtifact* paged = (*artifact)->paged();
+    gauge(prefix + "page_bytes",
+          paged != nullptr ? static_cast<int64_t>(paged->header().page_size)
+                           : 0);
     if (const storage::BufferPool* pool = (*artifact)->buffer_pool()) {
       const storage::BufferPool::Stats ps = pool->stats();
       pool_hits += ps.hits;

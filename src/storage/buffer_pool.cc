@@ -11,6 +11,7 @@ namespace storage {
 PageRef::PageRef(PageRef&& other) noexcept
     : pool_(std::exchange(other.pool_, nullptr)),
       frame_(std::exchange(other.frame_, 0)),
+      page_no_(std::exchange(other.page_no_, 0)),
       data_(std::exchange(other.data_, nullptr)) {}
 
 PageRef& PageRef::operator=(PageRef&& other) noexcept {
@@ -18,6 +19,7 @@ PageRef& PageRef::operator=(PageRef&& other) noexcept {
     if (pool_ != nullptr) pool_->Unpin(frame_);
     pool_ = std::exchange(other.pool_, nullptr);
     frame_ = std::exchange(other.frame_, 0);
+    page_no_ = std::exchange(other.page_no_, 0);
     data_ = std::exchange(other.data_, nullptr);
   }
   return *this;
@@ -32,36 +34,49 @@ BufferPool::BufferPool(size_t page_bytes, size_t num_frames)
   PRIVHP_CHECK(page_bytes > 0);
   frames_.resize(num_frames_);
   arena_.resize(page_bytes_ * num_frames_);
+  MutexLock lock(mu_);
   resident_.reserve(num_frames_);
+  // Every frame starts free, listed in index order from the cold end, so
+  // the first misses fill frames 0, 1, 2, ...
+  for (size_t i = 0; i < num_frames_; ++i) LinkLocked(i, /*hot=*/true);
 }
 
 size_t BufferPool::PickVictimLocked() const {
-  // Linear scan — pools are tens of frames, not thousands.
-  size_t victim = frames_.size();
-  for (size_t i = 0; i < frames_.size(); ++i) {
-    if (!frames_[i].occupied) {
-      return i;
-    }
-    if (frames_[i].pins == 0 &&
-        (victim == frames_.size() ||
-         frames_[i].last_use < frames_[victim].last_use)) {
-      victim = i;
-    }
+  // Every frame colder than the victim is pinned.
+  size_t i = cold_;
+  while (i != kNoFrame && frames_[i].pins > 0) i = frames_[i].next;
+  return i == kNoFrame ? frames_.size() : i;
+}
+
+void BufferPool::UnlinkLocked(size_t frame) {
+  Frame& f = frames_[frame];
+  (f.prev == kNoFrame ? cold_ : frames_[f.prev].next) = f.next;
+  (f.next == kNoFrame ? hot_ : frames_[f.next].prev) = f.prev;
+}
+
+void BufferPool::LinkLocked(size_t frame, bool hot) {
+  Frame& f = frames_[frame];
+  size_t& end = hot ? hot_ : cold_;
+  (hot ? f.prev : f.next) = end;
+  (hot ? f.next : f.prev) = kNoFrame;
+  if (end == kNoFrame) {
+    cold_ = hot_ = frame;
+    return;
   }
-  return victim;
+  (hot ? frames_[end].next : frames_[end].prev) = frame;
+  end = frame;
 }
 
 Result<PageRef> BufferPool::Fetch(uint64_t page_no, const PageLoader& loader) {
   MutexLock lock(mu_);
-  ++tick_;
   auto it = resident_.find(page_no);
   if (it != resident_.end()) {
-    Frame& f = frames_[it->second];
-    ++f.pins;
-    f.last_use = tick_;
+    const size_t frame = it->second;
+    ++frames_[frame].pins;
+    UnlinkLocked(frame);
+    LinkLocked(frame, /*hot=*/true);
     ++stats_.hits;
-    return PageRef(this, it->second,
-                   arena_.data() + it->second * page_bytes_);
+    return PageRef(this, frame, page_no, arena_.data() + frame * page_bytes_);
   }
   ++stats_.misses;
 
@@ -77,15 +92,19 @@ Result<PageRef> BufferPool::Fetch(uint64_t page_no, const PageLoader& loader) {
     f.occupied = false;
     ++stats_.evictions;
   }
+  UnlinkLocked(victim);
   uint8_t* dst = arena_.data() + victim * page_bytes_;
   const Status loaded = loader(dst);
-  if (!loaded.ok()) return loaded;  // frame stays free
+  if (!loaded.ok()) {
+    LinkLocked(victim, /*hot=*/false);  // free, so the next miss takes it
+    return loaded;
+  }
   f.page_no = page_no;
   f.occupied = true;
   f.pins = 1;
-  f.last_use = tick_;
+  LinkLocked(victim, /*hot=*/true);
   resident_.emplace(page_no, victim);
-  return PageRef(this, victim, dst);
+  return PageRef(this, victim, page_no, dst);
 }
 
 void BufferPool::Unpin(size_t frame) {

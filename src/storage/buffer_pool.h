@@ -48,14 +48,18 @@ class PageRef {
 
   const uint8_t* data() const { return data_; }
   bool valid() const { return pool_ != nullptr; }
+  /// \brief The page this ref pins; meaningful only while valid().
+  uint64_t page_no() const { return page_no_; }
 
  private:
   friend class BufferPool;
-  PageRef(BufferPool* pool, size_t frame, const uint8_t* data)
-      : pool_(pool), frame_(frame), data_(data) {}
+  PageRef(BufferPool* pool, size_t frame, uint64_t page_no,
+          const uint8_t* data)
+      : pool_(pool), frame_(frame), page_no_(page_no), data_(data) {}
 
   BufferPool* pool_ = nullptr;
   size_t frame_ = 0;
+  uint64_t page_no_ = 0;
   const uint8_t* data_ = nullptr;
 };
 
@@ -89,7 +93,8 @@ class BufferPool {
   /// Fails with FailedPrecondition if every frame is pinned, or with
   /// the loader's error (the frame is then left free). The loader runs
   /// under mu_, so it must not touch the pool (NoteChecksumVerify is
-  /// the sanctioned lock-free exception).
+  /// the sanctioned lock-free exception). The calling thread should
+  /// hold no other pin of this pool (see the file comment).
   Result<PageRef> Fetch(uint64_t page_no, const PageLoader& loader)
       EXCLUDES(mu_);
 
@@ -111,19 +116,29 @@ class BufferPool {
  private:
   friend class PageRef;
 
+  /// End marker of the recency list.
+  static constexpr size_t kNoFrame = static_cast<size_t>(-1);
+
   struct Frame {
     uint64_t page_no = 0;
-    uint64_t last_use = 0;
     uint32_t pins = 0;
     bool occupied = false;
+    /// Recency-list neighbours: `prev` is colder, `next` hotter.
+    size_t prev = kNoFrame;
+    size_t next = kNoFrame;
   };
 
   void Unpin(size_t frame) EXCLUDES(mu_);
 
-  /// \brief Picks the frame a miss should load into: any unoccupied
-  /// frame first, else the LRU unpinned one; frames_.size() when every
-  /// frame is pinned.
+  /// \brief Picks the frame a miss should load into: the lowest-index
+  /// unoccupied frame first, else the least-recently-fetched unpinned
+  /// one; frames_.size() when every frame is pinned.
   size_t PickVictimLocked() const REQUIRES(mu_);
+
+  /// \brief Recency-list edits: Unlink takes a frame off the list, Link
+  /// puts an unlinked frame at its hot or cold end.
+  void UnlinkLocked(size_t frame) REQUIRES(mu_);
+  void LinkLocked(size_t frame, bool hot) REQUIRES(mu_);
 
   const size_t page_bytes_;
   const size_t num_frames_;
@@ -137,7 +152,11 @@ class BufferPool {
   std::vector<uint8_t> arena_;
   std::unordered_map<uint64_t, size_t> resident_
       GUARDED_BY(mu_);  // page_no -> frame
-  uint64_t tick_ GUARDED_BY(mu_) = 0;
+  /// Ends of the recency list. Free frames are always colder than
+  /// occupied ones: they start in index order, only a failed load frees
+  /// a frame again, and it goes back to the cold end.
+  size_t cold_ GUARDED_BY(mu_) = kNoFrame;
+  size_t hot_ GUARDED_BY(mu_) = kNoFrame;
   Stats stats_ GUARDED_BY(mu_);
   std::atomic<uint64_t> checksum_verifies_{0};
 };

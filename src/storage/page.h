@@ -26,10 +26,12 @@
 namespace privhp {
 namespace storage {
 
-/// \brief Default page size: large enough that sequential scans are one
-/// fetch per 2048 nodes, small enough that a tiny buffer pool still
-/// holds several pages.
-inline constexpr uint32_t kDefaultPageSize = 64u * 1024;
+/// \brief Default page size, the smallest valid one. A buffer-pool miss
+/// reads and checksums a whole page under the pool lock: at 4 KiB that
+/// is about 0.4 µs of pread and 2.5 µs of Checksum64, against 3 + 44 µs
+/// at 64 KiB. Sequential scans still fetch once per 128 nodes. Files
+/// packed at another valid size keep serving; the size is in the header.
+inline constexpr uint32_t kDefaultPageSize = 4096;
 inline constexpr uint32_t kMinPageSize = 4096;
 inline constexpr uint32_t kMaxPageSize = 1u << 20;
 

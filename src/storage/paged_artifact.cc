@@ -28,6 +28,9 @@ constexpr size_t kGenerateChunk = 1024;
 /// a zero-count leaf — the walk then terminates benignly (leaves end
 /// every descent, and the templates' step caps bound corrupt cycles)
 /// and the caller converts the latched status into the query's error.
+/// In pooled mode the view keeps the page of its last node read pinned,
+/// so a run of nodes on one page (a descent's top levels, an EXPORT's
+/// whole scan) costs one pool fetch, not one per node.
 class PagedTreeView {
  public:
   explicit PagedTreeView(const PagedArtifact* artifact)
@@ -50,7 +53,7 @@ class PagedTreeView {
     // A node record is a TreeNode byte for byte (storage/page.h).
     TreeNode n;
     const Status read = artifact_->ReadElem(
-        kSectionNodes, static_cast<uint64_t>(id), &n, sizeof(n));
+        kSectionNodes, static_cast<uint64_t>(id), &n, sizeof(n), &page_);
     if (!read.ok()) {
       status_ = read;
       return safe;
@@ -75,6 +78,7 @@ class PagedTreeView {
  private:
   const PagedArtifact* artifact_;
   mutable Status status_;
+  mutable PageRef page_;  // pooled mode: the last node read's page
 };
 
 Result<std::unique_ptr<const PagedArtifact>> PagedArtifact::Open(
@@ -199,7 +203,7 @@ size_t PagedArtifact::ResidentBytes() const {
 }
 
 Status PagedArtifact::ReadElem(int section, uint64_t index, void* out,
-                               size_t elem_bytes) const {
+                               size_t elem_bytes, PageRef* pin) const {
   PRIVHP_DCHECK(section >= 0 && section < kNumSections);
   PRIVHP_DCHECK(elem_bytes == kSectionElemSize[section]);
   const PagedSection& s = header_.sections[section];
@@ -213,7 +217,13 @@ Status PagedArtifact::ReadElem(int section, uint64_t index, void* out,
   }
   // Element sizes divide the page size and sections are page-aligned,
   // so one element never straddles two pages.
-  PRIVHP_ASSIGN_OR_RETURN(PageRef page, FetchPage(off / header_.page_size));
+  const uint64_t page_no = off / header_.page_size;
+  PageRef local;
+  PageRef& page = pin != nullptr ? *pin : local;
+  if (!page.valid() || page.page_no() != page_no) {
+    page = PageRef();  // a fetching thread holds no other pin
+    PRIVHP_ASSIGN_OR_RETURN(page, FetchPage(page_no));
+  }
   std::memcpy(out, page.data() + off % header_.page_size, elem_bytes);
   return Status::OK();
 }

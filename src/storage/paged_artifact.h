@@ -12,8 +12,13 @@
 //
 //  - buffer pool: for artifacts over the registry's memory budget. A
 //    RandomAccessFile plus a fixed-frame BufferPool serve individual
-//    pages on demand (verified lazily, on first load), so resident
-//    memory is bounded by the pool no matter how large the file is.
+//    pages on demand, so resident memory is bounded by the pool no
+//    matter how large the file is. Every miss re-reads its page and
+//    verifies it against the checksum table, including a page that was
+//    evicted and is read again. A tree walk keeps the page of its last
+//    node pinned and reads the next node from it when it lies there;
+//    it drops that pin before fetching any other page, so a reader
+//    thread never holds two pins.
 //
 // Both modes answer RANGE/QUANTILE/HEAVY through the same `...Over`
 // query templates the heap path uses, and draw samples in the same RNG
@@ -100,8 +105,12 @@ class PagedArtifact {
 
   /// Reads one section element (no page straddling by format
   /// construction). \p elem_bytes must match the section's element size.
-  Status ReadElem(int section, uint64_t index, void* out,
-                  size_t elem_bytes) const;
+  /// Pooled mode: with \p pin the element is read from the page *pin
+  /// holds when it lies there; otherwise that pin is dropped, the page
+  /// fetched and left pinned in *pin. Without \p pin the page is pinned
+  /// only for the copy. mmap mode ignores \p pin.
+  Status ReadElem(int section, uint64_t index, void* out, size_t elem_bytes,
+                  PageRef* pin = nullptr) const;
 
   /// Pooled mode: pins data page \p page_no, loading + verifying it on
   /// a miss.

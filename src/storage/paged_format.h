@@ -19,7 +19,8 @@
 // one contiguous array: an mmapped reader hands section pointers
 // straight to the query templates and CompiledSampler::Borrow — no
 // parse, no copy. A buffer-pool reader fetches individual pages and
-// verifies each against the checksum table lazily.
+// verifies a page against the checksum table on every load of it, so a
+// page evicted and read again is verified again.
 //
 // The layout is a pure function of (page_size, dimension, num_nodes,
 // num_slots, has_bounds): ComputeLayout() is the single source of truth,

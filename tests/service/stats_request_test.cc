@@ -19,6 +19,7 @@
 #include "obs/metrics_registry.h"
 #include "service/client.h"
 #include "service/server.h"
+#include "storage/artifact_packer.h"
 
 namespace privhp {
 namespace {
@@ -150,6 +151,7 @@ TEST_F(StatsRequestTest, ScriptedSequenceAdvancesCountersAndHistograms) {
   EXPECT_GT(snap.GaugeOr("registry.resident_bytes"), 0);
   EXPECT_GT(snap.GaugeOr("artifact.alpha.nodes"), 0);
   EXPECT_EQ(snap.GaugeOr("artifact.alpha.repr", -1), 0);  // heap
+  EXPECT_EQ(snap.GaugeOr("artifact.alpha.page_bytes", -1), 0);  // no pages
 
   // Server totals ride along under "server.*"; sampled points are
   // counted once, as sample.points.
@@ -187,6 +189,38 @@ TEST_F(StatsRequestTest, ServerTotalsAreRegistryCounters) {
   EXPECT_EQ(remote->CounterOr("server.requests", kAbsent), 3u);
   EXPECT_EQ(remote->CounterOr("server.errors", kAbsent), 1u);
   EXPECT_EQ(remote->CounterOr("server.ingested_points", kAbsent), kAbsent);
+}
+
+// A paged artifact reports the page size its file was packed at: the
+// 4 KiB default, or 64 KiB for files packed before that was the default.
+TEST_F(StatsRequestTest, PagedArtifactsReportTheirPageSize) {
+  auto alpha = registry_.Get("alpha");
+  ASSERT_TRUE(alpha.ok());
+  storage::PagedReadOptions pooled;
+  pooled.use_buffer_pool = true;
+  for (const uint32_t page_size : {storage::kDefaultPageSize, 64u << 10}) {
+    const std::string path = socket_path_ + "." +
+                             std::to_string(page_size) + ".phx";
+    storage::PackOptions pack;
+    pack.page_size = page_size;
+    ASSERT_TRUE(storage::PackArtifact((*alpha)->generator().tree(), path,
+                                      pack)
+                    .ok());
+    auto mmapped = ServedArtifact::FromPagedFile(path, {});
+    auto pool = ServedArtifact::FromPagedFile(path, pooled);
+    std::remove(path.c_str());
+    ASSERT_TRUE(mmapped.ok() && pool.ok());
+    const std::string suffix = std::to_string(page_size);
+    ASSERT_TRUE(registry_.Publish("mmap" + suffix, *mmapped).ok());
+    ASSERT_TRUE(registry_.Publish("pool" + suffix, *pool).ok());
+  }
+  const obs::MetricsSnapshot snap = server_->StatsSnapshot();
+  EXPECT_EQ(snap.GaugeOr("artifact.alpha.page_bytes", -1), 0);
+  EXPECT_EQ(snap.GaugeOr("artifact.mmap4096.page_bytes", -1), 4096);
+  EXPECT_EQ(snap.GaugeOr("artifact.pool4096.page_bytes", -1), 4096);
+  EXPECT_EQ(snap.GaugeOr("artifact.mmap65536.page_bytes", -1), 65536);
+  EXPECT_EQ(snap.GaugeOr("artifact.pool65536.page_bytes", -1), 65536);
+  EXPECT_EQ(snap.GaugeOr("artifact.pool4096.repr", -1), 2);
 }
 
 // An INGEST's stream length is the un-noised n (sensitivity 1): no

@@ -281,6 +281,49 @@ TEST_F(CorruptionTest, DataPageFlipSurfacesLazilyUnderPool) {
   EXPECT_TRUE(exported.IsIOError());
 }
 
+// Files packed at 64 KiB pages (the default before 4 KiB) still fail
+// cleanly: a flipped data byte fails the mmap open and the pooled read
+// that loads its page, and a lost last page fails both opens.
+TEST_F(CorruptionTest, SixtyFourKiBPagesFailCleanly) {
+  constexpr uint32_t kOldPage = 64u << 10;
+  auto pristine = PagedArtifact::Open(*packed_path_);
+  ASSERT_TRUE(pristine.ok());
+  std::ostringstream tree;
+  ASSERT_TRUE((*pristine)->ExportTo(&tree).ok());
+  const std::string tree_path = WriteVariant("old_pages.tree", tree.str());
+  const std::string packed = TestPath("old_pages.phx");
+  variants_.push_back(packed);
+  PackOptions pack;
+  pack.page_size = kOldPage;
+  ASSERT_TRUE(PackTreeFile(tree_path, packed, pack).ok());
+  const std::string bytes = ReadAll(packed);
+  auto old = PagedArtifact::Open(packed);
+  ASSERT_TRUE(old.ok()) << old.status().message();
+  ASSERT_EQ((*old)->header().page_size, kOldPage);
+
+  // The cells section starts on its own page; Open never reads it.
+  std::string flipped = bytes;
+  const size_t cell_byte = static_cast<size_t>(
+      (*old)->header().sections[kSectionCells].file_offset + 8);
+  flipped[cell_byte] = static_cast<char>(flipped[cell_byte] ^ 0x40);
+  const std::string flipped_path = WriteVariant("old_flip.phx", flipped);
+  EXPECT_FALSE(PagedArtifact::Open(flipped_path).ok());
+  PagedReadOptions pooled;
+  pooled.use_buffer_pool = true;
+  auto lazy = PagedArtifact::Open(flipped_path, pooled);
+  ASSERT_TRUE(lazy.ok()) << lazy.status().message();
+  RandomEngine rng(3);
+  CollectingSink sink;
+  const Status sampled = (*lazy)->GenerateTo(1000, &rng, &sink);
+  ASSERT_FALSE(sampled.ok());
+  EXPECT_TRUE(sampled.IsIOError()) << sampled.message();
+
+  ExpectOpenFails(
+      WriteVariant("old_truncated.phx", bytes.substr(0, bytes.size() -
+                                                            kOldPage)),
+      "64 KiB file missing its last page");
+}
+
 TEST_F(CorruptionTest, SectionGeometryTamperingIsRejected) {
   // Rewriting the node count (and nothing else) breaks either the header
   // checksum or — if an attacker fixed that up — the canonical-layout

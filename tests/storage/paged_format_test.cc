@@ -16,10 +16,12 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "common/sync.h"
 #include "core/builder.h"
 #include "core/generator.h"
 #include "core/queries.h"
@@ -331,6 +333,97 @@ TEST_F(PackedArtifactTest, PooledModeBoundsResidentMemory) {
   ASSERT_NE(artifact->pool(), nullptr);
   EXPECT_GT(artifact->pool()->stats().evictions, 0u)
       << "pool too large to exercise eviction";
+}
+
+// A pooled reader holds one pin at a time and drops it before it
+// fetches (buffer_pool.h), so a two-frame pool serves two concurrent
+// walkers. A walk that fetched while still pinning its last page would
+// need a third frame and fail here with FailedPrecondition.
+TEST_F(PackedArtifactTest, TwoReadersShareATwoFramePool) {
+  auto mmapped = OpenMode(/*pooled=*/false);
+  auto pooled = OpenMode(/*pooled=*/true, /*pool_bytes=*/1);
+  ASSERT_NE(mmapped, nullptr);
+  ASSERT_NE(pooled, nullptr);
+  ASSERT_EQ(pooled->pool()->num_frames(), 2u);
+  const std::vector<double> qs = {0.05, 0.5, 0.95};
+  auto q_ref = mmapped->Quantiles(qs);
+  auto h_ref = mmapped->Heavy(0.02);
+  std::ostringstream export_ref;
+  ASSERT_TRUE(q_ref.ok() && h_ref.ok());
+  ASSERT_TRUE(mmapped->ExportTo(&export_ref).ok());
+
+  Mutex mu;
+  std::vector<std::string> failures;
+  const auto reader = [&]() {
+    for (int round = 0; round < 30; ++round) {
+      auto q = pooled->Quantiles(qs);
+      auto h = pooled->Heavy(0.02);
+      std::ostringstream os;
+      const Status exported = pooled->ExportTo(&os);
+      std::string failure;
+      if (!q.ok()) failure = "QUANTILE: " + q.status().ToString();
+      if (!h.ok()) failure = "HEAVY: " + h.status().ToString();
+      if (!exported.ok()) failure = "EXPORT: " + exported.ToString();
+      if (failure.empty() && (*q != *q_ref || h->size() != h_ref->size() ||
+                              os.str() != export_ref.str())) {
+        failure = "answer differs from mmap";
+      }
+      for (size_t i = 0; failure.empty() && i < h->size(); ++i) {
+        if ((*h)[i].cell != (*h_ref)[i].cell ||
+            (*h)[i].fraction != (*h_ref)[i].fraction) {
+          failure = "HEAVY cell differs from mmap";
+        }
+      }
+      if (!failure.empty()) {
+        MutexLock lock(mu);
+        failures.push_back(failure);
+        return;
+      }
+    }
+  };
+  std::thread a(reader);
+  std::thread b(reader);
+  a.join();
+  b.join();
+  EXPECT_TRUE(failures.empty()) << failures.front();
+  EXPECT_GT(pooled->pool()->stats().evictions, 0u);
+}
+
+// Counts the node reads a query template makes over the heap tree.
+class CountingTree {
+ public:
+  explicit CountingTree(const PartitionTree& tree) : tree_(tree) {}
+  NodeId root() const { return tree_.root(); }
+  size_t num_nodes() const { return tree_.num_nodes(); }
+  const Domain* domain() const { return tree_.domain(); }
+  TreeNode node(NodeId id) const {
+    ++reads_;
+    return tree_.node(id);
+  }
+  size_t reads() const { return reads_; }
+
+ private:
+  const PartitionTree& tree_;
+  mutable size_t reads_ = 0;
+};
+
+// A pooled walk reads consecutive nodes from the page it still pins, so
+// one QUANTILE costs fewer pool fetches (hits + misses) than node reads.
+TEST_F(PackedArtifactTest, PooledQuantileFetchesFewerPagesThanNodes) {
+  CountingTree counting(built_.generator->tree());
+  auto heap = TreeQuantilesOver(counting, {0.3});
+  ASSERT_TRUE(heap.ok());
+  auto pooled = OpenMode(/*pooled=*/true);
+  ASSERT_NE(pooled, nullptr);
+  const BufferPool::Stats before = pooled->pool()->stats();
+  auto q = pooled->Quantiles({0.3});
+  ASSERT_TRUE(q.ok());
+  EXPECT_EQ(*q, *heap);
+  const BufferPool::Stats after = pooled->pool()->stats();
+  const uint64_t fetches =
+      after.hits + after.misses - before.hits - before.misses;
+  EXPECT_GT(fetches, 0u);
+  EXPECT_LT(fetches, counting.reads());
 }
 
 TEST_F(PackedArtifactTest, PackingIsDeterministic) {

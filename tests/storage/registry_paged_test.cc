@@ -155,19 +155,35 @@ TEST_F(RegistryPagedTest, GenerousBudgetStillMmaps) {
 }
 
 TEST_F(RegistryPagedTest, AllRepresentationsAnswerIdentically) {
-  // heap (from the v2 file), mmap, pooled — one query surface.
+  // heap (from the v2 file), then mmap and pooled at each page size:
+  // the default, and 64 KiB, the default of files packed before 4 KiB
+  // became it. One query surface.
   auto heap = ServedArtifact::FromFile(tree_path_);
   ASSERT_TRUE(heap.ok());
-  auto mmapped = ServedArtifact::FromFile(packed_path_);
-  ASSERT_TRUE(mmapped.ok());
-  storage::PagedReadOptions pooled_options;
-  pooled_options.use_buffer_pool = true;
-  pooled_options.pool_bytes = 32u << 10;
-  auto pooled = ServedArtifact::FromPagedFile(packed_path_, pooled_options);
-  ASSERT_TRUE(pooled.ok());
-
-  const std::vector<std::shared_ptr<const ServedArtifact>> reps = {
-      *heap, *mmapped, *pooled};
+  std::vector<std::shared_ptr<const ServedArtifact>> reps = {*heap};
+  const std::string paths[] = {TestPath("registry_default.phx"),
+                               TestPath("registry_64k.phx")};
+  const uint32_t page_sizes[] = {storage::kDefaultPageSize, 64u << 10};
+  for (int i = 0; i < 2; ++i) {
+    storage::PackOptions pack;
+    if (i == 1) pack.page_size = page_sizes[1];
+    ASSERT_TRUE(
+        storage::PackArtifact(generator_->tree(), paths[i], pack).ok());
+    auto mmapped = ServedArtifact::FromFile(paths[i]);
+    ASSERT_TRUE(mmapped.ok());
+    storage::PagedReadOptions pooled_options;
+    pooled_options.use_buffer_pool = true;
+    pooled_options.pool_bytes = 32u << 10;
+    auto pooled = ServedArtifact::FromPagedFile(paths[i], pooled_options);
+    ASSERT_TRUE(pooled.ok());
+    std::remove(paths[i].c_str());  // both stay open on the unlinked file
+    EXPECT_EQ((*mmapped)->paged()->header().page_size, page_sizes[i]);
+    EXPECT_EQ((*pooled)->paged()->header().page_size, page_sizes[i]);
+    ASSERT_TRUE((*pooled)->paged()->pooled());
+    reps.push_back(*mmapped);
+    reps.push_back(*pooled);
+  }
+  EXPECT_EQ(storage::kDefaultPageSize, 4096u);
 
   auto blob0 = reps[0]->ExportBlob();
   ASSERT_TRUE(blob0.ok());

@@ -8,7 +8,7 @@
 //   privhp w1      --a a.csv --b b.csv --dim 1        (exact for d = 1,
 //                                                      sliced otherwise)
 //   privhp pack    --tree generator.tree --out generator.paged
-//                  [--page-size BYTES]
+//                  [--page-size BYTES]   (default 4096)
 //   privhp serve   --unix /tmp/privhp.sock | --port 7557
 //                  [--load name=gen.tree ...] [--workers N]
 //                  [--memory-budget-mb MB] [--auth-token T]
@@ -109,7 +109,8 @@ int Usage() {
       "  privhp heavy    --tree gen.tree --dim D --threshold T\n"
       "  privhp w1       --a a.csv --b b.csv --dim D\n"
       "  privhp pack     --tree gen.tree --out gen.paged\n"
-      "                  [--page-size BYTES]\n"
+      "                  [--page-size BYTES]   (power of two, 4096..1048576;\n"
+      "                  default 4096)\n"
       "  privhp serve    --unix PATH | --port P [--host H]\n"
       "                  [--load name=gen.tree ...] [--workers N]\n"
       "                  [--seed S] [--memory-budget-mb MB]\n"
