@@ -43,19 +43,6 @@ Status WaitReadable(int fd, const CancelFn& cancel) {
   }
 }
 
-Status SendAll(int fd, const char* data, size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoStatus("send");
-    }
-    data += n;
-    size -= static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
 // Reads exactly `size` bytes. Returns false on EOF before the first byte;
 // EOF after a partial read is an IOError (torn frame).
 Result<bool> RecvAll(int fd, char* data, size_t size, const CancelFn& cancel) {
@@ -256,8 +243,36 @@ Status SendFrame(const Socket& sock, const std::string& payload) {
   for (int i = 0; i < 4; ++i) {
     header[i] = static_cast<char>((size >> (8 * i)) & 0xff);
   }
-  PRIVHP_RETURN_NOT_OK(SendAll(sock.fd(), header, sizeof(header)));
-  return SendAll(sock.fd(), payload.data(), payload.size());
+  // Header and payload leave in one sendmsg: a request is one syscall
+  // (and, on TCP, one segment) instead of two. A partial write advances
+  // through the pair and sends the rest.
+  struct iovec iov[2];
+  iov[0].iov_base = header;
+  iov[0].iov_len = sizeof(header);
+  iov[1].iov_base = const_cast<char*>(payload.data());
+  iov[1].iov_len = payload.size();
+  struct msghdr msg;
+  std::memset(&msg, 0, sizeof(msg));
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  while (msg.msg_iovlen > 0) {
+    const ssize_t n = ::sendmsg(sock.fd(), &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoStatus("sendmsg");
+    }
+    size_t sent = static_cast<size_t>(n);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
+  }
+  return Status::OK();
 }
 
 Result<bool> RecvFrame(const Socket& sock, std::string* payload,

@@ -89,7 +89,9 @@ Status SetSocketNonBlocking(const Socket& sock, bool enable);
 /// \brief A connected AF_UNIX pair (tests and in-process plumbing).
 Result<std::pair<Socket, Socket>> SocketPair();
 
-/// \brief Sends one length-prefixed frame (u32 LE length + payload).
+/// \brief Sends one length-prefixed frame (u32 LE length + payload) on a
+/// blocking socket: header and payload go out in one sendmsg, and a
+/// short write resumes from the byte it stopped at.
 Status SendFrame(const Socket& sock, const std::string& payload);
 
 /// \brief Receives one frame into \p payload. Returns false on clean EOF

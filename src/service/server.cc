@@ -44,9 +44,11 @@ constexpr size_t kIngestChannelMaxFrames = kMaxFramesPerRound;
 
 // How many pipelined requests one worker may drain from a single
 // connection before handing the execution slot back through the task
-// queue. Inline continuation is what makes pipelining pay (no two
-// thread wake-ups between back-to-back requests), but an unbounded
-// drain would let one pipelining peer monopolize a worker.
+// queue. Inline continuation is what makes pipelining pay: the next
+// request starts on the worker that finished the previous one instead
+// of waiting for the reactor to take the slot back and a worker to wake
+// for it. An unbounded drain would let one pipelining peer monopolize a
+// worker.
 constexpr int kMaxInlineRequestsPerTask = 32;
 
 uint64_t ElapsedNs(std::chrono::steady_clock::time_point from,
@@ -59,10 +61,13 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point from,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Connection: the reactor's per-peer state plus the worker-facing
-// hand-off surfaces. Field ownership is strict — the reactor-owned block
-// is touched by the reactor thread only and never locked; everything
-// shared with workers goes through mu / ingest_mu / the atomics.
+// Connection: the reactor's per-peer state plus the surfaces it shares
+// with workers. Field ownership is strict — the reactor-owned block is
+// touched by the reactor thread only and never locked; everything shared
+// with workers goes through mu / ingest_mu / the atomics. The output
+// queue (writer) is shared: the reactor pumps it, and the worker that
+// finishes a request may write its reply through it (CompleteRequest),
+// both under mu, so their writes never overlap and bytes stay in order.
 // ---------------------------------------------------------------------------
 
 struct PrivHPServer::Connection {
@@ -73,13 +78,30 @@ struct PrivHPServer::Connection {
     kIngest,   ///< frames belong to an expected ingest point stream
   };
 
+  /// A steady_clock time point any thread may stamp or read.
+  class AtomicTime {
+   public:
+    void Store(std::chrono::steady_clock::time_point t) {
+      ticks_.store(t.time_since_epoch().count(), std::memory_order_relaxed);
+    }
+    std::chrono::steady_clock::time_point Load() const {
+      return std::chrono::steady_clock::time_point(
+          std::chrono::steady_clock::duration(
+              ticks_.load(std::memory_order_relaxed)));
+    }
+
+   private:
+    std::atomic<std::chrono::steady_clock::rep> ticks_{0};
+  };
+
   uint64_t tag = 0;
+  /// Set at accept. The reactor closes it only after setting closed
+  /// under mu, so a worker that finds closed false under mu may write.
   Socket sock;
   bool needs_auth = false;
 
   // ---- reactor-owned (single thread, never locked) ----
   FrameReader reader;
-  FrameWriter writer;
   InputMode mode = InputMode::kRequest;
   bool authed = false;
   /// Ingest point streams the peer still owes us (one per INGEST request
@@ -95,8 +117,12 @@ struct PrivHPServer::Connection {
   DropReason flush_drop_reason = DropReason::kNone;
   bool dropped = false;
   uint64_t last_bytes_received = 0;
-  std::chrono::steady_clock::time_point last_activity;
-  std::chrono::steady_clock::time_point last_write_progress;
+
+  // ---- stamped by the reactor and by writing workers ----
+  /// Last inbound bytes or write progress (the idle clock).
+  AtomicTime last_activity;
+  /// Last bytes handed to the kernel (the write-stall clock).
+  AtomicTime last_write_progress;
 
   // ---- shared with workers (guarded by mu) ----
   Mutex mu;
@@ -105,12 +131,18 @@ struct PrivHPServer::Connection {
   /// reactor pops (MaybeStartNext, when no worker holds the slot) or
   /// the worker finishing the previous request pops the next one inline
   /// — that continuation is what lets pipelined requests run
-  /// back-to-back without two thread wake-ups in between.
+  /// back-to-back without handing the slot through the reactor.
   std::deque<PendingRequest> pending GUARDED_BY(mu);
   /// A worker owns a request or parked stream.
   bool executing GUARDED_BY(mu) = false;
-  /// Response frames awaiting the writer.
-  std::deque<std::string> outbox GUARDED_BY(mu);
+  /// Response frames queued toward the peer, and the socket write state.
+  FrameWriter writer GUARDED_BY(mu);
+  /// The reactor holds input it is not parsing: reads are paused at
+  /// max_pipeline_requests, or the reader holds buffered bytes. Set with
+  /// the pipeline check that decides it (WantRead), so a worker that
+  /// empties the pipeline later sees it and wakes the reactor even when
+  /// it wrote its reply itself.
+  bool input_held GUARDED_BY(mu) = false;
   /// Request-completion hand-off, consumed by the reactor in
   /// DrainReadyList: the executing request finished; optionally asks for
   /// a drop.
@@ -129,43 +161,53 @@ struct PrivHPServer::Connection {
   std::unique_ptr<ResponseStream> parked GUARDED_BY(mu);
   bool resume_scheduled GUARDED_BY(mu) = false;
 
-  /// Appends \p frame to the outbox; returns the wire bytes queued (the
+  /// Appends \p frame to the writer; returns the wire bytes queued (the
   /// 4-byte frame header included, matching the writer's pending_bytes
   /// so queued_bytes drains exactly to zero), or 0 once closed.
   size_t QueueLocked(std::string frame) REQUIRES(mu) {
     if (closed) return 0;
     const size_t wire_bytes = frame.size() + 4;
-    outbox.push_back(std::move(frame));
+    // Frames were size-checked when the worker encoded them.
+    const Status queued = writer.Enqueue(std::move(frame));
+    PRIVHP_DCHECK(queued.ok());
+    (void)queued;
     // Only this function adds to queued_bytes, always under mu, so the
     // empty-to-pending transition is seen here. Stamp it before the
     // release-add publishes the bytes: a sweep that acquires the bytes
     // also sees the fresh stamp.
     if (queued_bytes.load(std::memory_order_relaxed) == 0) {
-      output_pending_since.store(
-          std::chrono::steady_clock::now().time_since_epoch().count(),
-          std::memory_order_relaxed);
+      output_pending_since.Store(std::chrono::steady_clock::now());
     }
     queued_bytes.fetch_add(wire_bytes, std::memory_order_release);
     return wire_bytes;
   }
 
+  /// Writes as much of the writer as the socket takes (the reactor's
+  /// pump and a worker's write-through alike); true when it drained.
+  /// Sets \p flushed to the bytes written, already taken off
+  /// queued_bytes, and stamps the progress clocks when there were any.
+  Result<bool> FlushLocked(size_t* flushed) REQUIRES(mu) {
+    const size_t before = writer.pending_bytes();
+    Result<bool> drained = writer.Pump(sock);
+    *flushed = before - writer.pending_bytes();
+    if (*flushed > 0) {
+      const auto now = std::chrono::steady_clock::now();
+      last_write_progress.Store(now);
+      last_activity.Store(now);
+      queued_bytes.fetch_sub(*flushed, std::memory_order_relaxed);
+    }
+    return drained;
+  }
+
+  /// Bytes queued toward the peer (frame headers included) — atomic so
+  /// stream producers can check the high-water mark and the sweep can
+  /// see pending output without taking mu.
+  std::atomic<size_t> queued_bytes{0};
   /// When output last went from empty to pending. The write-stall clock
   /// runs from the later of this and last_write_progress, so a reply
   /// queued long after the previous flush (or after accept, when a slow
   /// request held every worker) starts with a fresh clock.
-  std::chrono::steady_clock::time_point OutputPendingSince() const {
-    return std::chrono::steady_clock::time_point(
-        std::chrono::steady_clock::duration(
-            output_pending_since.load(std::memory_order_relaxed)));
-  }
-
-  /// Bytes queued toward the peer (outbox + writer, frame headers
-  /// included) — atomic so stream producers can check the high-water
-  /// mark without taking the reactor's state apart.
-  std::atomic<size_t> queued_bytes{0};
-  /// steady_clock ticks of the last empty-to-pending transition
-  /// (QueueLocked); read through OutputPendingSince().
-  std::atomic<std::chrono::steady_clock::rep> output_pending_since{0};
+  AtomicTime output_pending_since;
 
   /// Membership in the reactor's ready list (dedup for NotifyConn).
   std::atomic<bool> in_ready{false};
@@ -431,8 +473,8 @@ void PrivHPServer::AcceptPending(size_t listener_index) {
     conn->needs_auth = state.is_tcp && !options_.auth_token.empty();
     RecomputeMode(conn);
     const auto now = std::chrono::steady_clock::now();
-    conn->last_activity = now;
-    conn->last_write_progress = now;
+    conn->last_activity.Store(now);
+    conn->last_write_progress.Store(now);
     if (!loop_.Add(conn->sock.fd(), true, false, conn->tag).ok()) {
       metrics_->connections_open->Add(-1);
       continue;  // the Socket destructor closes the fd
@@ -480,7 +522,7 @@ void PrivHPServer::HandleReadable(const std::shared_ptr<Connection>& conn) {
     const uint64_t received = conn->reader.bytes_received();
     if (received != conn->last_bytes_received) {
       conn->last_bytes_received = received;
-      conn->last_activity = std::chrono::steady_clock::now();
+      conn->last_activity.Store(std::chrono::steady_clock::now());
     }
     if (!event.ok() || *event == FrameReader::Event::kEof) {
       // EOF or a socket error: the peer is gone. In-flight work fails
@@ -650,38 +692,28 @@ bool PrivHPServer::WantRead(const std::shared_ptr<Connection>& conn) {
            conn->ingest_frames.size() < kIngestChannelMaxFrames;
   }
   MutexLock lock(conn->mu);
-  return conn->pending.size() <
-         static_cast<size_t>(options_.max_pipeline_requests);
+  const bool room = conn->pending.size() <
+                    static_cast<size_t>(options_.max_pipeline_requests);
+  // Decided in the same hold as the pipeline check: a worker that drains
+  // the pipeline after this sees whether the reactor waits on it.
+  conn->input_held = !room || conn->reader.has_buffered();
+  return room;
 }
 
 void PrivHPServer::PumpConnection(const std::shared_ptr<Connection>& conn) {
   if (conn->dropped) return;
+  size_t flushed = 0;
+  Result<bool> drained = true;
   {
     MutexLock lock(conn->mu);
-    while (!conn->outbox.empty()) {
-      // Frames were size-checked when the worker encoded them.
-      const Status queued =
-          conn->writer.Enqueue(std::move(conn->outbox.front()));
-      PRIVHP_DCHECK(queued.ok());
-      (void)queued;
-      conn->outbox.pop_front();
-    }
+    if (!conn->writer.empty()) drained = conn->FlushLocked(&flushed);
   }
-  if (!conn->writer.empty()) {
-    const size_t before = conn->writer.pending_bytes();
-    Result<bool> drained = conn->writer.Pump(conn->sock);
-    const size_t flushed = before - conn->writer.pending_bytes();
-    if (flushed > 0) {
-      conn->queued_bytes.fetch_sub(flushed, std::memory_order_relaxed);
-      metrics_->output_queue_bytes->Add(-static_cast<int64_t>(flushed));
-      const auto now = std::chrono::steady_clock::now();
-      conn->last_write_progress = now;
-      conn->last_activity = now;
-    }
-    if (!drained.ok()) {
-      DropConnection(conn, DropReason::kNone);
-      return;
-    }
+  if (flushed > 0) {
+    metrics_->output_queue_bytes->Add(-static_cast<int64_t>(flushed));
+  }
+  if (!drained.ok()) {
+    DropConnection(conn, DropReason::kNone);
+    return;
   }
   // Resume a parked stream once the peer drained below the low-water
   // mark (half the cap — hysteresis, so a stream does not thrash between
@@ -704,11 +736,11 @@ void PrivHPServer::PumpConnection(const std::shared_ptr<Connection>& conn) {
       SubmitTask(std::move(task));
     }
   }
-  if (conn->close_after_flush && conn->writer.empty()) {
+  if (conn->close_after_flush) {
     bool flushed_and_idle;
     {
       MutexLock lock(conn->mu);
-      flushed_and_idle = conn->outbox.empty() && !conn->executing;
+      flushed_and_idle = conn->writer.empty() && !conn->executing;
     }
     if (flushed_and_idle) {
       DropConnection(conn, conn->flush_drop_reason);
@@ -721,7 +753,11 @@ void PrivHPServer::PumpConnection(const std::shared_ptr<Connection>& conn) {
 void PrivHPServer::UpdateInterest(const std::shared_ptr<Connection>& conn) {
   if (conn->dropped) return;
   const bool want_read = WantRead(conn);
-  const bool want_write = !conn->writer.empty();
+  bool want_write;
+  {
+    MutexLock lock(conn->mu);
+    want_write = !conn->writer.empty();
+  }
   if (want_read == conn->want_read && want_write == conn->want_write) {
     return;
   }
@@ -800,8 +836,8 @@ void PrivHPServer::SweepDeadlines(std::chrono::steady_clock::time_point now) {
       // since the output became pending. A peer that stopped reading is
       // a backpressure casualty, whatever else it is doing.
       const auto stalled =
-          now - std::max(conn->last_write_progress,
-                         conn->OutputPendingSince());
+          now - std::max(conn->last_write_progress.Load(),
+                         conn->output_pending_since.Load());
       const bool hit =
           (options_.send_timeout_seconds > 0 && stalled >= send_limit) ||
           (options_.idle_timeout_seconds > 0 && stalled >= idle_limit);
@@ -826,7 +862,7 @@ void PrivHPServer::SweepDeadlines(std::chrono::steady_clock::time_point now) {
     }
     if (executing) continue;
     if (options_.idle_timeout_seconds > 0 &&
-        now - conn->last_activity >= idle_limit) {
+        now - conn->last_activity.Load() >= idle_limit) {
       expired.emplace_back(conn, DropReason::kIdle);
     }
   }
@@ -859,7 +895,7 @@ void PrivHPServer::DropConnection(const std::shared_ptr<Connection>& conn,
     MutexLock lock(conn->mu);
     conn->closed = true;
     conn->pending.clear();
-    conn->outbox.clear();
+    conn->writer = FrameWriter();
     conn->parked.reset();
     // Exchanged under mu so a racing EnqueueFrame either lands before
     // (its bytes are in `queued`) or observes closed and adds nothing.
@@ -1057,23 +1093,44 @@ bool PrivHPServer::CompleteRequest(const std::shared_ptr<Connection>& conn,
   // the connection's next pending request inline.
   const bool hand_back = outcome.drop.has_value() || outcome.release_stream;
   size_t queued = 0;
+  size_t flushed = 0;
+  bool written = false;
+  bool notify = hand_back;
   {
     // The reply and the flags land under one hold of mu, so the reactor
     // never flushes a rejected INGEST's error without also seeing its
     // stream released: a request the peer sends after reading the error
     // is routed as a request, never as stream data.
     MutexLock lock(conn->mu);
+    const bool sole_output = conn->writer.empty();
     if (!frame.empty()) queued = conn->QueueLocked(std::move(frame));
     if (outcome.release_stream) conn->release_stream = true;
     if (hand_back) {
       conn->request_done = true;
       conn->done_drop = outcome.drop;
     }
+    if (queued > 0) {
+      notify = true;
+      // Write-through: a reply that is the connection's only output, with
+      // nothing for the reactor to apply and no pipelined request behind
+      // it, goes out from here — the reactor hand-off (ready list,
+      // eventfd, a pump) would cost more than the request. A pipelined
+      // window is left to the reactor, which sends its replies in one
+      // sendmsg. Whatever the socket does not take (a partial write,
+      // EAGAIN, an error) stays queued for the reactor to finish or drop.
+      if (sole_output && !hand_back && conn->pending.empty()) {
+        Result<bool> drained = conn->FlushLocked(&flushed);
+        written = drained.ok() && *drained;
+        notify = !written || conn->input_held;
+      }
+    }
   }
-  if (queued > 0) {
-    metrics_->output_queue_bytes->Add(static_cast<int64_t>(queued));
+  if (queued != flushed) {
+    metrics_->output_queue_bytes->Add(static_cast<int64_t>(queued) -
+                                      static_cast<int64_t>(flushed));
   }
-  if (queued > 0 || hand_back) NotifyConn(conn);
+  if (written) metrics_->replies_written_by_worker->Inc();
+  if (notify) NotifyConn(conn);
   return !hand_back;
 }
 

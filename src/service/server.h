@@ -7,9 +7,14 @@
 // connection can pipeline many requests; requests on a connection run
 // one at a time in arrival order (responses come back in request
 // order), while different connections execute in parallel across the
-// pool. Workers never touch sockets: they append response frames to the
-// connection's output queue and the reactor writes them out as the peer
-// drains.
+// pool. Workers append response frames to the connection's output queue
+// and the reactor writes them out as the peer drains — except a
+// non-streaming reply that is the connection's only output, with no
+// pipelined request behind it and nothing for the reactor to apply (a
+// drop, a released INGEST stream): the worker that finished it writes it
+// itself, through the same queue and under the connection's mutex, and
+// the reply skips the reactor hand-off. What the socket does not take at
+// once stays queued for the reactor.
 //
 // Backpressure: each connection's queued-but-unsent response bytes are
 // bounded. A streaming response (SAMPLE / EXPORT) that reaches the
@@ -261,9 +266,9 @@ class PrivHPServer {
   /// Whether the reactor should keep EPOLLIN armed for this connection
   /// (auth/pipeline/ingest-channel caps pause reads — TCP backpressure).
   bool WantRead(const std::shared_ptr<Connection>& conn);
-  /// Moves outbox frames into the writer, writes as much as the socket
-  /// takes, resumes parked streams below the low-water mark, closes
-  /// flush-pending connections, and refreshes epoll interest.
+  /// Writes as much queued output as the socket takes, resumes parked
+  /// streams below the low-water mark, closes flush-pending connections,
+  /// and refreshes epoll interest.
   void PumpConnection(const std::shared_ptr<Connection>& conn);
   void UpdateInterest(const std::shared_ptr<Connection>& conn);
   void DrainReadyList() EXCLUDES(ready_mu_);
@@ -271,7 +276,7 @@ class PrivHPServer {
   void DropConnection(const std::shared_ptr<Connection>& conn,
                       DropReason reason);
 
-  // ---- worker side (CPU pool; never touches fds) ----
+  // ---- worker side (CPU pool; writes only through CompleteRequest) ----
   void WorkerLoop(int worker_index) EXCLUDES(task_mu_);
   void SubmitTask(Task task) EXCLUDES(task_mu_);
   /// Runs the task's request (or resumes its parked stream), then keeps
@@ -288,12 +293,15 @@ class PrivHPServer {
   bool RunStream(std::unique_ptr<ResponseStream> stream);
   /// The one site that applies a finished request: encodes the reply
   /// (ReplyFrame), records the request's metrics, then — under one hold
-  /// of conn->mu — queues the reply and sets the release/drop hand-off
-  /// flags. Keeps the slot with the worker on a clean completion
-  /// (returns true) or marks it done for the reactor when there is a
-  /// drop or a stream release to apply (returns false). Recording
-  /// happens before either hand-off, so the next pipelined request on
-  /// the connection observes this one's metrics.
+  /// of conn->mu — queues the reply, sets the release/drop hand-off
+  /// flags, and writes the reply to the socket itself when it is the
+  /// connection's only output and nothing else waits (see the file
+  /// comment); the reactor is woken only when it has something to do.
+  /// Keeps the slot with the worker on a clean completion (returns true)
+  /// or marks it done for the reactor when there is a drop or a stream
+  /// release to apply (returns false). Recording happens before either
+  /// hand-off, so the next pipelined request on the connection observes
+  /// this one's metrics.
   bool CompleteRequest(const std::shared_ptr<Connection>& conn,
                        RequestScope* scope, RequestOutcome outcome);
   /// The reply's wire frame: the OK frame itself, or the encoded error —

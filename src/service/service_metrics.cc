@@ -69,6 +69,8 @@ ServiceMetrics::ServiceMetrics(obs::MetricsRegistry* registry) {
   connections = registry->GetCounter("server.connections");
   requests = registry->GetCounter("server.requests");
   errors = registry->GetCounter("server.errors");
+  replies_written_by_worker =
+      registry->GetCounter("server.replies_written_by_worker");
   ingests_published = registry->GetCounter("server.ingests_published");
   listener_failure_streaks =
       registry->GetCounter("server.listener_failure_streaks");

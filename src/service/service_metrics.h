@@ -51,6 +51,9 @@ class ServiceMetrics {
   obs::Counter* connections;               ///< peers accepted
   obs::Counter* requests;                  ///< request frames routed
   obs::Counter* errors;                    ///< error responses queued
+  /// Replies the worker that finished the request wrote to the socket
+  /// in full, skipping the reactor hand-off.
+  obs::Counter* replies_written_by_worker;
   obs::Counter* ingests_published;         ///< INGEST artifacts published
   /// Times a listener entered a sustained accept-failure streak (>= 16
   /// consecutive failures); the reactor keeps retrying with capped

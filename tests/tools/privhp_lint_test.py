@@ -12,6 +12,7 @@ the real tree, asserting exact rule IDs:
   * PHL006 takes its limit from the nearest .clang-format;
   * PHL007 applies to the ingest layers (io/, domain/, core/) only;
   * PHL008 applies to service/handlers.{h,cc} only;
+  * PHL009 applies everywhere but io/frame_socket.cc and *_test.cc;
   * --check-tidy-config accepts the repo config and rejects configs
     with undocumented opt-outs or a missing WarningsAsErrors.
 
@@ -106,6 +107,12 @@ class BadFixturesTest(unittest.TestCase):
         self.expect("bad/service/handlers.cc", "PHL008", [4, 5, 9, 10, 12])
         self.expect("bad/service/handlers.h", "PHL008", [5, 9])
 
+    def test_phl009_socket_io_seam(self):
+        # All six calls, one split after its '::'; not the comment or
+        # the string that spell them.
+        self.expect("bad/service/reply_writer.cc", "PHL009",
+                    [9, 10, 11, 16, 17, 19])
+
     def test_no_cross_rule_noise(self):
         # A file seeded for one rule must not trip a different rule.
         for path, _, rule in self.findings:
@@ -118,7 +125,8 @@ class BadFixturesTest(unittest.TestCase):
                         "bad/io/point_sink.h": "PHL007",
                         "bad/core/shard.cc": "PHL007",
                         "bad/service/handlers.cc": "PHL008",
-                        "bad/service/handlers.h": "PHL008"}[path]
+                        "bad/service/handlers.h": "PHL008",
+                        "bad/service/reply_writer.cc": "PHL009"}[path]
             self.assertEqual(rule, expected,
                              "unexpected %s in %s" % (rule, path))
 
@@ -151,6 +159,33 @@ class StreamLengthScopeTest(unittest.TestCase):
                 for p in re.findall(r"(\S+):\d+: PHL005: ", err))
             self.assertEqual(flagged, [os.path.join("obs", "m.cc"),
                                        os.path.join("service", "m.cc")])
+
+
+class SocketIoSeamScopeTest(unittest.TestCase):
+    """PHL009 covers every file but io/frame_socket.cc and tests."""
+
+    def test_only_the_seam_and_tests_are_exempt(self):
+        source = "void F(int fd) { (void)::send(fd, nullptr, 0, 0); }\n"
+        with tempfile.TemporaryDirectory() as root:
+            files = (os.path.join("io", "frame_socket.cc"),
+                     os.path.join("io", "frame_socket.h"),
+                     os.path.join("io", "socket_point_stream.cc"),
+                     os.path.join("service", "server.cc"),
+                     os.path.join("service", "server_test.cc"))
+            for name in files:
+                os.makedirs(os.path.join(root, os.path.dirname(name)),
+                            exist_ok=True)
+                with open(os.path.join(root, name), "w") as f:
+                    f.write(source)
+            code, _, err = run_lint(root)
+            self.assertEqual(code, 1)
+            flagged = sorted(
+                os.path.relpath(p, root)
+                for p in re.findall(r"(\S+):\d+: PHL009: ", err))
+            self.assertEqual(flagged,
+                             [os.path.join("io", "frame_socket.h"),
+                              os.path.join("io", "socket_point_stream.cc"),
+                              os.path.join("service", "server.cc")])
 
 
 class ColumnLimitTest(unittest.TestCase):

@@ -717,6 +717,11 @@ void PrintServerSummary(const obs::MetricsSnapshot& snap) {
       static_cast<unsigned long long>(snap.CounterOr("server.connections")),
       static_cast<unsigned long long>(snap.CounterOr("server.errors")));
   std::printf(
+      "requests %llu  replies written by workers %llu\n",
+      static_cast<unsigned long long>(snap.CounterOr("server.requests")),
+      static_cast<unsigned long long>(
+          snap.CounterOr("server.replies_written_by_worker")));
+  std::printf(
       "pool hits %llu misses %llu (%.1f%% hit)  evictions %llu  "
       "checksum verifies %llu\n",
       static_cast<unsigned long long>(hits),

@@ -63,6 +63,15 @@ extend it):
           EnqueueFrame: a handler maps a parsed request to its reply,
           and only the server's worker turns that reply into a frame.
 
+  PHL009  one socket I/O seam
+          ::send, ::sendmsg, ::recv, ::recvmsg, ::writev and ::readv
+          appear only in io/frame_socket.cc: every byte on a connection
+          goes through SendFrame/RecvFrame or a FrameReader/FrameWriter,
+          so a worker writing its own reply uses the same FrameWriter as
+          the reactor, and a fault-injection wrapper has one file to
+          cover. Tests (*_test.cc), which hand-craft torn frames, are
+          exempt.
+
 Also provides --check-tidy-config, which validates .clang-tidy: every
 disabled check must carry a documented reason comment (the per-check
 opt-outs are part of the reviewable contract, not silent suppressions).
@@ -407,6 +416,25 @@ def check_socket_free(path, raw, text):
 
 
 # ---------------------------------------------------------------------------
+# PHL009: raw socket I/O calls live in io/frame_socket.cc only.
+# ---------------------------------------------------------------------------
+
+RAW_SOCKET_IO_RE = re.compile(
+    r"(?<![\w:])::\s*(send|sendmsg|recv|recvmsg|writev|readv)\s*\(")
+
+
+def check_socket_io_seam(path, text):
+    violations = []
+    for m in RAW_SOCKET_IO_RE.finditer(text):
+        violations.append(Violation(
+            path, line_of(text, m.start()), "PHL009",
+            "::%s outside io/frame_socket.cc; send and receive through "
+            "SendFrame/RecvFrame or a FrameReader/FrameWriter" %
+            m.group(1)))
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # Rule routing: which rules apply to which paths.
 # ---------------------------------------------------------------------------
 
@@ -436,6 +464,14 @@ def is_sync_header(path):
 
 def is_request_handler(path):
     return re.search(r"service/handlers\.(h|cc)$", norm(path)) is not None
+
+
+def is_socket_io_seam(path):
+    return norm(path).endswith("io/frame_socket.cc")
+
+
+def is_test_file(path):
+    return norm(path).endswith("_test.cc")
 
 
 def is_metrics_layer(path):
@@ -471,6 +507,8 @@ def lint_file(path, display_path=None):
         violations += check_point_currency(display_path, text)
     if is_request_handler(path):
         violations += check_socket_free(display_path, raw, text)
+    if not is_socket_io_seam(path) and not is_test_file(path):
+        violations += check_socket_io_seam(display_path, text)
     limit = column_limit_in(os.path.dirname(os.path.abspath(path)))
     if limit is not None:
         violations += check_column_limit(display_path, raw, limit)
