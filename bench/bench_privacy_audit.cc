@@ -7,6 +7,7 @@
 #include <iostream>
 
 #include <cmath>
+#include <utility>
 
 #include "common/macros.h"
 #include "common/table_printer.h"
@@ -43,13 +44,15 @@ int main() {
 
   for (double epsilon : {0.5, 1.0, 2.0}) {
     auto make = [epsilon](bool extra) {
+      // The release path: accumulate, privatize once, then query.
       return [epsilon, extra](RandomEngine* r) {
-        PrivateCountMinSketch sketch =
-            PrivateCountMinSketch::Make(32, 4, epsilon, /*seed=*/3, r)
-                .ValueOrDie();
-        sketch.Update(11, 8.0);
-        if (extra) sketch.Update(11, 1.0);
-        return sketch.Estimate(11);
+        CountMinSketch plain =
+            CountMinSketch::Make(32, 4, /*seed=*/3).ValueOrDie();
+        plain.Update(11, 8.0);
+        if (extra) plain.Update(11, 1.0);
+        return PrivateCountMinSketch::Privatize(std::move(plain), epsilon, r)
+            .ValueOrDie()
+            .Estimate(11);
       };
     };
     auto cell = EstimateEpsilon(make(false), make(true), options, &rng);

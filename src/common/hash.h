@@ -1,63 +1,20 @@
-// Seeded hash families for sketching.
+// Seeded hashing: the row hash every sketch uses, and the page checksum
+// of the paged artifact format.
 //
 // Lemma 4 of the paper assumes fully random hash functions; its privacy
-// guarantee does not (paper Section 3.3). We provide simple tabulation
-// hashing (3-independent, empirically near-uniform) as the default row-hash
-// family for sketches, plus a cheap multiply-shift family for tests that
-// need many independent functions.
+// guarantee does not (paper Section 3.3). The sketches hash with
+// CompactHash, a seeded SplitMix64-finalizer mix in two words of state.
 
 #ifndef PRIVHP_COMMON_HASH_H_
 #define PRIVHP_COMMON_HASH_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 #include "common/random.h"
 
 namespace privhp {
-
-/// \brief Simple tabulation hash over 64-bit keys.
-///
-/// The key is split into 8 bytes; each byte indexes a table of random
-/// 64-bit words which are XORed together. 3-independent and, in practice,
-/// behaves like a fully random function for sketch-style workloads
-/// (Patrascu & Thorup).
-class TabulationHash {
- public:
-  /// Builds the 8x256 random tables deterministically from \p seed.
-  explicit TabulationHash(uint64_t seed);
-
-  /// \brief 64-bit hash of \p key.
-  uint64_t Hash(uint64_t key) const;
-
-  /// \brief Hash reduced to a bucket in [0, range).
-  uint64_t Bucket(uint64_t key, uint64_t range) const {
-    return Hash(key) % range;
-  }
-
-  /// \brief Memory footprint of the tables, in bytes.
-  size_t MemoryBytes() const { return sizeof(tables_); }
-
- private:
-  std::array<std::array<uint64_t, 256>, 8> tables_;
-};
-
-/// \brief Degree-2 multiply-shift hash (Dietzfelbinger): cheap and
-/// 2-approximately universal; used where many small functions are needed.
-class MultiplyShiftHash {
- public:
-  explicit MultiplyShiftHash(uint64_t seed);
-
-  /// \brief Bucket in [0, 2^bits).
-  uint64_t BucketPow2(uint64_t key, int bits) const;
-
- private:
-  uint64_t a_;
-  uint64_t b_;
-};
 
 /// \brief Two-word seeded hash: SplitMix64-finalizer mixing of
 /// (key XOR seed) followed by an odd multiplier. Pairwise-independence
@@ -90,26 +47,6 @@ class CompactHash {
 
 /// \brief Sign in {-1, +1} from an independent bit of a CompactHash.
 inline int SignBit(const CompactHash& h, uint64_t key) {
-  return (h.Hash(key ^ 0x5bf03635f0a5b1c5ULL) & 1u) ? 1 : -1;
-}
-
-/// \brief A family of \p count independent tabulation hashes (one per
-/// sketch row), deterministically derived from \p seed.
-class HashFamily {
- public:
-  HashFamily(uint64_t seed, size_t count);
-
-  const TabulationHash& at(size_t i) const { return members_[i]; }
-  size_t size() const { return members_.size(); }
-  size_t MemoryBytes() const;
-
- private:
-  std::vector<TabulationHash> members_;
-};
-
-/// \brief Sign hash in {-1, +1} derived from one extra bit of a tabulation
-/// hash (for Count Sketch).
-inline int SignBit(const TabulationHash& h, uint64_t key) {
   return (h.Hash(key ^ 0x5bf03635f0a5b1c5ULL) & 1u) ? 1 : -1;
 }
 

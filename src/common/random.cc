@@ -79,18 +79,6 @@ double RandomEngine::Gaussian(double mean, double stddev) {
   return mean + stddev * r * std::cos(6.283185307179586476925286766559 * u2);
 }
 
-int64_t RandomEngine::DiscreteLaplace(double scale) {
-  PRIVHP_DCHECK(scale > 0);
-  // Difference of two Geometric(1 - alpha) variables, alpha = exp(-1/scale).
-  const double alpha = std::exp(-1.0 / scale);
-  auto geometric = [&]() -> int64_t {
-    double u = UniformDouble();
-    if (u <= 0.0) u = 0x1.0p-53;
-    return static_cast<int64_t>(std::floor(std::log(u) / std::log(alpha)));
-  };
-  return geometric() - geometric();
-}
-
 RandomEngine RandomEngine::Fork(uint64_t stream_id) {
   // Derive the child seed from fresh parent output and the stream id, so
   // forked streams neither overlap the parent stream nor each other.

@@ -65,10 +65,6 @@ class RandomEngine {
   /// \brief Standard normal draw (Box-Muller; one value per call).
   double Gaussian(double mean = 0.0, double stddev = 1.0);
 
-  /// \brief Two-sided geometric (discrete Laplace) with parameter
-  /// alpha = exp(-1/scale): integer noise for discrete mechanisms.
-  int64_t DiscreteLaplace(double scale);
-
   /// \brief Derives a child engine with an independent stream.
   ///
   /// Children keyed by distinct \p stream_id values are statistically

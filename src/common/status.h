@@ -27,6 +27,10 @@ enum class StatusCode : int8_t {
   kIOError = 6,
 };
 
+/// \brief The largest StatusCode: move it when a code is added after it.
+/// A code byte off the wire above it is malformed (ParseResponse).
+inline constexpr StatusCode kLastStatusCode = StatusCode::kIOError;
+
 /// \brief Human-readable name of a StatusCode ("OK", "Invalid argument", ...).
 std::string StatusCodeToString(StatusCode code);
 

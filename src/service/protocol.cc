@@ -1,5 +1,7 @@
 #include "service/protocol.h"
 
+#include <string>
+
 #include "common/macros.h"
 
 namespace privhp {
@@ -181,6 +183,10 @@ Status ParseResponse(const std::string& frame, WireReader* payload) {
   WireReader r(frame);
   PRIVHP_ASSIGN_OR_RETURN(uint8_t code, r.U8());
   if (code != 0) {
+    if (code > static_cast<uint8_t>(kLastStatusCode)) {
+      return Status::IOError("malformed response: unknown status code " +
+                             std::to_string(code));
+    }
     PRIVHP_ASSIGN_OR_RETURN(std::string message, r.String());
     return Status(static_cast<StatusCode>(code), std::move(message));
   }

@@ -134,7 +134,8 @@ std::string EncodeErrorResponse(const Status& status);
 WireWriter BeginOkResponse();
 
 /// \brief Splits a response frame: returns the embedded error Status, or
-/// OK with \p payload positioned after the status byte.
+/// OK with \p payload positioned after the status byte. A status byte
+/// above kLastStatusCode is an IOError, like any malformed frame.
 Status ParseResponse(const std::string& frame, WireReader* payload);
 
 /// \brief STATS snapshot payload version. Version 1 fixes both the field

@@ -6,24 +6,25 @@
 //   E[est - true] <= (||tail_w(v)||_1 + 2^{-j+1} ||v||_1) / w.
 //
 // For private release (Section 3.4) the sketch is linear with per-update
-// L1 sensitivity j, so adding i.i.d. Laplace(j/eps) to every cell at
-// initialization makes the released table eps-DP; see
+// L1 sensitivity j, so adding i.i.d. Laplace(j/eps) to every cell once,
+// after accumulation, makes the released table eps-DP; see
 // sketch/private_sketch.h.
 
 #ifndef PRIVHP_SKETCH_COUNT_MIN_SKETCH_H_
 #define PRIVHP_SKETCH_COUNT_MIN_SKETCH_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/random.h"
 #include "common/status.h"
-#include "sketch/frequency_oracle.h"
 
 namespace privhp {
 
 /// \brief Count-Min sketch over 64-bit keys with double-valued counters.
-class CountMinSketch : public FrequencyOracle {
+class CountMinSketch {
  public:
   /// \param width Buckets per row (w).
   /// \param depth Rows (j).
@@ -36,7 +37,7 @@ class CountMinSketch : public FrequencyOracle {
 
   /// \brief Adds \p delta to \p key's cell in every row. Hashes one key at
   /// a time; it is the per-key reference UpdateBatch must match.
-  void Update(uint64_t key, double delta) override;
+  void Update(uint64_t key, double delta);
 
   /// \brief Adds \p delta for each of \p count keys, one hash row at a
   /// time. With a power-of-two width the keys go in runs of at most 256:
@@ -61,7 +62,8 @@ class CountMinSketch : public FrequencyOracle {
   /// grouped sums round differently.
   void AddCounts(const uint64_t* keys, const double* counts, size_t m);
 
-  double Estimate(uint64_t key) const override;
+  /// \brief Point estimate of \p key's count: the minimum over rows.
+  double Estimate(uint64_t key) const;
 
   /// \brief Writes Estimate(keys[i]) to out[i] for \p count keys, one
   /// hash row at a time: with a power-of-two width, per run of at most
@@ -71,11 +73,12 @@ class CountMinSketch : public FrequencyOracle {
   /// it bit for bit, noised or not. Other widths call Estimate() per key.
   void EstimateBatch(const uint64_t* keys, size_t count, double* out) const;
 
-  size_t MemoryBytes() const override;
-  std::string Name() const override { return "count-min"; }
+  /// \brief Total bytes held by the sketch (counters + hash seeds).
+  size_t MemoryBytes() const;
 
-  /// \brief Adds an independent draw from Laplace(\p scale) to every cell
-  /// (oblivious noise; used for private release, Section 3.4).
+  /// \brief Adds an independent draw from Laplace(\p scale) to every cell,
+  /// row-major (oblivious noise for the private release, Section 3.4);
+  /// PrivateCountMinSketch::Privatize is its caller.
   void AddLaplaceNoise(RandomEngine* rng, double scale);
 
   /// \brief Element-wise adds \p other's cells into this sketch.

@@ -57,8 +57,4 @@ size_t CountSketch::MemoryBytes() const {
   return cells_.size() * sizeof(double) + hashes_.size() * sizeof(CompactHash);
 }
 
-void CountSketch::AddLaplaceNoise(RandomEngine* rng, double scale) {
-  for (double& cell : cells_) cell += rng->Laplace(scale);
-}
-
 }  // namespace privhp

@@ -1,36 +1,30 @@
 // Count Sketch (Charikar-Chen-Farach-Colton): signed updates with a
-// median-of-rows estimator. Included as the alternative hash-based private
-// sketch the paper cites (Pagh & Thorup's Private CountSketch analysis)
-// and used in sketch ablation benches.
+// median-of-rows estimator. The non-private comparator the sketch-error
+// bench runs beside Count-Min and Misra-Gries (paper Section 2.1).
 
 #ifndef PRIVHP_SKETCH_COUNT_SKETCH_H_
 #define PRIVHP_SKETCH_COUNT_SKETCH_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/hash.h"
-#include "common/random.h"
 #include "common/status.h"
-#include "sketch/frequency_oracle.h"
 
 namespace privhp {
 
 /// \brief Count Sketch over 64-bit keys: unbiased estimates with error
 /// ~ ||tail||_2 / sqrt(w) per row, median across rows.
-class CountSketch : public FrequencyOracle {
+class CountSketch {
  public:
   CountSketch(size_t width, size_t depth, uint64_t seed);
 
   static Result<CountSketch> Make(size_t width, size_t depth, uint64_t seed);
 
-  void Update(uint64_t key, double delta) override;
-  double Estimate(uint64_t key) const override;
-  size_t MemoryBytes() const override;
-  std::string Name() const override { return "count-sketch"; }
-
-  /// \brief Oblivious Laplace noise on every cell (private release; the
-  /// per-update L1 sensitivity is the number of rows, as for Count-Min).
-  void AddLaplaceNoise(RandomEngine* rng, double scale);
+  void Update(uint64_t key, double delta);
+  double Estimate(uint64_t key) const;
+  size_t MemoryBytes() const;
 
   size_t L1Sensitivity() const { return depth_; }
   size_t width() const { return width_; }

@@ -6,10 +6,11 @@
 #ifndef PRIVHP_SKETCH_MISRA_GRIES_H_
 #define PRIVHP_SKETCH_MISRA_GRIES_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <unordered_map>
 
 #include "common/status.h"
-#include "sketch/frequency_oracle.h"
 
 namespace privhp {
 
@@ -17,16 +18,15 @@ namespace privhp {
 ///
 /// Update() requires non-negative deltas (decrement semantics are
 /// undefined for Misra-Gries); fractional positive weights are supported.
-class MisraGries : public FrequencyOracle {
+class MisraGries {
  public:
   explicit MisraGries(size_t capacity);
 
   static Result<MisraGries> Make(size_t capacity);
 
-  void Update(uint64_t key, double delta) override;
-  double Estimate(uint64_t key) const override;
-  size_t MemoryBytes() const override;
-  std::string Name() const override { return "misra-gries"; }
+  void Update(uint64_t key, double delta);
+  double Estimate(uint64_t key) const;
+  size_t MemoryBytes() const;
 
   /// \brief Total weight processed; the estimation undershoot is at most
   /// TotalWeight() / (capacity + 1).
@@ -34,12 +34,6 @@ class MisraGries : public FrequencyOracle {
 
   /// \brief Number of live counters (<= capacity).
   size_t NumCounters() const { return counters_.size(); }
-
-  /// \brief The stored (key, counter) pairs — what a private release
-  /// post-processes.
-  const std::unordered_map<uint64_t, double>& counts() const {
-    return counters_;
-  }
 
  private:
   size_t capacity_;

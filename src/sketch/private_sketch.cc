@@ -10,14 +10,6 @@ PrivateCountMinSketch::PrivateCountMinSketch(CountMinSketch base,
                                              double epsilon)
     : base_(std::move(base)), epsilon_(epsilon) {}
 
-Result<PrivateCountMinSketch> PrivateCountMinSketch::Make(
-    size_t width, size_t depth, double epsilon, uint64_t seed,
-    RandomEngine* rng) {
-  PRIVHP_ASSIGN_OR_RETURN(CountMinSketch base,
-                          CountMinSketch::Make(width, depth, seed));
-  return Privatize(std::move(base), epsilon, rng);
-}
-
 Result<PrivateCountMinSketch> PrivateCountMinSketch::Privatize(
     CountMinSketch base, double epsilon, RandomEngine* rng) {
   if (epsilon > 0.0 && rng == nullptr) {
@@ -29,10 +21,6 @@ Result<PrivateCountMinSketch> PrivateCountMinSketch::Privatize(
     sketch.base_.AddLaplaceNoise(rng, sketch.NoiseScale());
   }
   return sketch;
-}
-
-void PrivateCountMinSketch::Update(uint64_t key, double delta) {
-  base_.Update(key, delta);
 }
 
 double PrivateCountMinSketch::Estimate(uint64_t key) const {

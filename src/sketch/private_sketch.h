@@ -6,21 +6,20 @@
 // table eps-DP (Lemma 1), and any query against the noisy table is
 // private by post-processing (Lemma 2).
 //
-// Because the noise is data-independent it can be applied at any point:
-// up-front (Make — the one-shard streaming release of Algorithm 1) or
-// after accumulation (Privatize — the sharded build path, where plain
-// mergeable sketches are combined exactly and privatized exactly once at
-// PrivHPBuilder::Finish). Both yield the same output distribution.
+// The noise is data-independent, so it is added once, after
+// accumulation: plain mergeable sketches are combined exactly across
+// shards and privatized at PrivHPBuilder::Finish (Privatize). The
+// released table is read-only.
 
 #ifndef PRIVHP_SKETCH_PRIVATE_SKETCH_H_
 #define PRIVHP_SKETCH_PRIVATE_SKETCH_H_
 
-#include <memory>
+#include <cstddef>
+#include <cstdint>
 
 #include "common/random.h"
 #include "common/status.h"
 #include "sketch/count_min_sketch.h"
-#include "sketch/frequency_oracle.h"
 
 namespace privhp {
 
@@ -29,26 +28,20 @@ namespace privhp {
 ///
 /// This is `sketch_l` in Algorithm 1 (Line 8), with noise distribution
 /// D_l = Laplace^{w x j}(j / sigma_l) from Theorem 2 (Equation 3).
-class PrivateCountMinSketch : public FrequencyOracle {
+class PrivateCountMinSketch {
  public:
-  /// \brief Builds an empty sketch and privatizes it immediately.
-  /// \param width,depth Sketch dimensions (w, j).
-  /// \param epsilon Privacy budget of this sketch (sigma_l). epsilon <= 0
-  ///        disables noise (used by non-private ablations only).
-  /// \param seed Hash seed.
-  /// \param rng Noise source.
-  static Result<PrivateCountMinSketch> Make(size_t width, size_t depth,
-                                            double epsilon, uint64_t seed,
-                                            RandomEngine* rng);
-
   /// \brief Privatizes an accumulated plain sketch: adds Laplace(j/eps)
-  /// per cell (row-major) and takes ownership. The sharded build path.
+  /// per cell (row-major) and takes ownership.
+  /// \param epsilon Privacy budget of this sketch (sigma_l). epsilon <= 0
+  ///        disables noise (used by non-private ablations only) and needs
+  ///        no \p rng.
+  /// \param rng Noise source.
   static Result<PrivateCountMinSketch> Privatize(CountMinSketch base,
                                                  double epsilon,
                                                  RandomEngine* rng);
 
-  void Update(uint64_t key, double delta) override;
-  double Estimate(uint64_t key) const override;
+  /// \brief Point estimate of \p key's count from the noisy table.
+  double Estimate(uint64_t key) const;
 
   /// \brief Batched Estimate (CountMinSketch::EstimateBatch): equal to
   /// Estimate() key for key, bit for bit.
@@ -56,8 +49,8 @@ class PrivateCountMinSketch : public FrequencyOracle {
     base_.EstimateBatch(keys, count, out);
   }
 
-  size_t MemoryBytes() const override;
-  std::string Name() const override { return "private-count-min"; }
+  /// \brief Total bytes held: the table plus the recorded budget.
+  size_t MemoryBytes() const;
 
   /// \brief The privacy parameter this sketch consumed.
   double epsilon() const { return epsilon_; }

@@ -103,21 +103,6 @@ TEST(RandomTest, GaussianMomentsMatch) {
   EXPECT_NEAR(sq / n, 4.0, 0.1);
 }
 
-TEST(RandomTest, DiscreteLaplaceSymmetricWithExpectedSpread) {
-  RandomEngine rng(31);
-  const double scale = 2.0;
-  const int n = 100000;
-  double sum = 0.0;
-  int nonzero = 0;
-  for (int i = 0; i < n; ++i) {
-    const int64_t x = rng.DiscreteLaplace(scale);
-    sum += static_cast<double>(x);
-    if (x != 0) ++nonzero;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.1);
-  EXPECT_GT(nonzero, n / 4);  // with scale 2 most draws are nonzero
-}
-
 TEST(RandomTest, BernoulliFrequency) {
   RandomEngine rng(37);
   int hits = 0;

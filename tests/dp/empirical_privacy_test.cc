@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "common/random.h"
 #include "eval/dp_audit.h"
@@ -75,19 +76,18 @@ TEST(EmpiricalPrivacyTest, PrivateSketchCellRespectsEpsilon) {
   DpAuditOptions options;
   options.trials = 40000;
   RandomEngine rng(45);
-  uint64_t noise_seed = 0;
+  // The release path: accumulate a plain sketch, privatize it, query it.
   auto make_output = [&](bool with_extra_element) {
-    return [=](RandomEngine* r) mutable {
-      PrivateCountMinSketch sketch =
-          PrivateCountMinSketch::Make(width, depth, epsilon,
-                                      /*seed=*/7, r)
-              .ValueOrDie();
-      sketch.Update(3, 5.0);
-      if (with_extra_element) sketch.Update(3, 1.0);
-      return sketch.Estimate(3);
+    return [=](RandomEngine* r) {
+      CountMinSketch plain =
+          CountMinSketch::Make(width, depth, /*seed=*/7).ValueOrDie();
+      plain.Update(3, 5.0);
+      if (with_extra_element) plain.Update(3, 1.0);
+      return PrivateCountMinSketch::Privatize(std::move(plain), epsilon, r)
+          .ValueOrDie()
+          .Estimate(3);
     };
   };
-  (void)noise_seed;
   auto result = EstimateEpsilon(make_output(false), make_output(true),
                                 options, &rng);
   ASSERT_TRUE(result.ok());

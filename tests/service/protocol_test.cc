@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 namespace privhp {
 namespace {
 
@@ -113,6 +116,22 @@ TEST(ProtocolTest, ResponsesCarryStatusAndPayload) {
   const Status err = ParseResponse(err_frame, &payload);
   EXPECT_TRUE(err.IsInvalidArgument());
   EXPECT_EQ(err.message(), "no such artifact");
+
+  // The last code still decodes as itself; a byte past it is a malformed
+  // frame, never an out-of-range StatusCode.
+  const Status last =
+      ParseResponse(EncodeErrorResponse(Status::IOError("disk")), &payload);
+  EXPECT_TRUE(last.IsIOError());
+  EXPECT_EQ(last.message(), "disk");
+  for (uint8_t code : {uint8_t{7}, uint8_t{255}}) {
+    WireWriter w;
+    w.PutU8(code);
+    w.PutString("forged");
+    const Status forged = ParseResponse(w.Take(), &payload);
+    EXPECT_TRUE(forged.IsIOError()) << forged.ToString();
+    EXPECT_EQ(forged.message(), "malformed response: unknown status code " +
+                                    std::to_string(code));
+  }
 }
 
 }  // namespace

@@ -6,11 +6,13 @@
 #include <cmath>
 #include <cstring>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "common/simd.h"
 #include "eval/workloads.h"
+#include "sketch/private_sketch.h"
 
 namespace privhp {
 namespace {
@@ -67,15 +69,16 @@ TEST(CountMinTest, MemoryScalesWithDimensions) {
   EXPECT_EQ(small.L1Sensitivity(), 2u);
 }
 
+// Privatize draws Laplace noise into every cell of the table.
 TEST(CountMinTest, LaplaceNoiseShiftsCells) {
   CountMinSketch a(16, 2, 3);
-  CountMinSketch b(16, 2, 3);
   RandomEngine rng(9);
-  b.AddLaplaceNoise(&rng, 1.0);
+  const PrivateCountMinSketch b =
+      PrivateCountMinSketch::Privatize(a, 2.0, &rng).ValueOrDie();
   int differing = 0;
   for (size_t r = 0; r < 2; ++r) {
     for (size_t c = 0; c < 16; ++c) {
-      if (a.CellValue(r, c) != b.CellValue(r, c)) ++differing;
+      if (a.CellValue(r, c) != b.base().CellValue(r, c)) ++differing;
     }
   }
   EXPECT_EQ(differing, 32);
@@ -162,16 +165,20 @@ TEST(CountMinSketchTest, MergeEqualsCombinedStream) {
 // cells match bit for bit at every SIMD tier.
 // delta = 0.3 is not exact in binary, so an implementation that folded
 // repeated hits into one `delta * hits` add would round differently and
-// fail; the noise start makes every cell a non-trivial running sum.
+// fail; the noise start (a copy of a released table, Laplace scale
+// 5 / 2.5 = 2) makes every cell a non-trivial running sum.
 TEST(CountMinSketchTest, UpdateBatchMatchesPerKeyUpdateAtEverySimdLevel) {
   RandomEngine rng(21);
   std::vector<uint64_t> keys(1000);  // several 256-key runs plus a tail
   for (uint64_t& key : keys) key = Mix64(rng.UniformInt(300));
   for (size_t width : {size_t{1}, size_t{64}, size_t{48}}) {
     for (double delta : {1.0, 0.3}) {
-      CountMinSketch reference(width, 5, 17);
       RandomEngine noise_rng(4);
-      reference.AddLaplaceNoise(&noise_rng, 2.0);
+      CountMinSketch reference =
+          PrivateCountMinSketch::Privatize(CountMinSketch(width, 5, 17), 2.5,
+                                           &noise_rng)
+              .ValueOrDie()
+              .base();
       CountMinSketch start = reference;
       for (uint64_t key : keys) reference.Update(key, delta);
       for (int level = 0; level <= static_cast<int>(DetectedSimdLevel());
@@ -234,7 +241,7 @@ TEST(CountMinSketchTest, AddCountsMatchesRepeatedUpdate) {
 }
 
 // EstimateBatch is Estimate's batched form: a per-row minimum taken in
-// the same row order, so on a noised sketch (fractional cells, some
+// the same row order, so on a released sketch (fractional cells, some
 // negative) every estimate must match bit for bit at every SIMD tier.
 // Width 64 takes the hash-run path, width 48 the per-key fallback.
 TEST(CountMinSketchTest, EstimateBatchMatchesEstimateAtEverySimdLevel) {
@@ -242,10 +249,13 @@ TEST(CountMinSketchTest, EstimateBatchMatchesEstimateAtEverySimdLevel) {
   std::vector<uint64_t> keys(1000);  // several 256-key runs plus a tail
   for (uint64_t& key : keys) key = Mix64(rng.UniformInt(400));
   for (size_t width : {size_t{64}, size_t{48}}) {
-    CountMinSketch sketch(width, 7, 29);
-    for (size_t i = 0; i < 300; ++i) sketch.Update(keys[i], 1.0);
+    CountMinSketch plain(width, 7, 29);
+    for (size_t i = 0; i < 300; ++i) plain.Update(keys[i], 1.0);
     RandomEngine noise_rng(8);
-    sketch.AddLaplaceNoise(&noise_rng, 3.0);
+    const PrivateCountMinSketch sketch =
+        PrivateCountMinSketch::Privatize(std::move(plain), 7.0 / 3.0,
+                                         &noise_rng)
+            .ValueOrDie();
     for (int level = 0; level <= static_cast<int>(DetectedSimdLevel());
          ++level) {
       ForceSimdLevel(static_cast<SimdLevel>(level));

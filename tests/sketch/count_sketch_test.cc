@@ -48,14 +48,6 @@ TEST(CountSketchTest, ApproximatelyUnbiasedUnderLoad) {
   EXPECT_LT(std::abs(err_sum / trials), 10.0);
 }
 
-TEST(CountSketchTest, NoiseCoversAllCells) {
-  CountSketch a(8, 3, 5);
-  RandomEngine rng(3);
-  const double before = a.Estimate(1);
-  a.AddLaplaceNoise(&rng, 2.0);
-  EXPECT_NE(a.Estimate(1), before);
-}
-
 TEST(CountSketchTest, MemoryAndSensitivity) {
   CountSketch sketch(32, 6, 1);
   EXPECT_EQ(sketch.L1Sensitivity(), 6u);

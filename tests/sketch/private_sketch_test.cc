@@ -3,26 +3,27 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "common/random.h"
 
 namespace privhp {
 namespace {
 
-PrivateCountMinSketch MakeSketch(size_t width, size_t depth, double epsilon,
-                                 uint64_t seed, RandomEngine* rng) {
-  return PrivateCountMinSketch::Make(width, depth, epsilon, seed, rng)
+// The release path: accumulate a plain sketch, then privatize it once.
+PrivateCountMinSketch Release(CountMinSketch base, double epsilon,
+                              RandomEngine* rng) {
+  return PrivateCountMinSketch::Privatize(std::move(base), epsilon, rng)
       .ValueOrDie();
 }
 
 TEST(PrivateSketchTest, MakeValidatesArguments) {
-  RandomEngine rng(1);
-  EXPECT_FALSE(PrivateCountMinSketch::Make(0, 4, 1.0, 1, &rng).ok());
-  EXPECT_FALSE(PrivateCountMinSketch::Make(16, 0, 1.0, 1, &rng).ok());
-  EXPECT_FALSE(PrivateCountMinSketch::Make(16, 4, 1.0, 1, nullptr).ok());
-  EXPECT_TRUE(PrivateCountMinSketch::Make(16, 4, 1.0, 1, &rng).ok());
+  EXPECT_FALSE(CountMinSketch::Make(0, 4, 1).ok());
+  EXPECT_FALSE(CountMinSketch::Make(16, 0, 1).ok());
+  const CountMinSketch plain(16, 4, 1);
+  EXPECT_FALSE(PrivateCountMinSketch::Privatize(plain, 1.0, nullptr).ok());
   // epsilon <= 0 disables noise and needs no rng.
-  EXPECT_TRUE(PrivateCountMinSketch::Make(16, 4, 0.0, 1, nullptr).ok());
+  EXPECT_TRUE(PrivateCountMinSketch::Privatize(plain, 0.0, nullptr).ok());
 }
 
 TEST(PrivateSketchTest, PrivatizeValidatesNoiseSource) {
@@ -33,46 +34,24 @@ TEST(PrivateSketchTest, PrivatizeValidatesNoiseSource) {
 
 TEST(PrivateSketchTest, NoiseScaleIsDepthOverEpsilon) {
   RandomEngine rng(2);
-  PrivateCountMinSketch sketch = MakeSketch(16, 8, 2.0, 1, &rng);
+  PrivateCountMinSketch sketch = Release(CountMinSketch(16, 8, 1), 2.0, &rng);
   EXPECT_DOUBLE_EQ(sketch.NoiseScale(), 4.0);
   EXPECT_DOUBLE_EQ(sketch.epsilon(), 2.0);
 }
 
 TEST(PrivateSketchTest, ZeroEpsilonIsExact) {
-  PrivateCountMinSketch sketch = MakeSketch(1024, 4, 0.0, 3, nullptr);
-  sketch.Update(5, 10.0);
+  CountMinSketch base(1024, 4, 3);
+  base.Update(5, 10.0);
+  PrivateCountMinSketch sketch = Release(std::move(base), 0.0, nullptr);
   EXPECT_DOUBLE_EQ(sketch.Estimate(5), 10.0);
 }
 
 TEST(PrivateSketchTest, NoisyEstimatesDeviateFromTruth) {
   RandomEngine rng(4);
-  PrivateCountMinSketch sketch = MakeSketch(64, 4, 0.5, 5, &rng);
-  sketch.Update(7, 100.0);
+  CountMinSketch base(64, 4, 5);
+  base.Update(7, 100.0);
+  PrivateCountMinSketch sketch = Release(std::move(base), 0.5, &rng);
   EXPECT_NE(sketch.Estimate(7), 100.0);
-}
-
-// Noise-at-finish equivalence: the noise is data-independent, so
-// privatizing an already-accumulated sketch (the sharded build path)
-// yields exactly the cells of updating a noise-at-init sketch — each
-// cell is one (commutative) addition of the same two values.
-TEST(PrivateSketchTest, PrivatizeAfterAccumulationMatchesNoiseAtInit) {
-  RandomEngine rng_init(11), rng_finish(11);
-  PrivateCountMinSketch at_init = MakeSketch(32, 4, 1.0, 9, &rng_init);
-
-  CountMinSketch base = CountMinSketch::Make(32, 4, 9).ValueOrDie();
-  for (uint64_t key = 0; key < 100; ++key) {
-    at_init.Update(key % 7, 1.0);
-    base.Update(key % 7, 1.0);
-  }
-  PrivateCountMinSketch at_finish =
-      PrivateCountMinSketch::Privatize(std::move(base), 1.0, &rng_finish)
-          .ValueOrDie();
-  for (size_t row = 0; row < 4; ++row) {
-    for (size_t col = 0; col < 32; ++col) {
-      EXPECT_DOUBLE_EQ(at_init.base().CellValue(row, col),
-                       at_finish.base().CellValue(row, col));
-    }
-  }
 }
 
 // The min-estimator over j cells each carrying Laplace(j/eps) noise:
@@ -84,10 +63,10 @@ TEST(PrivateSketchTest, MoreBudgetMeansLessNoise) {
   for (int t = 0; t < trials; ++t) {
     RandomEngine rng_a(1000 + t);
     RandomEngine rng_b(1000 + t);  // same underlying noise stream
-    PrivateCountMinSketch tight = MakeSketch(256, 4, 4.0, 9, &rng_a);
-    PrivateCountMinSketch loose = MakeSketch(256, 4, 0.25, 9, &rng_b);
-    tight.Update(3, 50.0);
-    loose.Update(3, 50.0);
+    CountMinSketch base(256, 4, 9);
+    base.Update(3, 50.0);
+    PrivateCountMinSketch tight = Release(base, 4.0, &rng_a);
+    PrivateCountMinSketch loose = Release(base, 0.25, &rng_b);
     dev_large_eps += std::abs(tight.Estimate(3) - 50.0);
     dev_small_eps += std::abs(loose.Estimate(3) - 50.0);
   }
@@ -96,7 +75,7 @@ TEST(PrivateSketchTest, MoreBudgetMeansLessNoise) {
 
 TEST(PrivateSketchTest, MemoryMatchesBase) {
   RandomEngine rng(6);
-  PrivateCountMinSketch sketch = MakeSketch(32, 4, 1.0, 7, &rng);
+  PrivateCountMinSketch sketch = Release(CountMinSketch(32, 4, 7), 1.0, &rng);
   EXPECT_GE(sketch.MemoryBytes(), sketch.base().MemoryBytes());
 }
 

@@ -13,6 +13,8 @@ the real tree, asserting exact rule IDs:
   * PHL007 applies to the ingest layers (io/, domain/, core/) only;
   * PHL008 applies to service/handlers.{h,cc} only;
   * PHL009 applies everywhere but io/frame_socket.cc and *_test.cc;
+  * PHL010 flags a src/ header that only tests or its own .cc include,
+    finding includers from --root whichever paths are linted;
   * --check-tidy-config accepts the repo config and rejects configs
     with undocumented opt-outs or a missing WarningsAsErrors.
 
@@ -186,6 +188,66 @@ class SocketIoSeamScopeTest(unittest.TestCase):
                              [os.path.join("io", "frame_socket.h"),
                               os.path.join("io", "socket_point_stream.cc"),
                               os.path.join("service", "server.cc")])
+
+
+class ShippedHeaderTest(unittest.TestCase):
+    """PHL010: a src/ header needs an includer outside tests/."""
+
+    FILES = {
+        # Kept alive by another src/ file.
+        "src/sketch/kept.h": "",
+        "src/core/builder.cc": '#include "sketch/kept.h"\n',
+        # Kept alive from each other shipped directory.
+        "src/eval/from_bench.h": "",
+        "bench/bench_x.cc": '#include "eval/from_bench.h"\n',
+        "src/io/from_tools.h": "",
+        "tools/cli.cc": '#include "io/from_tools.h"\n',
+        "src/obs/from_examples.h": "",
+        "examples/demo.cc": '#include "obs/from_examples.h"\n',
+        "src/service/from_perfbench.h": "",
+        "perfbench/main.cc": '#include "service/from_perfbench.h"\n',
+        # Only its own .cc and a test include it.
+        "src/sketch/orphan.h": "",
+        "src/sketch/orphan.cc": '#include "sketch/orphan.h"\n',
+        "tests/sketch/orphan_test.cc": '#include "sketch/orphan.h"\n',
+        # Named in a comment only.
+        "src/sketch/mentioned.h": "",
+        "src/core/notes.cc": '// #include "sketch/mentioned.h"\n',
+        # Outside src/: not checked.
+        "tests/testing/helper.h": "",
+    }
+
+    def flagged(self, *targets):
+        with tempfile.TemporaryDirectory() as root:
+            for name, text in self.FILES.items():
+                path = os.path.join(root, name)
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                with open(path, "w") as f:
+                    f.write(text)
+            code, _, err = run_lint(
+                "--root", root, *[os.path.join(root, t) for t in targets])
+            return code, sorted(
+                os.path.relpath(p, root).replace(os.sep, "/")
+                for p in re.findall(r"(\S+):\d+: PHL010: ", err))
+
+    def test_src_only_run_sees_includers_elsewhere(self):
+        # lint.privhp passes src/ alone; bench/, tools/, examples/ and
+        # perfbench/ still count as includers.
+        code, flagged = self.flagged("src")
+        self.assertEqual(code, 1)
+        self.assertEqual(flagged, ["src/sketch/mentioned.h",
+                                   "src/sketch/orphan.h"])
+
+    def test_tree_run_flags_the_same_headers(self):
+        code, flagged = self.flagged(".")
+        self.assertEqual(code, 1)
+        self.assertEqual(flagged, ["src/sketch/mentioned.h",
+                                   "src/sketch/orphan.h"])
+
+    def test_shipped_headers_pass(self):
+        code, flagged = self.flagged("src/sketch/kept.h", "src/eval",
+                                     "src/io", "src/obs", "src/service")
+        self.assertEqual((code, flagged), (0, []))
 
 
 class ColumnLimitTest(unittest.TestCase):

@@ -72,6 +72,12 @@ extend it):
           cover. Tests (*_test.cc), which hand-craft torn frames, are
           exempt.
 
+  PHL010  no test-only headers in src/
+          A src/ header must be included by a file under src/, tools/,
+          bench/, examples/ or perfbench/ (paths taken from --root), its
+          own .cc excepted: a header only tests include is code the
+          system does not ship.
+
 Also provides --check-tidy-config, which validates .clang-tidy: every
 disabled check must carry a documented reason comment (the per-check
 opt-outs are part of the reviewable contract, not silent suppressions).
@@ -435,6 +441,48 @@ def check_socket_io_seam(path, text):
 
 
 # ---------------------------------------------------------------------------
+# PHL010: every src/ header has an includer outside the tests.
+# ---------------------------------------------------------------------------
+
+# The directories, under the repo root, whose includes keep a src/
+# header alive. tests/ is not one of them.
+SHIPPED_DIRS = ("src", "tools", "bench", "examples", "perfbench")
+QUOTED_INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"]+)"', re.M)
+_shipped_includers = {}
+
+
+def shipped_includers(root):
+    """Maps each quoted #include path to the set of files under root's
+    SHIPPED_DIRS that include it (absolute paths)."""
+    root = os.path.abspath(root)
+    if root not in _shipped_includers:
+        includers = {}
+        for top in SHIPPED_DIRS:
+            for path in collect_sources(os.path.join(root, top)):
+                with open(path, "r", encoding="utf-8", errors="replace") as f:
+                    raw = f.read()
+                for m in QUOTED_INCLUDE_RE.finditer(raw):
+                    includers.setdefault(m.group(1), set()).add(
+                        os.path.abspath(path))
+        _shipped_includers[root] = includers
+    return _shipped_includers[root]
+
+
+def check_shipped_header(path, display_path, root):
+    header = os.path.abspath(path)
+    name = norm(os.path.relpath(header, os.path.join(
+        os.path.abspath(root), "src")))
+    own_source = os.path.splitext(header)[0] + ".cc"
+    if shipped_includers(root).get(name, set()) - {own_source}:
+        return []
+    return [Violation(
+        display_path, 1, "PHL010",
+        "no file under %s includes \"%s\" (its own .cc aside); delete "
+        "the header or move it under tests/" %
+        ("/, ".join(SHIPPED_DIRS) + "/", name))]
+
+
+# ---------------------------------------------------------------------------
 # Rule routing: which rules apply to which paths.
 # ---------------------------------------------------------------------------
 
@@ -474,6 +522,12 @@ def is_test_file(path):
     return norm(path).endswith("_test.cc")
 
 
+def is_src_header(path, root):
+    src = os.path.join(os.path.abspath(root), "src")
+    return (path.endswith(".h") and
+            os.path.commonpath([os.path.abspath(path), src]) == src)
+
+
 def is_metrics_layer(path):
     parent = os.path.basename(os.path.dirname(os.path.abspath(path)))
     return parent in ("service", "obs")
@@ -484,7 +538,7 @@ def is_ingest_layer(path):
     return parent in ("io", "domain", "core")
 
 
-def lint_file(path, display_path=None):
+def lint_file(path, root, display_path=None):
     display_path = display_path or path
     try:
         with open(path, "r", encoding="utf-8", errors="replace") as f:
@@ -509,6 +563,8 @@ def lint_file(path, display_path=None):
         violations += check_socket_free(display_path, raw, text)
     if not is_socket_io_seam(path) and not is_test_file(path):
         violations += check_socket_io_seam(display_path, text)
+    if is_src_header(path, root):
+        violations += check_shipped_header(path, display_path, root)
     limit = column_limit_in(os.path.dirname(os.path.abspath(path)))
     if limit is not None:
         violations += check_column_limit(display_path, raw, limit)
@@ -621,7 +677,7 @@ def main(argv):
 
     violations = []
     for path in files:
-        violations.extend(lint_file(path))
+        violations.extend(lint_file(path, args.root))
     for v in violations:
         print(v, file=sys.stderr)
     if violations:
