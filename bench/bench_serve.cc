@@ -339,9 +339,13 @@ int RunPipeline(const Config& config) {
   // run (the 30 s write-stall deadline is far beyond the bench).
   auto staller = ConnectUnix(socket_path);
   if (!staller.ok()) return 1;
-  if (!SendFrame(*staller, EncodeSampleRequest("bench", 1u << 20, 1)).ok()) {
+  // A fresh blocking socket takes the small request whole.
+  FrameWriter request;
+  if (!request.Enqueue(EncodeSampleRequest("bench", 1u << 20, 1)).ok()) {
     return 1;
   }
+  Result<bool> sent = request.Pump(*staller);
+  if (!sent.ok() || !*sent) return 1;
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
   int failures = 0;

@@ -4,7 +4,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <sys/un.h>
@@ -20,54 +19,15 @@ namespace privhp {
 
 namespace {
 
-constexpr int kPollIntervalMs = 100;
-
 Status ErrnoStatus(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
 }
 
-// Waits until `fd` is readable, polling `cancel` between timeouts.
-Status WaitReadable(int fd, const CancelFn& cancel) {
-  for (;;) {
-    if (cancel && cancel()) return Status::FailedPrecondition("cancelled");
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int rc = ::poll(&pfd, 1, cancel ? kPollIntervalMs : -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoStatus("poll");
-    }
-    if (rc > 0) return Status::OK();
-  }
-}
-
-// Reads exactly `size` bytes. Returns false on EOF before the first byte;
-// EOF after a partial read is an IOError (torn frame).
-Result<bool> RecvAll(int fd, char* data, size_t size, const CancelFn& cancel) {
-  size_t got = 0;
-  while (got < size) {
-    PRIVHP_RETURN_NOT_OK(WaitReadable(fd, cancel));
-    const ssize_t n = ::recv(fd, data + got, size - got, 0);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return ErrnoStatus("recv");
-    }
-    if (n == 0) {
-      if (got == 0) return false;
-      return Status::IOError("connection closed mid-frame");
-    }
-    got += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-Status SetNonBlocking(int fd, bool enable) {
+Status SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0) return ErrnoStatus("fcntl(F_GETFL)");
-  const int want = enable ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
-  if (want != flags && ::fcntl(fd, F_SETFL, want) < 0) {
+  if ((flags & O_NONBLOCK) == 0 &&
+      ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
     return ErrnoStatus("fcntl(F_SETFL)");
   }
   return Status::OK();
@@ -121,9 +81,9 @@ Result<Socket> ListenTcp(const std::string& host, uint16_t port,
   }
   if (::listen(sock.fd(), SOMAXCONN) < 0) return ErrnoStatus("listen");
   // Non-blocking listener: a pending connection can vanish between
-  // poll() and accept() (async network error, linger-0 reset), and a
-  // blocking accept() would then sleep past the cancel predicate.
-  PRIVHP_RETURN_NOT_OK(SetNonBlocking(sock.fd(), true));
+  // epoll_wait() and accept() (async network error, linger-0 reset), and
+  // a blocking accept() would then stall the reactor.
+  PRIVHP_RETURN_NOT_OK(SetNonBlocking(sock.fd()));
   if (bound_port != nullptr) {
     struct sockaddr_in bound;
     socklen_t len = sizeof(bound);
@@ -145,7 +105,7 @@ Result<Socket> ListenUnix(const std::string& path) {
     return ErrnoStatus("bind " + path);
   }
   if (::listen(sock.fd(), SOMAXCONN) < 0) return ErrnoStatus("listen");
-  PRIVHP_RETURN_NOT_OK(SetNonBlocking(sock.fd(), true));  // see ListenTcp
+  PRIVHP_RETURN_NOT_OK(SetNonBlocking(sock.fd()));  // see ListenTcp
   return sock;
 }
 
@@ -182,7 +142,7 @@ Result<Socket> AcceptReady(const Socket& listener, bool* would_block) {
       Socket conn(fd);
       // O_NONBLOCK inheritance across accept() is platform-defined; the
       // readiness loop needs it set.
-      PRIVHP_RETURN_NOT_OK(SetNonBlocking(fd, true));
+      PRIVHP_RETURN_NOT_OK(SetNonBlocking(fd));
       return conn;
     }
     if (errno == EINTR) continue;
@@ -194,110 +154,12 @@ Result<Socket> AcceptReady(const Socket& listener, bool* would_block) {
   }
 }
 
-Status SetSocketNonBlocking(const Socket& sock, bool enable) {
-  if (!sock.valid()) {
-    return Status::InvalidArgument("fcntl on an invalid socket");
-  }
-  return SetNonBlocking(sock.fd(), enable);
-}
-
-Result<Socket> Accept(const Socket& listener, const CancelFn& cancel) {
-  if (!listener.valid()) {
-    return Status::InvalidArgument("accept on an invalid socket");
-  }
-  for (;;) {
-    PRIVHP_RETURN_NOT_OK(WaitReadable(listener.fd(), cancel));
-    const int fd = ::accept(listener.fd(), nullptr, nullptr);
-    if (fd >= 0) {
-      Socket conn(fd);
-      // O_NONBLOCK inheritance across accept() is platform-defined;
-      // frame I/O expects blocking connection sockets.
-      PRIVHP_RETURN_NOT_OK(SetNonBlocking(fd, false));
-      return conn;
-    }
-    // EAGAIN: the ready connection vanished between poll and accept —
-    // back to the poll loop so the cancel predicate stays live.
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-    return ErrnoStatus("accept");
-  }
-}
-
 Result<std::pair<Socket, Socket>> SocketPair() {
   int fds[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) < 0) {
     return ErrnoStatus("socketpair");
   }
   return std::make_pair(Socket(fds[0]), Socket(fds[1]));
-}
-
-Status SendFrame(const Socket& sock, const std::string& payload) {
-  if (!sock.valid()) {
-    return Status::InvalidArgument("send on an invalid socket");
-  }
-  if (payload.size() > kMaxFrameBytes) {
-    return Status::InvalidArgument("frame exceeds " +
-                                   std::to_string(kMaxFrameBytes) + " bytes");
-  }
-  const uint32_t size = static_cast<uint32_t>(payload.size());
-  char header[4];
-  for (int i = 0; i < 4; ++i) {
-    header[i] = static_cast<char>((size >> (8 * i)) & 0xff);
-  }
-  // Header and payload leave in one sendmsg: a request is one syscall
-  // (and, on TCP, one segment) instead of two. A partial write advances
-  // through the pair and sends the rest.
-  struct iovec iov[2];
-  iov[0].iov_base = header;
-  iov[0].iov_len = sizeof(header);
-  iov[1].iov_base = const_cast<char*>(payload.data());
-  iov[1].iov_len = payload.size();
-  struct msghdr msg;
-  std::memset(&msg, 0, sizeof(msg));
-  msg.msg_iov = iov;
-  msg.msg_iovlen = 2;
-  while (msg.msg_iovlen > 0) {
-    const ssize_t n = ::sendmsg(sock.fd(), &msg, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoStatus("sendmsg");
-    }
-    size_t sent = static_cast<size_t>(n);
-    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
-      sent -= msg.msg_iov->iov_len;
-      ++msg.msg_iov;
-      --msg.msg_iovlen;
-    }
-    if (msg.msg_iovlen > 0) {
-      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + sent;
-      msg.msg_iov->iov_len -= sent;
-    }
-  }
-  return Status::OK();
-}
-
-Result<bool> RecvFrame(const Socket& sock, std::string* payload,
-                       const CancelFn& cancel) {
-  if (!sock.valid()) {
-    return Status::InvalidArgument("recv on an invalid socket");
-  }
-  char header[4];
-  PRIVHP_ASSIGN_OR_RETURN(bool more,
-                          RecvAll(sock.fd(), header, sizeof(header), cancel));
-  if (!more) return false;
-  uint32_t size = 0;
-  for (int i = 0; i < 4; ++i) {
-    size |= static_cast<uint32_t>(static_cast<uint8_t>(header[i])) << (8 * i);
-  }
-  if (size > kMaxFrameBytes) {
-    return Status::IOError("oversized frame: " + std::to_string(size) +
-                           " bytes");
-  }
-  payload->resize(size);
-  if (size == 0) return true;
-  PRIVHP_ASSIGN_OR_RETURN(bool body,
-                          RecvAll(sock.fd(), &(*payload)[0], size, cancel));
-  if (!body) return Status::IOError("connection closed mid-frame");
-  return true;
 }
 
 // Poll() parses frames out of a read buffer refilled one recv at a
@@ -383,41 +245,54 @@ Status FrameWriter::Enqueue(std::string payload) {
     return Status::InvalidArgument("frame exceeds " +
                                    std::to_string(kMaxFrameBytes) + " bytes");
   }
+  Frame frame;
   const uint32_t size = static_cast<uint32_t>(payload.size());
-  char header[4];
   for (int i = 0; i < 4; ++i) {
-    header[i] = static_cast<char>((size >> (8 * i)) & 0xff);
+    frame.header[i] = static_cast<char>((size >> (8 * i)) & 0xff);
   }
-  payload.insert(0, header, sizeof(header));
-  pending_bytes_ += payload.size();
-  queue_.push_back(std::move(payload));
+  frame.payload = std::move(payload);
+  pending_bytes_ += sizeof(frame.header) + frame.payload.size();
+  queue_.push_back(std::move(frame));
   return Status::OK();
 }
 
 Result<bool> FrameWriter::Pump(const Socket& sock) {
+  constexpr size_t kMaxFramesPerSend = 64;
   if (!sock.valid()) {
     return Status::InvalidArgument("send on an invalid socket");
   }
   while (!queue_.empty()) {
-    // Gather as many queued frames as fit into one vectored send:
-    // pipelined responses are tiny, and one sendmsg per flush instead of
-    // one send per frame is most of the reactor's write-side cost.
-    struct iovec iov[64];
-    int iov_count = 0;
+    // Gather as many queued frames as fit into one vectored send, each
+    // as its header and its payload: pipelined responses are tiny, and
+    // one sendmsg per flush instead of one send per frame is most of the
+    // reactor's write-side cost. The front frame skips what already went.
+    struct iovec iov[2 * kMaxFramesPerSend];
+    size_t iov_count = 0;
+    size_t frames = 0;
     size_t batched = 0;
-    for (const std::string& frame : queue_) {
-      if (iov_count == 64) break;
-      const size_t offset = iov_count == 0 ? front_offset_ : 0;
-      iov[iov_count].iov_base =
-          const_cast<char*>(frame.data()) + offset;
-      iov[iov_count].iov_len = frame.size() - offset;
-      batched += iov[iov_count].iov_len;
-      ++iov_count;
+    for (const Frame& frame : queue_) {
+      if (frames == kMaxFramesPerSend) break;
+      size_t skip = frames == 0 ? front_offset_ : 0;
+      if (skip < sizeof(frame.header)) {
+        iov[iov_count].iov_base = const_cast<char*>(frame.header) + skip;
+        iov[iov_count].iov_len = sizeof(frame.header) - skip;
+        batched += iov[iov_count++].iov_len;
+        skip = 0;
+      } else {
+        skip -= sizeof(frame.header);
+      }
+      if (frame.payload.size() > skip) {
+        iov[iov_count].iov_base =
+            const_cast<char*>(frame.payload.data()) + skip;
+        iov[iov_count].iov_len = frame.payload.size() - skip;
+        batched += iov[iov_count++].iov_len;
+      }
+      ++frames;
     }
     struct msghdr msg;
     std::memset(&msg, 0, sizeof(msg));
     msg.msg_iov = iov;
-    msg.msg_iovlen = static_cast<size_t>(iov_count);
+    msg.msg_iovlen = iov_count;
     const ssize_t n = ::sendmsg(sock.fd(), &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -428,7 +303,9 @@ Result<bool> FrameWriter::Pump(const Socket& sock) {
     bytes_sent_ += static_cast<uint64_t>(n);
     size_t sent = static_cast<size_t>(n);
     while (sent > 0) {
-      const size_t front_left = queue_.front().size() - front_offset_;
+      const Frame& front = queue_.front();
+      const size_t front_left =
+          sizeof(front.header) + front.payload.size() - front_offset_;
       if (sent >= front_left) {
         sent -= front_left;
         queue_.pop_front();
@@ -438,7 +315,9 @@ Result<bool> FrameWriter::Pump(const Socket& sock) {
         sent = 0;
       }
     }
-    if (static_cast<size_t>(n) < batched) return false;  // kernel buffer full
+    // Short: a non-blocking socket's buffer is full, or a signal cut a
+    // blocking send short.
+    if (static_cast<size_t>(n) < batched) return false;
   }
   return true;
 }

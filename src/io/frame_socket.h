@@ -7,23 +7,20 @@
 // protocol: the ingestion front end and the query server share one
 // transport.
 //
-// Two I/O styles share the framing:
-//  - Blocking SendFrame/RecvFrame for clients and simple tools; Accept
-//    and RecvFrame take an optional cancellation predicate polled at a
-//    coarse interval so a caller can shut down threads parked in
-//    accept()/recv().
-//  - Incremental FrameReader/FrameWriter state machines for readiness
-//    loops: each call consumes or produces as many bytes as the
-//    non-blocking socket allows, parks on EAGAIN, and resumes exactly
-//    where it left off on the next readiness event. Frame bytes on the
-//    wire are identical between the two styles.
+// FrameReader and FrameWriter are the only framing code: the header is
+// encoded in FrameWriter::Enqueue and decoded in FrameReader::Poll.
+// Both are state machines that consume or produce as many bytes as the
+// socket allows and resume exactly where they left off. On a
+// non-blocking socket (the server's reactor) they park on EAGAIN until
+// the next readiness event; on a blocking socket (the client) Poll
+// returns only at a frame or EOF, and Pump returns false only when a
+// signal cut a sendmsg short, so the caller pumps again.
 
 #ifndef PRIVHP_IO_FRAME_SOCKET_H_
 #define PRIVHP_IO_FRAME_SOCKET_H_
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <utility>
 
@@ -58,12 +55,9 @@ class Socket {
   int fd_ = -1;
 };
 
-/// \brief Polled while blocked in Accept/RecvFrame; returning true aborts
-/// the wait with a FailedPrecondition("cancelled") status.
-using CancelFn = std::function<bool()>;
-
 /// \brief Listens on TCP \p host:\p port. Port 0 binds an ephemeral port;
-/// the bound port is written to \p bound_port when non-null.
+/// the bound port is written to \p bound_port when non-null. Listeners
+/// are non-blocking: accept them with AcceptReady.
 Result<Socket> ListenTcp(const std::string& host, uint16_t port,
                          uint16_t* bound_port);
 
@@ -73,44 +67,30 @@ Result<Socket> ListenUnix(const std::string& path);
 Result<Socket> ConnectTcp(const std::string& host, uint16_t port);
 Result<Socket> ConnectUnix(const std::string& path);
 
-/// \brief Accepts one connection; blocks until a peer arrives, polling
-/// \p cancel (when set) roughly every 100 ms.
-Result<Socket> Accept(const Socket& listener, const CancelFn& cancel = {});
-
 /// \brief Non-blocking accept for readiness loops. When no connection is
 /// pending, sets *\p would_block and returns an invalid Socket. The
 /// accepted socket is left in non-blocking mode (FrameReader/FrameWriter
 /// expect it that way).
 Result<Socket> AcceptReady(const Socket& listener, bool* would_block);
 
-/// \brief Toggles O_NONBLOCK on a connected socket.
-Status SetSocketNonBlocking(const Socket& sock, bool enable);
-
 /// \brief A connected AF_UNIX pair (tests and in-process plumbing).
 Result<std::pair<Socket, Socket>> SocketPair();
-
-/// \brief Sends one length-prefixed frame (u32 LE length + payload) on a
-/// blocking socket: header and payload go out in one sendmsg, and a
-/// short write resumes from the byte it stopped at.
-Status SendFrame(const Socket& sock, const std::string& payload);
-
-/// \brief Receives one frame into \p payload. Returns false on clean EOF
-/// at a frame boundary; EOF mid-frame is an IOError.
-Result<bool> RecvFrame(const Socket& sock, std::string* payload,
-                       const CancelFn& cancel = {});
 
 /// \brief Upper bound on a single frame payload (64 MiB); larger lengths
 /// are rejected as malformed so a bad peer cannot force huge allocations.
 inline constexpr uint32_t kMaxFrameBytes = 64u << 20;
 
-/// \brief Incremental RecvFrame over a non-blocking socket.
+/// \brief Reads frames off one connection.
 ///
 /// Poll() reads whatever the kernel has buffered and returns kFrame once
 /// a complete frame is assembled in frame() — call Poll() again for the
-/// next frame. kNeedMore means the socket drained mid-frame (or between
-/// frames): park the reader and call Poll() again on the next EPOLLIN.
-/// A clean EOF at a frame boundary is kEof; EOF mid-frame, an oversized
-/// length header, or a socket error come back as a Status error.
+/// next frame. kNeedMore means a non-blocking socket drained mid-frame
+/// (or between frames): park the reader and call Poll() again on the
+/// next EPOLLIN. On a blocking socket Poll() waits instead, so it never
+/// returns kNeedMore. A clean EOF at a frame boundary is kEof; EOF
+/// mid-frame, an oversized length header, or a socket error come back
+/// as a Status error. The reader over-reads, so every receive on its
+/// connection must go through it.
 class FrameReader {
  public:
   enum class Event { kFrame, kNeedMore, kEof };
@@ -141,12 +121,13 @@ class FrameReader {
   uint64_t bytes_received_ = 0;
 };
 
-/// \brief Incremental SendFrame over a non-blocking socket.
+/// \brief Writes frames to one connection.
 ///
-/// Enqueue() frames a payload (u32 LE header + bytes, same wire format
-/// as SendFrame) into an output queue; Pump() writes until the socket
-/// would block or the queue drains, returning true when empty. The
-/// caller keeps EPOLLOUT armed exactly while pending_bytes() > 0.
+/// Enqueue() queues a payload behind its u32 LE length header (kept
+/// beside it, so the payload is not copied); Pump() writes until the
+/// socket would block or the queue drains, returning true when empty.
+/// A reactor keeps EPOLLOUT armed exactly while pending_bytes() > 0; a
+/// blocking caller pumps until true.
 class FrameWriter {
  public:
   Status Enqueue(std::string payload);
@@ -162,8 +143,12 @@ class FrameWriter {
   uint64_t bytes_sent() const { return bytes_sent_; }
 
  private:
-  std::deque<std::string> queue_;  // each entry: 4-byte header + payload
-  size_t front_offset_ = 0;        // bytes of queue_.front() already sent
+  struct Frame {
+    char header[4];
+    std::string payload;
+  };
+  std::deque<Frame> queue_;
+  size_t front_offset_ = 0;  // bytes of queue_.front() (header first) sent
   size_t pending_bytes_ = 0;
   uint64_t bytes_sent_ = 0;
 };

@@ -1,7 +1,6 @@
 #include "io/socket_point_stream.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/macros.h"
@@ -74,12 +73,8 @@ Status DecodePointBatch(const std::string& payload, int expected_dim,
   return r.ExpectEnd();
 }
 
-SocketPointSink::SocketPointSink(const Socket* sock, size_t batch_size)
-    : sock_(sock), batch_size_(batch_size == 0 ? 1 : batch_size) {}
-
 SocketPointSink::SocketPointSink(FrameSendFn send_frame, size_t batch_size)
-    : sock_(nullptr),
-      send_fn_(std::move(send_frame)),
+    : send_fn_(std::move(send_frame)),
       batch_size_(batch_size == 0 ? 1 : batch_size) {}
 
 namespace {
@@ -150,8 +145,7 @@ Status SocketPointSink::Flush() {
   if (buffer_.empty()) return Status::OK();
   std::string payload = EncodePointBatch(buffer_);
   const size_t payload_size = payload.size();
-  PRIVHP_RETURN_NOT_OK(send_fn_ ? send_fn_(std::move(payload))
-                                : SendFrame(*sock_, payload));
+  PRIVHP_RETURN_NOT_OK(send_fn_(std::move(payload)));
   num_sent_ += buffer_.size();
   bytes_sent_ += payload_size;
   buffer_.Clear();
@@ -166,40 +160,14 @@ Status SocketPointSink::FinishStream() {
   finished_ = true;
   std::string end = EncodePointStreamEnd(num_sent_);
   bytes_sent_ += end.size();
-  return send_fn_ ? send_fn_(std::move(end)) : SendFrame(*sock_, end);
+  return send_fn_(std::move(end));
 }
 
-SocketPointSource::SocketPointSource(const Socket* sock, int expected_dim,
-                                     CancelFn cancel,
-                                     int idle_timeout_seconds)
-    : sock_(sock),
-      expected_dim_(expected_dim),
-      cancel_(std::move(cancel)),
-      idle_timeout_seconds_(idle_timeout_seconds) {}
-
 SocketPointSource::SocketPointSource(FrameRecvFn recv_frame, int expected_dim)
-    : sock_(nullptr),
-      recv_fn_(std::move(recv_frame)),
-      expected_dim_(expected_dim),
-      idle_timeout_seconds_(0) {}
+    : recv_fn_(std::move(recv_frame)), expected_dim_(expected_dim) {}
 
 Result<bool> SocketPointSource::RecvNext() {
-  Result<bool> r = [this]() -> Result<bool> {
-    if (recv_fn_) return recv_fn_(&frame_);
-    if (idle_timeout_seconds_ <= 0) {
-      return RecvFrame(*sock_, &frame_, cancel_);
-    }
-    // The deadline restarts per frame: it bounds idle time between
-    // frames, not the lifetime of a steadily streaming peer.
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(idle_timeout_seconds_);
-    return RecvFrame(*sock_, &frame_, [this, deadline]() {
-      return (cancel_ && cancel_()) ||
-             std::chrono::steady_clock::now() >= deadline;
-    });
-  }();
-  // The frame layer yields FailedPrecondition only when the cancel
-  // predicate fires, so the mapping is exact at this level.
+  Result<bool> r = recv_fn_(&frame_);
   if (!r.ok() && r.status().IsFailedPrecondition()) cancelled_ = true;
   return r;
 }

@@ -24,18 +24,17 @@
 
 #include "common/status.h"
 #include "domain/domain.h"
-#include "io/frame_socket.h"
 #include "io/point_sink.h"
 
 namespace privhp {
 
-/// \brief Pluggable frame transports for the point streams. The sink
-/// hands each encoded frame payload to FrameSendFn; the source pulls the
-/// next frame payload from FrameRecvFn (true = frame delivered, false =
-/// clean EOF, FailedPrecondition = cancelled — the same contract as
-/// RecvFrame). The defaults wrap a blocking socket; the event-loop
-/// server plugs in its connection outbox and ingest channel instead,
-/// keeping the wire bytes identical across transports.
+/// \brief Frame transports for the point streams. The sink hands each
+/// encoded frame payload to FrameSendFn; the source pulls the next frame
+/// payload from FrameRecvFn (true = frame delivered, false = clean EOF,
+/// FailedPrecondition = cancelled). The client plugs in its
+/// connection's FrameWriter and FrameReader; the event-loop server plugs
+/// in its connection outbox and ingest channel. Either way the frames
+/// go through the one framing implementation in io/frame_socket.h.
 using FrameSendFn = std::function<Status(std::string payload)>;
 using FrameRecvFn = std::function<Result<bool>(std::string* payload)>;
 
@@ -62,18 +61,14 @@ std::string EncodePointStreamEnd(uint64_t total_points);
 Status DecodePointBatch(const std::string& payload, int expected_dim,
                         PointBatch* out);
 
-/// \brief PointSink that streams points over a socket in batch frames.
+/// \brief PointSink that streams points in batch frames.
 ///
 /// Buffers up to \p batch_size points (so the wire sees large frames, not
 /// per-point writes) and flushes automatically; FinishStream() flushes
-/// the tail and sends the end frame. The socket is not owned.
+/// the tail and sends the end frame. Every encoded frame payload goes to
+/// \p send_frame.
 class SocketPointSink : public PointSink {
  public:
-  explicit SocketPointSink(const Socket* sock, size_t batch_size = 1024);
-
-  /// \brief Custom-transport form: every encoded frame payload goes to
-  /// \p send_frame instead of a socket (e.g. the event-loop server's
-  /// per-connection output queue).
   explicit SocketPointSink(FrameSendFn send_frame, size_t batch_size = 1024);
 
   // The buffer is columnar, so the move overload gains nothing over the
@@ -97,7 +92,6 @@ class SocketPointSink : public PointSink {
   Status FinishStream();
 
  private:
-  const Socket* sock_;
   FrameSendFn send_fn_;
   size_t batch_size_;
   // Pending points, columnar: Flush() encodes the arena as one frame
@@ -109,27 +103,18 @@ class SocketPointSink : public PointSink {
   bool finished_ = false;
 };
 
-/// \brief PointSource that reads a point stream from a socket.
+/// \brief PointSource that reads a point stream frame by frame.
 ///
 /// Next() yields points one at a time out of the received batch frames
 /// and returns false once the end frame arrives (after verifying the
 /// stream total). Any non-point frame is an error.
 class SocketPointSource : public PointSource {
  public:
+  /// \param recv_frame Delivers the frames. It owns its own blocking,
+  /// timeout and cancel policy; a FailedPrecondition from it marks the
+  /// source cancelled.
   /// \param expected_dim When > 0, every received point must have this
   /// many coordinates.
-  /// \param cancel Polled while blocked on the socket (see frame_socket);
-  /// lets a server abandon a stalled peer on shutdown.
-  /// \param idle_timeout_seconds When > 0, waiting longer than this for
-  /// the *next* frame cancels the stream — bounds how long a stalled
-  /// peer can hold the reader (a steadily streaming peer never hits it).
-  explicit SocketPointSource(const Socket* sock, int expected_dim = 0,
-                             CancelFn cancel = {},
-                             int idle_timeout_seconds = 0);
-
-  /// \brief Custom-transport form: frames come from \p recv_frame (which
-  /// owns its own blocking/timeout/cancel policy — a FailedPrecondition
-  /// from it marks the source cancelled, exactly like the socket form).
   explicit SocketPointSource(FrameRecvFn recv_frame, int expected_dim = 0);
 
   Result<bool> Next(Point* out) override;
@@ -162,14 +147,14 @@ class SocketPointSource : public PointSource {
   /// \brief True once the end frame has been consumed.
   bool finished() const { return finished_; }
 
-  /// \brief True if a read was aborted by the cancel predicate or the
-  /// idle timeout — lets callers tell a cancelled stream (no live peer
-  /// to resync with) from an ordinary decode error.
+  /// \brief True if the transport cancelled a read (shutdown or idle
+  /// timeout) — lets callers tell a cancelled stream (no live peer to
+  /// resync with) from an ordinary decode error.
   bool cancelled() const { return cancelled_; }
 
  private:
   Result<bool> FillBuffer();
-  /// Receives the next frame into frame_, applying the idle timeout.
+  /// Receives the next frame into frame_, noting a cancellation.
   Result<bool> RecvNext();
   /// Receives and classifies the next frame — the one protocol step
   /// Next() and NextBatch() share: true means frame_ holds a point
@@ -179,11 +164,8 @@ class SocketPointSource : public PointSource {
   /// Verifies the end frame sitting in frame_ and marks the stream done.
   Status ConsumeEndFrame();
 
-  const Socket* sock_;
   FrameRecvFn recv_fn_;
   int expected_dim_;
-  CancelFn cancel_;
-  int idle_timeout_seconds_;
   // The last decoded frame, staged for Next(): rows [cursor_, size) are
   // still to be handed out.
   PointBatch buffer_;

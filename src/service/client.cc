@@ -24,14 +24,34 @@ Result<PrivHPClient> PrivHPClient::ConnectUnix(const std::string& path) {
   return PrivHPClient(std::move(sock));
 }
 
-Status PrivHPClient::Call(const std::string& request, std::string* frame,
+Status PrivHPClient::Send(std::string frame) {
+  PRIVHP_RETURN_NOT_OK(writer_.Enqueue(std::move(frame)));
+  for (;;) {
+    // The socket blocks, so a short write means a signal interrupted
+    // it: pump again from the byte it stopped at.
+    PRIVHP_ASSIGN_OR_RETURN(bool drained, writer_.Pump(sock_));
+    if (drained) return Status::OK();
+  }
+}
+
+Result<bool> PrivHPClient::Receive(std::string* frame) {
+  PRIVHP_ASSIGN_OR_RETURN(FrameReader::Event event, reader_.Poll(sock_));
+  if (event == FrameReader::Event::kEof) return false;
+  // The socket blocks, so Poll waits for a whole frame.
+  PRIVHP_DCHECK(event == FrameReader::Event::kFrame);
+  // A swap, not a move: the reader goes on reusing the caller's buffer.
+  frame->swap(reader_.frame());
+  return true;
+}
+
+Status PrivHPClient::Call(std::string request, std::string* frame,
                           WireReader* payload) {
-  PRIVHP_RETURN_NOT_OK(SendFrame(sock_, request));
+  PRIVHP_RETURN_NOT_OK(Send(std::move(request)));
   return RecvResponse(frame, payload);
 }
 
 Status PrivHPClient::RecvResponse(std::string* frame, WireReader* payload) {
-  PRIVHP_ASSIGN_OR_RETURN(bool more, RecvFrame(sock_, frame));
+  PRIVHP_ASSIGN_OR_RETURN(bool more, Receive(frame));
   if (!more) return Status::IOError("server closed the connection");
   return ParseResponse(*frame, payload);
 }
@@ -51,23 +71,22 @@ Status PrivHPClient::Ping() {
 // --- Pipelined mode -------------------------------------------------
 
 Status PrivHPClient::SendPing() {
-  return SendFrame(sock_, EncodePingRequest());
+  return Send(EncodePingRequest());
 }
 
 Status PrivHPClient::SendRangeMass(const std::string& artifact, CellId cell) {
-  return SendFrame(sock_, EncodeRangeRequest(
-                              artifact, static_cast<uint32_t>(cell.level),
-                              cell.index));
+  return Send(EncodeRangeRequest(artifact, static_cast<uint32_t>(cell.level),
+                                 cell.index));
 }
 
 Status PrivHPClient::SendQuantiles(const std::string& artifact,
                                    const std::vector<double>& qs) {
-  return SendFrame(sock_, EncodeQuantileRequest(artifact, qs));
+  return Send(EncodeQuantileRequest(artifact, qs));
 }
 
 Status PrivHPClient::SendSample(const std::string& artifact, uint64_t m,
                                 uint64_t seed) {
-  return SendFrame(sock_, EncodeSampleRequest(artifact, m, seed));
+  return Send(EncodeSampleRequest(artifact, m, seed));
 }
 
 Status PrivHPClient::CollectPing() {
@@ -164,7 +183,9 @@ Status PrivHPClient::CollectSample(uint64_t m, PointSink* sink) {
     verdict = Status::IOError("server sent invalid sample dimension " +
                               std::to_string(*dim));
   }
-  SocketPointSource source(&sock_, verdict.ok() ? static_cast<int>(*dim) : 0);
+  SocketPointSource source(
+      [this](std::string* frame) { return Receive(frame); },
+      verdict.ok() ? static_cast<int>(*dim) : 0);
   if (verdict.ok()) {
     verdict = Drain(&source, sink);
     if (verdict.ok() && source.num_received() != m) {
@@ -236,7 +257,7 @@ Result<std::string> PrivHPClient::Export(const std::string& artifact) {
   std::string blob;
   blob.reserve(static_cast<size_t>(std::min<uint64_t>(total, 64u << 20)));
   for (;;) {
-    Result<bool> more = RecvFrame(sock_, &frame);
+    Result<bool> more = Receive(&frame);
     if (!more.ok() || !*more) {
       sock_.Close();
       return more.ok() ? Status::IOError(
@@ -302,7 +323,9 @@ Result<PrivHPClient::IngestReport> PrivHPClient::Ingest(
   // only sound recovery is closing the connection, which aborts the
   // server-side build and makes later calls on this client fail loudly
   // instead of desyncing.
-  SocketPointSink sink(&sock_, spec.batch);
+  SocketPointSink sink(
+      [this](std::string frame) { return Send(std::move(frame)); },
+      spec.batch);
   Status streamed = Drain(source, &sink);
   if (streamed.ok()) streamed = sink.FinishStream();
   if (!streamed.ok()) {
@@ -311,7 +334,7 @@ Result<PrivHPClient::IngestReport> PrivHPClient::Ingest(
   }
 
   // Phase 3: the build + publish verdict.
-  Result<bool> more = RecvFrame(sock_, &frame);
+  Result<bool> more = Receive(&frame);
   if (!more.ok() || !*more) {
     sock_.Close();
     return more.ok() ? Status::IOError("server closed the connection")

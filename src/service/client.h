@@ -11,6 +11,12 @@
 // against TCP backpressure. Not thread-safe; open one client per thread
 // (connections are cheap and the server multiplexes them onto its
 // worker pool).
+//
+// Every frame on the connection goes out through one FrameWriter and
+// comes in through one FrameReader — requests, responses, SAMPLE point
+// frames, EXPORT chunks and INGEST streams alike. The reader over-reads
+// (one recv can carry several pipelined responses), so nothing may read
+// the socket around it.
 
 #ifndef PRIVHP_SERVICE_CLIENT_H_
 #define PRIVHP_SERVICE_CLIENT_H_
@@ -126,15 +132,22 @@ class PrivHPClient {
  private:
   explicit PrivHPClient(Socket sock) : sock_(std::move(sock)) {}
 
+  /// \brief Writes one frame; returns once the (blocking) socket took
+  /// all of it.
+  Status Send(std::string frame);
+  /// \brief Reads the next frame into \p frame; false on clean EOF.
+  Result<bool> Receive(std::string* frame);
+
   /// \brief Sends \p request, receives one response frame into \p frame,
   /// and positions \p payload after the status byte.
-  Status Call(const std::string& request, std::string* frame,
-              WireReader* payload);
+  Status Call(std::string request, std::string* frame, WireReader* payload);
   /// \brief Receives one response frame and positions \p payload after
   /// the status byte (the collect half of Call).
   Status RecvResponse(std::string* frame, WireReader* payload);
 
   Socket sock_;
+  FrameReader reader_;
+  FrameWriter writer_;
 };
 
 }  // namespace privhp

@@ -33,6 +33,18 @@ constexpr int kReactorTickMs = 100;
 constexpr int kMaxFramesPerRound = 32;
 constexpr int kMaxAcceptsPerRound = 64;
 
+// Points per SAMPLE response frame: bounds server-side memory per
+// request whatever m is.
+constexpr size_t kSampleBatch = 4096;
+// Upper bound accepted for an INGEST request's thread count.
+constexpr uint32_t kMaxIngestThreads = 16;
+// Bytes per EXPORT chunk frame. The blob streams across as many frames
+// as it needs, so artifacts larger than one frame export fine; this
+// only trades frame count against per-frame memory.
+constexpr size_t kExportChunkBytes = size_t{4} << 20;
+static_assert(kExportChunkBytes < kMaxFrameBytes,
+              "an EXPORT chunk and its tag byte must fit one frame");
+
 // Bounds on the per-connection ingest frame channel (reactor-to-worker
 // hand-off of streamed point frames). When full, the reactor stops
 // reading the connection, which the peer sees as TCP backpressure. One
@@ -263,8 +275,7 @@ struct PrivHPServer::SampleStream : ResponseStream {
       if (conn->queued_bytes.load(std::memory_order_relaxed) >= high) {
         return PumpResult::kParked;
       }
-      const uint64_t chunk = std::min<uint64_t>(
-          std::max<size_t>(1, server->options_.sample_batch), remaining);
+      const uint64_t chunk = std::min<uint64_t>(kSampleBatch, remaining);
       if (!artifact->GenerateTo(chunk, &engine, sink.get()).ok()) {
         return PumpResult::kFailed;
       }
@@ -279,7 +290,6 @@ struct PrivHPServer::SampleStream : ResponseStream {
 struct PrivHPServer::ExportStream : ResponseStream {
   std::string blob;
   size_t offset = 0;
-  size_t chunk_bytes = 0;
 
   PumpResult Pump() override {
     const size_t high = server->options_.max_output_queue_bytes;
@@ -288,7 +298,7 @@ struct PrivHPServer::ExportStream : ResponseStream {
       if (conn->queued_bytes.load(std::memory_order_relaxed) >= high) {
         return PumpResult::kParked;
       }
-      const size_t n = std::min(chunk_bytes, blob.size() - offset);
+      const size_t n = std::min(kExportChunkBytes, blob.size() - offset);
       WireWriter w;
       w.PutU8(kExportChunkTag);
       w.PutBytes(blob.data() + offset, n);
@@ -376,8 +386,6 @@ Status PrivHPServer::StartListeners() {
     listener_state_.push_back(state);
   }
   for (size_t i = 0; i < listeners_.size(); ++i) {
-    // Listeners must not block the reactor in accept().
-    PRIVHP_RETURN_NOT_OK(SetSocketNonBlocking(listeners_[i], true));
     PRIVHP_RETURN_NOT_OK(loop_.Add(listeners_[i].fd(), true, false, i));
   }
   return Status::OK();
@@ -1233,7 +1241,7 @@ PrivHPServer::RequestOutcome PrivHPServer::HandleSampleRequest(
       FrameSendFn([this, raw](std::string payload) {
         return EnqueueFrame(raw->conn, std::move(payload), &raw->scope);
       }),
-      options_.sample_batch);
+      kSampleBatch);
   RequestOutcome outcome;
   outcome.stream = std::move(stream);
   return outcome;
@@ -1261,8 +1269,6 @@ PrivHPServer::RequestOutcome PrivHPServer::HandleExportRequest(
   stream->server = this;
   stream->conn = conn;
   stream->blob = std::move(*blob);
-  stream->chunk_bytes = std::min<size_t>(
-      std::max<size_t>(1, options_.export_chunk_bytes), kMaxFrameBytes - 16);
   RequestOutcome outcome;
   outcome.stream = std::move(stream);
   return outcome;
@@ -1290,11 +1296,10 @@ PrivHPServer::RequestOutcome PrivHPServer::HandleIngestRequest(
     return reject(Status::InvalidArgument(
         "ingest needs the expected stream length n (the streaming horizon)"));
   }
-  if (req.threads < 1 ||
-      req.threads > static_cast<uint32_t>(options_.max_ingest_threads)) {
+  if (req.threads < 1 || req.threads > kMaxIngestThreads) {
     return reject(Status::InvalidArgument(
         "ingest threads must be in [1, " +
-        std::to_string(options_.max_ingest_threads) + "]"));
+        std::to_string(kMaxIngestThreads) + "]"));
   }
 
   auto domain = std::make_unique<HypercubeDomain>(static_cast<int>(req.dim));

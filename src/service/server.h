@@ -88,22 +88,9 @@ struct ServerOptions {
   /// Seed for the per-worker engine pool (seedless SAMPLE requests).
   uint64_t seed = 1;
 
-  /// Points per SAMPLE response frame (bounds server-side memory per
-  /// request regardless of m).
-  size_t sample_batch = 4096;
-
   /// Largest m a single SAMPLE request may ask for (0 = unlimited). A
   /// 13-byte request should not be able to occupy the server for hours.
   uint64_t max_sample_points = uint64_t{1} << 24;
-
-  /// Upper bound accepted for an INGEST request's thread count.
-  int max_ingest_threads = 16;
-
-  /// Bytes per EXPORT chunk frame (clamped to the frame limit). The
-  /// blob streams across as many frames as it needs, so artifacts
-  /// larger than one frame export fine; this only tunes frame count vs
-  /// per-frame memory.
-  size_t export_chunk_bytes = 4u << 20;
 
   /// Write-stall bound (seconds): a connection with queued response
   /// bytes and no write progress for this long is dropped as a

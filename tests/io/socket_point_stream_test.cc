@@ -11,9 +11,15 @@
 #include "io/frame_socket.h"
 #include "io/point_sink.h"
 #include "io/wire_format.h"
+#include "testing/frames.h"
 
 namespace privhp {
 namespace {
+
+using testing::ReadFrame;
+using testing::SocketReceiver;
+using testing::SocketSender;
+using testing::WriteFrame;
 
 TEST(WireFormatTest, RoundTripsScalars) {
   WireWriter w;
@@ -53,22 +59,23 @@ TEST(WireFormatTest, TruncatedReadsFailCleanly) {
 TEST(FrameSocketTest, FramesRoundTripOverSocketPair) {
   auto pair = SocketPair();
   ASSERT_TRUE(pair.ok());
-  ASSERT_TRUE(SendFrame(pair->first, "hello").ok());
-  ASSERT_TRUE(SendFrame(pair->first, "").ok());
+  ASSERT_TRUE(WriteFrame(pair->first, "hello").ok());
+  ASSERT_TRUE(WriteFrame(pair->first, "").ok());
 
+  FrameReader reader;
   std::string payload;
-  auto more = RecvFrame(pair->second, &payload);
+  auto more = ReadFrame(pair->second, &reader, &payload);
   ASSERT_TRUE(more.ok());
   EXPECT_TRUE(*more);
   EXPECT_EQ(payload, "hello");
-  more = RecvFrame(pair->second, &payload);
+  more = ReadFrame(pair->second, &reader, &payload);
   ASSERT_TRUE(more.ok());
   EXPECT_TRUE(*more);
   EXPECT_EQ(payload, "");
 
   // Clean EOF at a frame boundary is `false`, not an error.
   pair->first.Close();
-  more = RecvFrame(pair->second, &payload);
+  more = ReadFrame(pair->second, &reader, &payload);
   ASSERT_TRUE(more.ok());
   EXPECT_FALSE(*more);
 }
@@ -83,8 +90,9 @@ TEST(FrameSocketTest, OversizedFrameLengthIsRejected) {
     header[i] = static_cast<char>((huge >> (8 * i)) & 0xff);
   }
   ASSERT_EQ(::send(pair->first.fd(), header.data(), 4, 0), 4);
+  FrameReader reader;
   std::string payload;
-  EXPECT_TRUE(RecvFrame(pair->second, &payload).status().IsIOError());
+  EXPECT_TRUE(ReadFrame(pair->second, &reader, &payload).status().IsIOError());
 }
 
 TEST(SocketPointStreamTest, SinkToSourceRoundTrip) {
@@ -98,13 +106,13 @@ TEST(SocketPointStreamTest, SinkToSourceRoundTrip) {
   // Small batch size forces multiple frames; the writer runs in a thread
   // so the test does not rely on socket buffering for large streams.
   std::thread writer([&]() {
-    SocketPointSink sink(&pair->first, /*batch_size=*/64);
+    SocketPointSink sink(SocketSender(&pair->first), /*batch_size=*/64);
     ASSERT_TRUE(sink.AddAll(PointBatch::FromPoints(sent)).ok());
     ASSERT_TRUE(sink.FinishStream().ok());
     EXPECT_EQ(sink.num_processed(), sent.size());
   });
 
-  SocketPointSource source(&pair->second, /*expected_dim=*/2);
+  SocketPointSource source(SocketReceiver(&pair->second), /*expected_dim=*/2);
   CollectingSink received;
   EXPECT_TRUE(Drain(&source, &received).ok());
   writer.join();
@@ -128,12 +136,12 @@ TEST(SocketPointStreamTest, NextBatchHandsOverWholeFrames) {
   }
 
   std::thread writer([&]() {
-    SocketPointSink sink(&pair->first, /*batch_size=*/100);
+    SocketPointSink sink(SocketSender(&pair->first), /*batch_size=*/100);
     ASSERT_TRUE(sink.AddAll(PointBatch::FromPoints(sent)).ok());
     ASSERT_TRUE(sink.FinishStream().ok());
   });
 
-  SocketPointSource source(&pair->second, /*expected_dim=*/1);
+  SocketPointSource source(SocketReceiver(&pair->second), /*expected_dim=*/1);
   std::vector<Point> received;
   PointBatch batch;
   std::vector<size_t> batch_sizes;
@@ -160,12 +168,12 @@ TEST(SocketPointStreamTest, NextBatchInterleavesWithNext) {
   for (int i = 0; i < 90; ++i) sent.push_back({i / 90.0});
 
   std::thread writer([&]() {
-    SocketPointSink sink(&pair->first, /*batch_size=*/40);
+    SocketPointSink sink(SocketSender(&pair->first), /*batch_size=*/40);
     ASSERT_TRUE(sink.AddAll(PointBatch::FromPoints(sent)).ok());
     ASSERT_TRUE(sink.FinishStream().ok());
   });
 
-  SocketPointSource source(&pair->second, /*expected_dim=*/1);
+  SocketPointSource source(SocketReceiver(&pair->second), /*expected_dim=*/1);
   std::vector<Point> received;
   // Next() stages a frame internally; NextBatch must serve the staged
   // remainder first so the stream order is preserved.
@@ -190,11 +198,11 @@ TEST(SocketPointStreamTest, NextBatchVerifiesStreamTotal) {
   auto pair = SocketPair();
   ASSERT_TRUE(pair.ok());
   const PointBatch sent = PointBatch::FromPoints({{0.1}, {0.2}, {0.3}});
-  ASSERT_TRUE(SendFrame(pair->first, EncodePointBatch(sent)).ok());
+  ASSERT_TRUE(WriteFrame(pair->first, EncodePointBatch(sent)).ok());
   // Lying end frame: declares 5 but delivered 3.
-  ASSERT_TRUE(SendFrame(pair->first, EncodePointStreamEnd(5)).ok());
+  ASSERT_TRUE(WriteFrame(pair->first, EncodePointStreamEnd(5)).ok());
 
-  SocketPointSource source(&pair->second, /*expected_dim=*/1);
+  SocketPointSource source(SocketReceiver(&pair->second), /*expected_dim=*/1);
   PointBatch batch;
   // A full arena returns before the end frame is read; the next call
   // reads it and checks the total.
@@ -352,11 +360,11 @@ TEST(SocketPointStreamTest, MismatchedDimensionMidArenaIsRejected) {
 TEST(SocketPointStreamTest, DimensionMismatchIsAnError) {
   auto pair = SocketPair();
   ASSERT_TRUE(pair.ok());
-  SocketPointSink sink(&pair->first, 8);
+  SocketPointSink sink(SocketSender(&pair->first), 8);
   ASSERT_TRUE(sink.Add({0.5, 0.5}).ok());
   ASSERT_TRUE(sink.Flush().ok());
 
-  SocketPointSource source(&pair->second, /*expected_dim=*/1);
+  SocketPointSource source(SocketReceiver(&pair->second), /*expected_dim=*/1);
   Point scratch;
   EXPECT_TRUE(source.Next(&scratch).status().IsInvalidArgument());
 }
@@ -389,13 +397,13 @@ TEST(SocketPointStreamTest, TruncatedStreamIsAnError) {
   auto pair = SocketPair();
   ASSERT_TRUE(pair.ok());
   {
-    SocketPointSink sink(&pair->first, 8);
+    SocketPointSink sink(SocketSender(&pair->first), 8);
     ASSERT_TRUE(sink.Add({0.25}).ok());
     ASSERT_TRUE(sink.Flush().ok());
     // No end frame: the connection just drops.
     pair->first.Close();
   }
-  SocketPointSource source(&pair->second, 1);
+  SocketPointSource source(SocketReceiver(&pair->second), 1);
   Point scratch;
   auto first = source.Next(&scratch);
   ASSERT_TRUE(first.ok());
@@ -407,11 +415,11 @@ TEST(SocketPointStreamTest, EndFrameTotalIsVerified) {
   auto pair = SocketPair();
   ASSERT_TRUE(pair.ok());
   const PointBatch points = PointBatch::FromPoints({{0.1}, {0.2}});
-  ASSERT_TRUE(SendFrame(pair->first, EncodePointBatch(points)).ok());
+  ASSERT_TRUE(WriteFrame(pair->first, EncodePointBatch(points)).ok());
   // Lie about the total.
-  ASSERT_TRUE(SendFrame(pair->first, EncodePointStreamEnd(5)).ok());
+  ASSERT_TRUE(WriteFrame(pair->first, EncodePointStreamEnd(5)).ok());
 
-  SocketPointSource source(&pair->second, 1);
+  SocketPointSource source(SocketReceiver(&pair->second), 1);
   Point scratch;
   EXPECT_TRUE(*source.Next(&scratch));
   EXPECT_TRUE(*source.Next(&scratch));
@@ -421,10 +429,20 @@ TEST(SocketPointStreamTest, EndFrameTotalIsVerified) {
 TEST(SocketPointStreamTest, FinishedSinkRejectsFurtherPoints) {
   auto pair = SocketPair();
   ASSERT_TRUE(pair.ok());
-  SocketPointSink sink(&pair->first, 8);
+  SocketPointSink sink(SocketSender(&pair->first), 8);
   ASSERT_TRUE(sink.FinishStream().ok());
   EXPECT_TRUE(sink.Add({0.5}).IsFailedPrecondition());
   EXPECT_TRUE(sink.FinishStream().IsFailedPrecondition());
+}
+
+// Listeners are non-blocking: wait for the peer, then AcceptReady.
+Result<Socket> AcceptOne(const Socket& listener) {
+  for (;;) {
+    bool would_block = false;
+    Result<Socket> conn = AcceptReady(listener, &would_block);
+    if (!conn.ok() || !would_block) return conn;
+    testing::WaitUntilReady(listener, POLLIN);
+  }
 }
 
 TEST(FrameSocketTest, TcpListenConnectRoundTrip) {
@@ -436,12 +454,13 @@ TEST(FrameSocketTest, TcpListenConnectRoundTrip) {
   std::thread client([&]() {
     auto conn = ConnectTcp("127.0.0.1", port);
     ASSERT_TRUE(conn.ok());
-    ASSERT_TRUE(SendFrame(*conn, "over tcp").ok());
+    ASSERT_TRUE(WriteFrame(*conn, "over tcp").ok());
   });
-  auto accepted = Accept(*listener);
+  auto accepted = AcceptOne(*listener);
   ASSERT_TRUE(accepted.ok());
+  FrameReader reader;
   std::string payload;
-  auto more = RecvFrame(*accepted, &payload);
+  auto more = ReadFrame(*accepted, &reader, &payload);
   client.join();
   ASSERT_TRUE(more.ok());
   EXPECT_TRUE(*more);
@@ -456,12 +475,13 @@ TEST(FrameSocketTest, UnixListenConnectRoundTrip) {
   std::thread client([&]() {
     auto conn = ConnectUnix(path);
     ASSERT_TRUE(conn.ok());
-    ASSERT_TRUE(SendFrame(*conn, "over unix").ok());
+    ASSERT_TRUE(WriteFrame(*conn, "over unix").ok());
   });
-  auto accepted = Accept(*listener);
+  auto accepted = AcceptOne(*listener);
   ASSERT_TRUE(accepted.ok());
+  FrameReader reader;
   std::string payload;
-  auto more = RecvFrame(*accepted, &payload);
+  auto more = ReadFrame(*accepted, &reader, &payload);
   client.join();
   ASSERT_TRUE(more.ok());
   EXPECT_TRUE(*more);

@@ -25,6 +25,7 @@
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/server.h"
+#include "testing/frames.h"
 
 namespace privhp {
 namespace {
@@ -82,7 +83,8 @@ TEST(BackpressureTest, SlowReaderStaysBoundedAndIsEventuallyDropped) {
   auto staller = ConnectUnix(path);
   ASSERT_TRUE(staller.ok());
   ASSERT_TRUE(
-      SendFrame(*staller, EncodeSampleRequest("beta", 1u << 20, 1)).ok());
+      testing::WriteFrame(*staller, EncodeSampleRequest("beta", 1u << 20, 1))
+          .ok());
 
   auto client = PrivHPClient::ConnectUnix(path);
   ASSERT_TRUE(client.ok());

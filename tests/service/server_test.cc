@@ -17,6 +17,7 @@
 #include "hierarchy/tree_serialization.h"
 #include "io/point_sink.h"
 #include "service/client.h"
+#include "testing/frames.h"
 
 namespace privhp {
 namespace {
@@ -450,10 +451,11 @@ TEST_F(ServerTest, StopReturnsWhileClientStallsMidIngest) {
   spec.artifact = "stalled";
   spec.dim = 1;
   spec.n = 100;
-  ASSERT_TRUE(SendFrame(*sock, EncodeIngestRequest(spec)).ok());
+  ASSERT_TRUE(testing::WriteFrame(*sock, EncodeIngestRequest(spec)).ok());
+  FrameReader reader;
   std::string frame;
   WireReader payload;
-  auto more = RecvFrame(*sock, &frame);
+  auto more = testing::ReadFrame(*sock, &reader, &frame);
   ASSERT_TRUE(more.ok() && *more);
   ASSERT_TRUE(ParseResponse(frame, &payload).ok());
   // ... and now send nothing. Stop() must still return promptly (the
@@ -540,10 +542,11 @@ TEST(ServerIdleTimeoutTest, StalledIngestFreesTheWorker) {
   spec.artifact = "stalled";
   spec.dim = 1;
   spec.n = 100;
-  ASSERT_TRUE(SendFrame(*sock, EncodeIngestRequest(spec)).ok());
+  ASSERT_TRUE(testing::WriteFrame(*sock, EncodeIngestRequest(spec)).ok());
+  FrameReader reader;
   std::string frame;
   WireReader payload;
-  auto more = RecvFrame(*sock, &frame);
+  auto more = testing::ReadFrame(*sock, &reader, &frame);
   ASSERT_TRUE(more.ok() && *more);
   ASSERT_TRUE(ParseResponse(frame, &payload).ok());
 

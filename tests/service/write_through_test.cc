@@ -28,6 +28,7 @@
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/server.h"
+#include "testing/frames.h"
 
 namespace privhp {
 namespace {
@@ -304,7 +305,7 @@ TEST_F(WriteThroughTest, PeersClosingRightAfterTheirRequestAreAllClosed) {
             request = EncodeSampleRequest("beta", 10000, 1);
             break;
         }
-        if (!SendFrame(*sock, request).ok()) ++failures[t];
+        if (!testing::WriteFrame(*sock, request).ok()) ++failures[t];
       }  // each socket closes here, its reply unread
     });
   }

@@ -6,6 +6,9 @@ Writes a seeded 1-D and a seeded 2-D CSV and checks that
   * `privhp build` at --threads 1 and --threads 4 writes byte-identical
     trees for both (the CSV streams through the sharded build);
   * `privhp quantile` answers on the 1-D tree;
+  * `privhp sample` (seeded), `quantile` and `heavy` print the same
+    bytes from a tree and from its `privhp pack`ed file (the domain
+    comes from the file's header: no --dim);
   * a CSV with a malformed row fails with that row's line number and
     leaves no output file.
 
@@ -65,6 +68,38 @@ def main(argv):
         if proc.returncode != 0 or not proc.stdout.startswith("q=0.5000"):
             raise AssertionError("quantile failed:\n%s%s" %
                                  (proc.stdout, proc.stderr))
+
+        for dim in (1, 2):
+            tree = os.path.join(tmp, "data%d.csv.t1.tree" % dim)
+            packed = tree + ".phx"
+            proc = run(privhp, "pack", "--tree", tree, "--out", packed)
+            if proc.returncode != 0:
+                raise AssertionError("pack of %s failed:\n%s" %
+                                     (tree, proc.stderr))
+            queries = [["sample", "--m", "5000", "--seed", "7"],
+                       ["heavy", "--threshold", "0.05"]]
+            if dim == 1:
+                queries.append(["quantile", "--q", "0.1", "--q", "0.5",
+                                "--q", "0.9"])
+            for query in queries:
+                outputs = []
+                for path in (tree, packed):
+                    args = [query[0], "--tree", path] + query[1:]
+                    if query[0] == "sample":
+                        args += ["--out", path + ".csv"]
+                    proc = run(privhp, *args)
+                    if proc.returncode != 0:
+                        raise AssertionError("%s failed:\n%s" %
+                                             (" ".join(args), proc.stderr))
+                    if query[0] == "sample":
+                        with open(path + ".csv", "rb") as f:
+                            outputs.append(f.read())
+                    else:
+                        outputs.append(proc.stdout.encode())
+                if not outputs[0] or outputs[0] != outputs[1]:
+                    raise AssertionError(
+                        "%d-D %s differs between the tree and its packed "
+                        "file" % (dim, query[0]))
 
         # Line 1 is a comment, so the bad row is line 5 of the file.
         bad = os.path.join(tmp, "bad.csv")

@@ -2,9 +2,9 @@
 //
 //   privhp build   --in data.csv --dim 2 --epsilon 1.0 --k 32
 //                  --out generator.tree [--n N] [--seed S]
-//   privhp sample  --tree generator.tree --dim 2 --m 10000 --out synth.csv
+//   privhp sample  --tree generator.tree --m 10000 --out synth.csv
 //   privhp quantile --tree generator.tree --q 0.5 [--q 0.9 ...]   (d = 1)
-//   privhp heavy   --tree generator.tree --dim 1 --threshold 0.05
+//   privhp heavy   --tree generator.tree --threshold 0.05
 //   privhp w1      --a a.csv --b b.csv --dim 1        (exact for d = 1,
 //                                                      sliced otherwise)
 //   privhp pack    --tree generator.tree --out generator.paged
@@ -24,6 +24,9 @@
 //
 // The tree file is the released eps-DP artifact; every subcommand other
 // than `build` is post-processing and can be run any number of times.
+// `sample`, `quantile` and `heavy` read a tree file or its packed form
+// (`pack`), take the domain from the file's header, and answer exactly
+// as `serve` does for the same file.
 // `serve` keeps released artifacts resident and answers the same
 // post-processing queries over sockets; `ingest` streams a dataset into a
 // server-side bounded-memory build and publishes the result.
@@ -50,6 +53,7 @@
 #include "io/point_stream.h"
 #include "obs/histogram.h"
 #include "obs/metrics_registry.h"
+#include "service/artifact_registry.h"
 #include "service/client.h"
 #include "service/server.h"
 #include "service/service_metrics.h"
@@ -103,10 +107,10 @@ int Usage() {
       "                  [--epsilon E] [--k K] [--n N] [--seed S]\n"
       "                  [--threads T]   (sharded parallel ingestion;\n"
       "                                   output is identical for any T)\n"
-      "  privhp sample   --tree gen.tree --dim D --m M --out synth.csv\n"
-      "                  [--seed S]\n"
+      "  privhp sample   --tree gen.tree --m M --out synth.csv [--seed S]\n"
       "  privhp quantile --tree gen.tree --q Q [--q Q2 ...]   (dim 1)\n"
-      "  privhp heavy    --tree gen.tree --dim D --threshold T\n"
+      "  privhp heavy    --tree gen.tree --threshold T\n"
+      "                  (--tree takes a tree file or a packed one)\n"
       "  privhp w1       --a a.csv --b b.csv --dim D\n"
       "  privhp pack     --tree gen.tree --out gen.paged\n"
       "                  [--page-size BYTES]   (power of two, 4096..1048576;\n"
@@ -221,39 +225,39 @@ int Build(const Args& args) {
   return 0;
 }
 
-Result<PrivHPGenerator> LoadGenerator(const Args& args,
-                                      const Domain* domain) {
+// Opens --tree, a tree-v2 or packed file, as `serve --load` does: the
+// domain comes from the file's header, and the answers below are the
+// calls `serve` answers with.
+Result<std::shared_ptr<const ServedArtifact>> LoadArtifact(const Args& args) {
   const std::string* tree = args.Get("tree");
   if (!tree) return Status::InvalidArgument("missing --tree");
-  return PrivHPGenerator::Load(domain, *tree);
+  return ServedArtifact::FromFile(*tree);
 }
 
 int Sample(const Args& args) {
-  auto dim = RequireInt(args, "dim");
   auto m = RequireInt(args, "m");
   const std::string* out = args.Get("out");
-  if (!dim.ok() || !m.ok() || !out) {
-    std::fprintf(stderr, "sample needs --tree, --dim, --m, --out\n");
+  if (!m.ok() || !out) {
+    std::fprintf(stderr, "sample needs --tree, --m, --out\n");
     return 2;
   }
-  HypercubeDomain domain(*dim);
-  auto generator = LoadGenerator(args, &domain);
-  if (!generator.ok()) {
-    std::fprintf(stderr, "%s\n", generator.status().ToString().c_str());
+  auto artifact = LoadArtifact(args);
+  if (!artifact.ok()) {
+    std::fprintf(stderr, "%s\n", artifact.status().ToString().c_str());
     return 1;
   }
   RandomEngine rng(
       std::strtoull(args.GetOr("seed", "1").c_str(), nullptr, 10));
-  // Stream points straight into the CSV sink through the generator's
-  // compiled alias sampler: the serve side is bounded memory in m, just
-  // like the build side is in n.
+  // Stream points straight into the CSV sink through the artifact's
+  // alias sampler: the serve side is bounded memory in m, just like the
+  // build side is in n.
   auto writer = CsvPointWriter::Open(*out);
   if (!writer.ok()) {
     std::fprintf(stderr, "%s\n", writer.status().ToString().c_str());
     return 1;
   }
-  Status written = generator->GenerateTo(static_cast<size_t>(*m), &rng,
-                                         &*writer);
+  Status written = (*artifact)->GenerateTo(static_cast<size_t>(*m), &rng,
+                                           &*writer);
   if (written.ok()) written = writer->Close();
   if (!written.ok()) {
     std::fprintf(stderr, "%s\n", written.ToString().c_str());
@@ -265,44 +269,38 @@ int Sample(const Args& args) {
 }
 
 int Quantile(const Args& args) {
-  HypercubeDomain domain(1);
-  auto generator = LoadGenerator(args, &domain);
-  if (!generator.ok()) {
-    std::fprintf(stderr, "%s\n", generator.status().ToString().c_str());
-    return 1;
-  }
   auto it = args.flags.find("q");
   if (it == args.flags.end()) {
     std::fprintf(stderr, "quantile needs at least one --q\n");
     return 2;
   }
-  for (const std::string& qs : it->second) {
-    const double q = std::atof(qs.c_str());
-    auto value = TreeQuantile(generator->tree(), q);
-    if (!value.ok()) {
-      std::fprintf(stderr, "%s\n", value.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("q=%.4f -> %.6f\n", q, *value);
+  auto artifact = LoadArtifact(args);
+  if (!artifact.ok()) {
+    std::fprintf(stderr, "%s\n", artifact.status().ToString().c_str());
+    return 1;
+  }
+  std::vector<double> qs;
+  for (const std::string& q : it->second) qs.push_back(std::atof(q.c_str()));
+  auto values = (*artifact)->Quantiles(qs);
+  if (!values.ok()) {
+    std::fprintf(stderr, "%s\n", values.status().ToString().c_str());
+    return 1;
+  }
+  for (size_t i = 0; i < qs.size(); ++i) {
+    std::printf("q=%.4f -> %.6f\n", qs[i], (*values)[i]);
   }
   return 0;
 }
 
 int Heavy(const Args& args) {
-  auto dim = RequireInt(args, "dim");
-  if (!dim.ok()) {
-    std::fprintf(stderr, "heavy needs --dim\n");
-    return 2;
-  }
-  HypercubeDomain domain(*dim);
-  auto generator = LoadGenerator(args, &domain);
-  if (!generator.ok()) {
-    std::fprintf(stderr, "%s\n", generator.status().ToString().c_str());
+  auto artifact = LoadArtifact(args);
+  if (!artifact.ok()) {
+    std::fprintf(stderr, "%s\n", artifact.status().ToString().c_str());
     return 1;
   }
   const double threshold =
       std::atof(args.GetOr("threshold", "0.05").c_str());
-  auto heavy = HierarchicalHeavyHitters(generator->tree(), threshold);
+  auto heavy = (*artifact)->Heavy(threshold);
   if (!heavy.ok()) {
     std::fprintf(stderr, "%s\n", heavy.status().ToString().c_str());
     return 1;

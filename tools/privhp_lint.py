@@ -66,9 +66,9 @@ extend it):
   PHL009  one socket I/O seam
           ::send, ::sendmsg, ::recv, ::recvmsg, ::writev and ::readv
           appear only in io/frame_socket.cc: every byte on a connection
-          goes through SendFrame/RecvFrame or a FrameReader/FrameWriter,
-          so a worker writing its own reply uses the same FrameWriter as
-          the reactor, and a fault-injection wrapper has one file to
+          goes through a FrameReader/FrameWriter (the reactor's, the
+          client's, and the reactor's writer again when a worker writes
+          its own reply), so a fault-injection wrapper has one file to
           cover. Tests (*_test.cc), which hand-craft torn frames, are
           exempt.
 
@@ -435,7 +435,7 @@ def check_socket_io_seam(path, text):
         violations.append(Violation(
             path, line_of(text, m.start()), "PHL009",
             "::%s outside io/frame_socket.cc; send and receive through "
-            "SendFrame/RecvFrame or a FrameReader/FrameWriter" %
+            "a FrameReader/FrameWriter" %
             m.group(1)))
     return violations
 
