@@ -1,5 +1,5 @@
 // Raw sampling throughput: the legacy root-to-leaf walk vs the compiled
-// alias table, with and without the move-through sink path.
+// alias table, with and without a sink.
 //
 //   bench_sample [--smoke] [--n N] [--m M] [--dim D] [--repeats R]
 //
@@ -8,7 +8,8 @@
 //
 //   walk/cells    TreeSampler::SampleLeafCell      (categorical only)
 //   alias/cells   CompiledSampler::SampleLeafCell  (categorical only)
-//   walk/points   TreeSampler::Sample -> sink->Add(const Point&)
+//   walk/points   TreeSampler::Sample              (1024-point chunks ->
+//                                                   sink AddAll)
 //   alias/points  CompiledSampler::GenerateTo      (columnar chunks ->
 //                                                   sink AddAll)
 //   alias/arena   CompiledSampler::SampleTo        (reused PointBatch,
@@ -136,12 +137,18 @@ int RunBench(const Config& config) {
   PrintRow("alias/cells", config.m, alias_cells, walk_cells);
 
   // Full points into a counting sink: the serve-path unit of work.
+  // The walk's points travel in GenerateTo's chunk size, so both rows
+  // pay the same sink dispatch.
   const double walk_points = MedianSeconds(config.repeats, [&]() {
     CountingSink sink;
     RandomEngine rng(2002);
+    PointBatch chunk(config.dim);
     for (size_t i = 0; i < config.m; ++i) {
-      const Point x = walk.Sample(&rng);
-      if (!sink.Add(x).ok()) std::abort();
+      chunk.AppendPoint(walk.Sample(&rng));
+      if (chunk.size() == 1024 || i + 1 == config.m) {
+        if (!sink.AddAll(chunk).ok()) std::abort();
+        chunk.Clear();
+      }
     }
   });
   PrintRow("walk/points", config.m, walk_points, walk_points);

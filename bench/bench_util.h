@@ -57,24 +57,15 @@ inline double AverageW1(
   return ok_runs > 0 ? total / static_cast<double>(ok_runs) : -1.0;
 }
 
-/// \brief PointSink that only counts, so sink-side work does not cap a
-/// measured sampler or server throughput (used by bench_serve and
-/// bench_sample; moved-in points forward through the base overload and
-/// are counted identically).
+/// \brief PointSink that only counts, in O(1) per batch, so sink-side
+/// work does not cap a measured sampler or server throughput (used by
+/// bench_serve and bench_sample).
 class CountingSink : public PointSink {
  public:
-  using PointSink::Add;
-  Status Add(const Point&) override {
-    ++count_;
-    return Status::OK();
-  }
-  // Batches count in O(1), so a counting sink measures the producer's
-  // cost, not the default per-row staging of the base class.
   Status AddAll(const PointBatch& batch) override {
     count_ += batch.size();
     return Status::OK();
   }
-  using PointSink::AddAll;
   uint64_t num_processed() const override { return count_; }
 
  private:

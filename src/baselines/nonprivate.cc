@@ -12,13 +12,9 @@ NonPrivateResampler::NonPrivateResampler(std::vector<Point> data)
   PRIVHP_CHECK(!data_.empty());
 }
 
-Status NonPrivateResampler::Add(const Point& x) {
-  data_.push_back(x);
-  return Status::OK();
-}
-
-Status NonPrivateResampler::Add(Point&& x) {
-  data_.push_back(std::move(x));
+Status NonPrivateResampler::AddAll(const PointBatch& batch) {
+  // Row by row, not CopyTo: see CollectingSink::AddAll.
+  for (size_t i = 0; i < batch.size(); ++i) data_.push_back(batch.At(i));
   return Status::OK();
 }
 

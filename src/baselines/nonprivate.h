@@ -28,8 +28,7 @@ class NonPrivateResampler : public SyntheticDataSource, public PointSink {
 
   explicit NonPrivateResampler(std::vector<Point> data);
 
-  Status Add(const Point& x) override;
-  Status Add(Point&& x) override;
+  Status AddAll(const PointBatch& batch) override;
   uint64_t num_processed() const override { return data_.size(); }
 
   std::vector<Point> Generate(size_t m, RandomEngine* rng) const override;

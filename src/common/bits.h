@@ -30,12 +30,6 @@ inline int CeilLog2(uint64_t x) {
   return x == 1 ? 0 : 64 - CountLeadingZeros64(x - 1);
 }
 
-/// \brief Smallest power of two >= x (x >= 1, x <= 2^63).
-inline uint64_t NextPow2(uint64_t x) { return uint64_t{1} << CeilLog2(x); }
-
-/// \brief True iff x is a power of two (x >= 1).
-inline bool IsPow2(uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
-
 /// \brief Extracts bit \p i (0 = most significant of a width-\p width
 /// prefix code) from \p code.
 inline int PrefixBit(uint64_t code, int width, int i) {

@@ -74,11 +74,6 @@
 #define RELEASE(...) \
   PRIVHP_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-/// The annotated function tries to acquire the capability and reports
-/// success via its return value (first macro argument).
-#define TRY_ACQUIRE(...) \
-  PRIVHP_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-
 /// The annotated function must NOT be called with the given capabilities
 /// held (it acquires them itself; holding them would deadlock).
 #define EXCLUDES(...) PRIVHP_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
@@ -107,7 +102,6 @@ class CAPABILITY("mutex") Mutex {
 
   void Lock() ACQUIRE() { mu_.lock(); }
   void Unlock() RELEASE() { mu_.unlock(); }
-  bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;

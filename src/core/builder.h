@@ -56,9 +56,7 @@ class PrivHPBuilder : public PointSink {
   static Result<PrivHPBuilder> Make(const Domain* domain,
                                     const PrivHPOptions& options);
 
-  /// \brief Processes one stream element (Lines 9-15). Coordinates are
-  /// only read, so the inherited move overload forwards here at no cost.
-  using PointSink::Add;
+  /// \brief Processes one stream element (Lines 9-15).
   Status Add(const Point& x) override;
 
   /// \brief Processes a columnar batch through the shard's batched

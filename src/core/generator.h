@@ -44,12 +44,6 @@ class PrivHPGenerator {
   /// \brief \p m synthetic points (the dataset Y of the problem statement).
   std::vector<Point> Generate(size_t m, RandomEngine* rng) const;
 
-  /// \brief \p m synthetic points into a columnar batch (cleared first)
-  /// — the zero-allocation sampling hot path.
-  Status GenerateBatch(size_t m, RandomEngine* rng, PointBatch* out) const {
-    return sampler().SampleTo(m, rng, out);
-  }
-
   /// \brief Streams \p m synthetic points into \p sink without
   /// materializing them — the serve-side dual of the bounded-memory
   /// builder (a CSV writer or socket sink keeps the footprint O(1) in m).

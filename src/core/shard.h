@@ -79,9 +79,7 @@ class PrivHPShard : public PointSink {
                                   const ResolvedPlan& plan);
 
   /// \brief Processes one stream element (Algorithm 1 Lines 10-15,
-  /// without noise). The shard only reads coordinates, so the inherited
-  /// move overload (which forwards here) costs nothing extra.
-  using PointSink::Add;
+  /// without noise): the scalar reference AddBatch is bit-identical to.
   Status Add(const Point& x) override;
 
   /// \brief Batched ingest hot path: processes the whole columnar batch

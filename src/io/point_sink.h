@@ -1,11 +1,13 @@
 // Uniform producer/consumer interfaces for point streams.
 //
-// The build side of PrivHP is linear: shards, builders and baselines all
-// consume a stream one point at a time. PointSink is the consumer
-// interface they share, and PointSource is the producer interface file
-// readers, sockets and in-memory batches share, so any source can feed any
-// consumer (Drain) — including several sinks in parallel, which is how
-// BuildParallel partitions one stream across worker shards.
+// Points move between the layers in columnar PointBatch windows: a
+// PointSource hands out batches (NextBatch) and a PointSink takes them
+// (AddAll). Shards, builders, baselines, CSV files and sockets all sit
+// behind these two calls, so any source can feed any consumer (Drain) —
+// including several sinks in parallel, which is how BuildParallel
+// partitions one stream across worker shards. The one-point form of the
+// paper's Algorithm 1 is PrivHPShard::Add / PrivHPBuilder::Add, not part
+// of either interface.
 
 #ifndef PRIVHP_IO_POINT_SINK_H_
 #define PRIVHP_IO_POINT_SINK_H_
@@ -23,24 +25,20 @@ class PointSink {
  public:
   virtual ~PointSink() = default;
 
-  /// \brief Processes one stream element.
-  virtual Status Add(const Point& x) = 0;
-
-  /// \brief Move-accepting overload for producers handing over freshly
-  /// built points (the sampling hot path): storing sinks take ownership
-  /// instead of copying. Default forwards to the const-ref overload, so
-  /// read-only sinks need not override it.
-  virtual Status Add(Point&& x) { return Add(static_cast<const Point&>(x)); }
-
-  /// \brief Processes a columnar batch (the zero-allocation hot path):
-  /// shards ingest the arena directly and socket sinks encode wire
-  /// frames straight from it. Default stages one reused scratch Point
-  /// per row and forwards to Add, so point-at-a-time sinks need not
-  /// override.
-  virtual Status AddAll(const PointBatch& batch);
+  /// \brief Processes a columnar batch: shards ingest the arena directly
+  /// and socket sinks encode wire frames straight from it.
+  virtual Status AddAll(const PointBatch& batch) = 0;
 
   /// \brief Points accepted so far (rejected points do not count).
   virtual uint64_t num_processed() const = 0;
+
+ protected:
+  /// \brief Not part of the interface and never called through it: the
+  /// sinks in perfbench/ still declare an override of this signature,
+  /// and PrivHPShard/PrivHPBuilder expose their scalar Add under it.
+  virtual Status Add(const Point&) {
+    return Status::NotImplemented("PointSink takes points through AddAll");
+  }
 };
 
 /// \brief A producer of streamed points (file readers, batches, sockets).
@@ -48,18 +46,20 @@ class PointSource {
  public:
   virtual ~PointSource() = default;
 
-  /// \brief Reads the next point into \p out. Returns false at
-  /// end-of-stream, an error Status on malformed input.
-  virtual Result<bool> Next(Point* out) = 0;
-
   /// \brief Reads the next batch of points into \p out (cleared first;
   /// its dimension is the source's to set) and returns the number read;
-  /// 0 means end-of-stream. \p max_points is advisory: sources with
-  /// natural framing (a decoded socket frame) may hand over a whole
-  /// frame even when it is larger, so callers must accept any non-empty
-  /// batch. The default loops Next() into the arena; file and socket
-  /// sources override it to parse or decode straight into it.
-  virtual Result<size_t> NextBatch(size_t max_points, PointBatch* out);
+  /// 0 means end-of-stream, and malformed input is an error Status.
+  /// \p max_points is advisory: sources with natural framing (a decoded
+  /// socket frame) may hand over a whole frame even when it is larger,
+  /// so callers must accept any non-empty batch.
+  virtual Result<size_t> NextBatch(size_t max_points, PointBatch* out) = 0;
+
+ protected:
+  /// \brief Not part of the interface and never called through it: the
+  /// source in perfbench/ still declares an override of this signature.
+  virtual Result<bool> Next(Point*) {
+    return Status::NotImplemented("PointSource reads through NextBatch");
+  }
 };
 
 /// \brief PointSource over an in-memory columnar batch (not owned):
@@ -68,7 +68,6 @@ class PointBatchSource : public PointSource {
  public:
   explicit PointBatchSource(const PointBatch* batch) : batch_(batch) {}
 
-  Result<bool> Next(Point* out) override;
   Result<size_t> NextBatch(size_t max_points, PointBatch* out) override;
 
  private:
@@ -80,13 +79,12 @@ class PointBatchSource : public PointSource {
 /// consumers (PMM, the flat histogram, ...) to streaming plumbing.
 class CollectingSink : public PointSink {
  public:
-  /// \param domain Optional; when set, points are validated on Add.
+  /// \param domain Optional; when set, each row is validated before it
+  /// is kept, and AddAll stops at the first invalid one (rows before it
+  /// stay).
   explicit CollectingSink(const Domain* domain = nullptr)
       : domain_(domain) {}
 
-  Status Add(const Point& x) override;
-  Status Add(Point&& x) override;
-  /// \brief Appends arena rows without a per-row scratch staging point.
   Status AddAll(const PointBatch& batch) override;
   uint64_t num_processed() const override { return points_.size(); }
 
@@ -103,13 +101,12 @@ class CollectingSink : public PointSink {
 /// builder fed by Drain sorts and updates whole windows.
 inline constexpr size_t kDrainBatchSize = 16384;
 
-/// \brief Pumps \p source dry into \p sink in batches (NextBatch ->
-/// AddAll), so batching sinks see whole batches rather than single
-/// points. The batches travel as one reused columnar PointBatch — no
-/// per-point allocation anywhere between a batching source and a
-/// batching sink. Stops at the first error from either side and returns
-/// it; a sink that rejects a batch atomically (PrivHPShard) is left
-/// without any of that batch's points.
+/// \brief Pumps \p source dry into \p sink (NextBatch -> AddAll). The
+/// batches travel as one reused columnar PointBatch — no per-point
+/// allocation anywhere between the source and the sink. Stops at the
+/// first error from either side and returns it; a sink that rejects a
+/// batch atomically (PrivHPShard) is left without any of that batch's
+/// points.
 Status Drain(PointSource* source, PointSink* sink);
 
 }  // namespace privhp

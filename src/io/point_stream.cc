@@ -100,17 +100,6 @@ Result<bool> CsvPointReader::NextDataLine() {
   return false;
 }
 
-Result<bool> CsvPointReader::ReadLineInto(Point* out) {
-  PRIVHP_ASSIGN_OR_RETURN(bool more, NextDataLine());
-  if (!more) return false;
-  const Status parsed = ParseCsvPoint(line_, dimension_, out);
-  if (!parsed.ok()) {
-    return Status::InvalidArgument(parsed.message() + " (line " +
-                                   std::to_string(line_number_) + ")");
-  }
-  return true;
-}
-
 Result<uint64_t> CsvPointReader::CountDataLines() {
   uint64_t count = 0;
   for (;;) {
@@ -120,8 +109,6 @@ Result<uint64_t> CsvPointReader::CountDataLines() {
   }
 }
 
-Result<bool> CsvPointReader::Next(Point* out) { return ReadLineInto(out); }
-
 Result<size_t> CsvPointReader::NextBatch(size_t max_points,
                                          PointBatch* out) {
   out->Reset(dimension_);
@@ -129,8 +116,13 @@ Result<size_t> CsvPointReader::NextBatch(size_t max_points,
   Point scratch;
   size_t n = 0;
   while (n < max_points) {
-    PRIVHP_ASSIGN_OR_RETURN(bool more, ReadLineInto(&scratch));
+    PRIVHP_ASSIGN_OR_RETURN(bool more, NextDataLine());
     if (!more) break;
+    const Status parsed = ParseCsvPoint(line_, dimension_, &scratch);
+    if (!parsed.ok()) {
+      return Status::InvalidArgument(parsed.message() + " (line " +
+                                     std::to_string(line_number_) + ")");
+    }
     out->AppendPoint(scratch);
     ++n;
   }
@@ -141,14 +133,9 @@ Result<std::vector<Point>> ReadPointsCsv(const std::string& path,
                                          int dimension) {
   PRIVHP_ASSIGN_OR_RETURN(CsvPointReader reader,
                           CsvPointReader::Open(path, dimension));
-  std::vector<Point> points;
-  Point x;
-  for (;;) {
-    PRIVHP_ASSIGN_OR_RETURN(bool more, reader.Next(&x));
-    if (!more) break;
-    points.push_back(std::move(x));
-  }
-  return points;
+  CollectingSink points;
+  PRIVHP_RETURN_NOT_OK(Drain(&reader, &points));
+  return points.TakePoints();
 }
 
 CsvPointWriter::CsvPointWriter(std::ofstream out) : out_(std::move(out)) {
@@ -159,17 +146,6 @@ Result<CsvPointWriter> CsvPointWriter::Open(const std::string& path) {
   std::ofstream out(path);
   if (!out) return Status::IOError("cannot open for write: " + path);
   return CsvPointWriter(std::move(out));
-}
-
-Status CsvPointWriter::Add(const Point& x) {
-  for (size_t c = 0; c < x.size(); ++c) {
-    if (c) out_ << ",";
-    out_ << x[c];
-  }
-  out_ << "\n";
-  if (!out_.good()) return Status::IOError("write failure");
-  ++num_written_;
-  return Status::OK();
 }
 
 Status CsvPointWriter::AddAll(const PointBatch& batch) {
@@ -198,7 +174,7 @@ Status CsvPointWriter::Close() {
 Status WritePointsCsv(const std::string& path,
                       const std::vector<Point>& points) {
   PRIVHP_ASSIGN_OR_RETURN(CsvPointWriter writer, CsvPointWriter::Open(path));
-  for (const Point& x : points) PRIVHP_RETURN_NOT_OK(writer.Add(x));
+  PRIVHP_RETURN_NOT_OK(writer.AddAll(PointBatch::FromPoints(points)));
   return writer.Close();
 }
 

@@ -28,13 +28,10 @@ class CsvPointReader : public PointSource {
   /// \brief Opens \p path expecting \p dimension coordinates per line.
   static Result<CsvPointReader> Open(const std::string& path, int dimension);
 
-  /// \brief Reads the next point into \p out. Returns false at EOF.
-  /// Malformed lines produce an error Status carrying the line number.
-  Result<bool> Next(Point* out) override;
-
   /// \brief Parses up to \p max_points lines through one reused scratch
   /// point into the arena, so a file -> shard pipeline allocates nothing
-  /// per point once the scratch capacities warm up.
+  /// per point once the scratch capacities warm up. 0 at EOF; a
+  /// malformed line is an error Status carrying its line number.
   Result<size_t> NextBatch(size_t max_points, PointBatch* out) override;
 
   /// \brief Lines consumed so far (including skipped ones).
@@ -55,11 +52,6 @@ class CsvPointReader : public PointSource {
   /// CountDataLines and the reads cannot disagree on what a point is.
   Result<bool> NextDataLine();
 
-  /// Reads the next non-skippable line and parses it into \p out; the
-  /// shared primitive behind Next and NextBatch, so the scalar and
-  /// batched read paths cannot diverge.
-  Result<bool> ReadLineInto(Point* out);
-
   std::ifstream in_;
   int dimension_;
   std::string line_;  // getline scratch
@@ -78,11 +70,6 @@ class CsvPointWriter : public PointSink {
  public:
   static Result<CsvPointWriter> Open(const std::string& path);
 
-  // The writer only reads coordinates, so the inherited move overload
-  // (which forwards here) is already optimal; the using-declaration
-  // keeps both Add signatures visible on the concrete type.
-  using PointSink::Add;
-  Status Add(const Point& x) override;
   /// \brief Writes arena rows without staging a Point per row.
   Status AddAll(const PointBatch& batch) override;
   uint64_t num_processed() const override { return num_written_; }

@@ -77,60 +77,28 @@ SocketPointSink::SocketPointSink(FrameSendFn send_frame, size_t batch_size)
     : send_fn_(std::move(send_frame)),
       batch_size_(batch_size == 0 ? 1 : batch_size) {}
 
-namespace {
-
-// The wire buffer takes its dimension from the first point and holds it
-// for the stream's lifetime; a point of another dimension would encode
-// a frame the receiver must reject anyway, so fail it at the sender
-// with a usable message.
-Status PrepareWireBuffer(PointBatch* buffer, size_t dim,
-                         size_t reserve_points) {
-  if (dim == 0) {
-    return Status::InvalidArgument(
-        "cannot stream zero-coordinate points");
-  }
-  const int d = static_cast<int>(dim);
-  if (buffer->empty()) {
-    if (buffer->dim() != d) {
-      buffer->Reset(d);
-      buffer->Reserve(reserve_points);
-    }
-    return Status::OK();
-  }
-  if (buffer->dim() != d) {
-    return Status::InvalidArgument(
-        "point has " + std::to_string(dim) +
-        " coordinates but the stream carries " +
-        std::to_string(buffer->dim()) + "-dimensional points");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status SocketPointSink::Add(const Point& x) {
-  if (finished_) {
-    return Status::FailedPrecondition("point stream already finished");
-  }
-  PRIVHP_RETURN_NOT_OK(PrepareWireBuffer(&buffer_, x.size(), batch_size_));
-  buffer_.AppendPoint(x);
-  if (buffer_.size() >= batch_size_) return Flush();
-  return Status::OK();
-}
-
 Status SocketPointSink::AddAll(const PointBatch& batch) {
   if (finished_) {
     return Status::FailedPrecondition("point stream already finished");
   }
   if (batch.empty()) return Status::OK();
-  PRIVHP_RETURN_NOT_OK(
-      PrepareWireBuffer(&buffer_, static_cast<size_t>(batch.dim()),
-                        batch_size_));
+  // A buffered point of another dimension would share a frame the
+  // receiver must reject anyway, so fail it here with a usable message.
+  if (buffer_.dim() != batch.dim()) {
+    if (!buffer_.empty()) {
+      return Status::InvalidArgument(
+          "point has " + std::to_string(batch.dim()) +
+          " coordinates but the stream carries " +
+          std::to_string(buffer_.dim()) + "-dimensional points");
+    }
+    buffer_.Reset(batch.dim());
+    buffer_.Reserve(batch_size_);
+  }
   const size_t d = static_cast<size_t>(batch.dim());
   // Arena-to-arena slices at frame boundaries: no per-point work at all
-  // between the sampler and the wire. Add() keeps the buffer strictly
-  // below batch_size_ between calls, so room > 0 holds on entry and
-  // after every Flush().
+  // between the sampler and the wire. The buffer stays strictly below
+  // batch_size_ between calls, so room > 0 holds on entry and after
+  // every Flush().
   for (size_t i = 0; i < batch.size();) {
     const size_t room = batch_size_ - buffer_.size();
     const size_t take = std::min(room, batch.size() - i);
@@ -201,31 +169,10 @@ Result<bool> SocketPointSource::RecvBatchFrame() {
   return true;
 }
 
-Result<bool> SocketPointSource::FillBuffer() {
-  while (cursor_ == buffer_.size()) {
-    PRIVHP_ASSIGN_OR_RETURN(bool more, RecvBatchFrame());
-    if (!more) return false;
-    buffer_.Clear();
-    cursor_ = 0;
-    PRIVHP_RETURN_NOT_OK(DecodePointBatch(frame_, expected_dim_, &buffer_));
-  }
-  return true;
-}
-
 Result<size_t> SocketPointSource::NextBatch(size_t max_points,
                                             PointBatch* out) {
   out->Clear();
   if (finished_ || max_points == 0) return size_t{0};
-  // Points already staged by a Next() caller are served first so the two
-  // access styles can be mixed without reordering the stream.
-  if (cursor_ < buffer_.size()) {
-    const size_t take = std::min(max_points, buffer_.size() - cursor_);
-    out->Reset(buffer_.dim());
-    out->AppendFlat(buffer_.row(cursor_), take);
-    cursor_ += take;
-    num_received_ += take;
-    return take;
-  }
   // Decode consecutive frames straight into the arena until it holds
   // max_points or the stream ends, so the consumer sees full windows
   // whatever frame size the sender chose. Empty batch frames are legal;
@@ -243,19 +190,7 @@ Result<size_t> SocketPointSource::NextBatch(size_t max_points,
   return out->size();
 }
 
-Result<bool> SocketPointSource::Next(Point* out) {
-  if (finished_) return false;
-  PRIVHP_ASSIGN_OR_RETURN(bool more, FillBuffer());
-  if (!more) return false;
-  const double* row = buffer_.row(cursor_++);
-  out->assign(row, row + buffer_.dim());
-  ++num_received_;
-  return true;
-}
-
 Status SocketPointSource::SkipToEnd() {
-  buffer_.Clear();
-  cursor_ = 0;
   while (!finished_) {
     PRIVHP_ASSIGN_OR_RETURN(bool more, RecvNext());
     if (!more) {

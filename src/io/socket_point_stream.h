@@ -71,10 +71,6 @@ class SocketPointSink : public PointSink {
  public:
   explicit SocketPointSink(FrameSendFn send_frame, size_t batch_size = 1024);
 
-  // The buffer is columnar, so the move overload gains nothing over the
-  // copy; the using-declaration keeps both Add signatures visible.
-  using PointSink::Add;
-  Status Add(const Point& x) override;
   /// \brief Columnar append: arena rows copy into the wire buffer (also
   /// an arena) in frame-sized slices — the SAMPLE hot path
   /// (CompiledSampler::GenerateTo) lands here with zero per-point work.
@@ -88,7 +84,7 @@ class SocketPointSink : public PointSink {
   /// \brief Sends any buffered points now.
   Status Flush();
 
-  /// \brief Flushes and sends the end frame; no Add() afterwards.
+  /// \brief Flushes and sends the end frame; no AddAll() afterwards.
   Status FinishStream();
 
  private:
@@ -105,9 +101,9 @@ class SocketPointSink : public PointSink {
 
 /// \brief PointSource that reads a point stream frame by frame.
 ///
-/// Next() yields points one at a time out of the received batch frames
-/// and returns false once the end frame arrives (after verifying the
-/// stream total). Any non-point frame is an error.
+/// NextBatch() decodes the received batch frames into the arena and
+/// returns 0 once the end frame arrives (after verifying the stream
+/// total). Any non-point frame is an error.
 class SocketPointSource : public PointSource {
  public:
   /// \param recv_frame Delivers the frames. It owns its own blocking,
@@ -117,15 +113,12 @@ class SocketPointSource : public PointSource {
   /// many coordinates.
   explicit SocketPointSource(FrameRecvFn recv_frame, int expected_dim = 0);
 
-  Result<bool> Next(Point* out) override;
-
-  /// \brief Points a Next() caller left staged go first (up to
-  /// \p max_points of them). Otherwise consecutive frames decode straight
-  /// into the arena (one bounds-checked copy per frame) until it holds
-  /// \p max_points or the stream ends, so the server INGEST path goes
-  /// wire -> arena -> PrivHPShard::AddBatch in full windows whatever the
-  /// client's frame size. The frame that reaches \p max_points goes in
-  /// whole, so the batch may exceed it by less than one frame.
+  /// \brief Decodes consecutive frames straight into the arena (one
+  /// bounds-checked copy per frame) until it holds \p max_points or the
+  /// stream ends, so the server INGEST path goes wire -> arena ->
+  /// PrivHPShard::AddBatch in full windows whatever the client's frame
+  /// size. The frame that reaches \p max_points goes in whole, so the
+  /// batch may exceed it by less than one frame.
   Result<size_t> NextBatch(size_t max_points, PointBatch* out) override;
 
   /// \brief Reads and discards frames until the end frame (or EOF/error):
@@ -153,23 +146,17 @@ class SocketPointSource : public PointSource {
   bool cancelled() const { return cancelled_; }
 
  private:
-  Result<bool> FillBuffer();
   /// Receives the next frame into frame_, noting a cancellation.
   Result<bool> RecvNext();
-  /// Receives and classifies the next frame — the one protocol step
-  /// Next() and NextBatch() share: true means frame_ holds a point
-  /// batch to decode, false means the stream ended cleanly (end frame
-  /// verified and consumed).
+  /// Receives and classifies the next frame: true means frame_ holds a
+  /// point batch to decode, false means the stream ended cleanly (end
+  /// frame verified and consumed).
   Result<bool> RecvBatchFrame();
   /// Verifies the end frame sitting in frame_ and marks the stream done.
   Status ConsumeEndFrame();
 
   FrameRecvFn recv_fn_;
   int expected_dim_;
-  // The last decoded frame, staged for Next(): rows [cursor_, size) are
-  // still to be handed out.
-  PointBatch buffer_;
-  size_t cursor_ = 0;
   std::string frame_;
   uint64_t num_received_ = 0;
   uint64_t num_batches_ = 0;

@@ -143,8 +143,7 @@ TEST(CompiledSamplerTest, SeededBatchesAreByteIdentical) {
   ASSERT_EQ(batch_a.size(), 1000u);
   EXPECT_EQ(batch_a, batch_b);
 
-  // GenerateTo draws the identical sequence through the move-accepting
-  // sink path.
+  // GenerateTo draws the identical sequence through the sink's AddAll.
   CollectingSink sink(&domain);
   RandomEngine rng_c(42);
   ASSERT_TRUE(sampler.GenerateTo(1000, &rng_c, &sink).ok());

@@ -4,7 +4,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <utility>
 #include <vector>
 
 #include "baselines/nonprivate.h"
@@ -17,66 +16,34 @@ namespace privhp {
 namespace {
 
 // Conformance checks every PointSink implementation must satisfy:
-// Add() counts accepted points, the move overload behaves like the
-// copying one, AddAll() behaves like repeated Add().
+// AddAll() counts every accepted row, and an empty batch is a no-op.
 void CheckSinkConformance(PointSink* sink) {
   const uint64_t before = sink->num_processed();
-  ASSERT_TRUE(sink->Add({0.25}).ok());
+  ASSERT_TRUE(sink->AddAll(PointBatch::FromPoints({{0.25}})).ok());
   EXPECT_EQ(sink->num_processed(), before + 1);
   ASSERT_TRUE(sink->AddAll(PointBatch::FromPoints({{0.5}, {0.75}})).ok());
   EXPECT_EQ(sink->num_processed(), before + 3);
-  Point moved = {0.125};
-  ASSERT_TRUE(sink->Add(std::move(moved)).ok());
-  EXPECT_EQ(sink->num_processed(), before + 4);
+  ASSERT_TRUE(sink->AddAll(PointBatch(1)).ok());
+  EXPECT_EQ(sink->num_processed(), before + 3);
 }
 
 TEST(PointSinkTest, CollectingSinkConforms) {
   CollectingSink sink;
   CheckSinkConformance(&sink);
-  EXPECT_EQ(sink.points().size(), 4u);
-  EXPECT_EQ(sink.TakePoints().size(), 4u);
-}
-
-TEST(PointSinkTest, MoveAddTakesOwnershipWithoutCopying) {
-  CollectingSink sink;
-  Point p = {0.5};
-  const double* storage = p.data();
-  ASSERT_TRUE(sink.Add(std::move(p)).ok());
-  // The collected point reuses the moved-in allocation: no copy was made
-  // on the move path.
-  ASSERT_EQ(sink.points().size(), 1u);
-  EXPECT_EQ(sink.points()[0].data(), storage);
-}
-
-TEST(PointSinkTest, MoveAddStillValidatesAgainstDomain) {
-  IntervalDomain domain;
-  CollectingSink sink(&domain);
-  EXPECT_TRUE(sink.Add(Point{1.5}).IsOutOfRange());
-  EXPECT_TRUE(sink.Add(Point{0.5}).ok());
-  EXPECT_EQ(sink.num_processed(), 1u);
-}
-
-// Read-only sinks (shard, builder, CSV writer) fall back to the base
-// forwarding overload: a moved-in point must behave exactly like a
-// copied one.
-TEST(PointSinkTest, MoveAddForwardsForReadOnlySinks) {
-  IntervalDomain domain;
-  PrivHPOptions options;
-  options.expected_n = 1024;
-  auto builder = PrivHPBuilder::Make(&domain, options);
-  ASSERT_TRUE(builder.ok());
-  PointSink* sink = &*builder;
-  ASSERT_TRUE(sink->Add(Point{0.5}).ok());
-  EXPECT_EQ(sink->num_processed(), 1u);
+  EXPECT_EQ(sink.points().size(), 3u);
+  EXPECT_EQ(sink.TakePoints().size(), 3u);
 }
 
 TEST(PointSinkTest, CollectingSinkValidatesAgainstDomain) {
   IntervalDomain domain;
   CollectingSink sink(&domain);
-  EXPECT_TRUE(sink.Add({0.5}).ok());
-  EXPECT_TRUE(sink.Add({1.5}).IsOutOfRange());
-  EXPECT_TRUE(sink.Add({0.5, 0.5}).IsInvalidArgument());
-  EXPECT_EQ(sink.num_processed(), 1u);
+  EXPECT_TRUE(sink.AddAll(PointBatch::FromPoints({{0.5}})).ok());
+  EXPECT_TRUE(sink.AddAll(PointBatch::FromPoints({{0.5, 0.5}}))
+                  .IsInvalidArgument());
+  // The first invalid row stops the batch; the rows before it stay.
+  EXPECT_TRUE(sink.AddAll(PointBatch::FromPoints({{0.25}, {1.5}, {0.75}}))
+                  .IsOutOfRange());
+  EXPECT_EQ(sink.points(), (std::vector<Point>{{0.5}, {0.25}}));
 }
 
 TEST(PointSinkTest, ResamplerConforms) {
@@ -106,45 +73,10 @@ TEST(PointSinkTest, BatchSourceDrainsIntoSink) {
   ASSERT_TRUE(Drain(&source, &sink).ok());
   EXPECT_EQ(sink.points(), data);
   // A drained source stays at EOF.
-  Point scratch;
-  auto more = source.Next(&scratch);
+  PointBatch slice;
+  auto more = source.NextBatch(4, &slice);
   ASSERT_TRUE(more.ok());
-  EXPECT_FALSE(*more);
-}
-
-// A source that implements only Next(), so NextBatch is the base
-// class's default.
-class CountingSource : public PointSource {
- public:
-  explicit CountingSource(int count) : count_(count) {}
-  Result<bool> Next(Point* out) override {
-    if (next_ >= count_) return false;
-    *out = {next_++ * 0.1};
-    return true;
-  }
-
- private:
-  int count_;
-  int next_ = 0;
-};
-
-TEST(PointSinkTest, DefaultNextBatchLoopsNext) {
-  CountingSource source(10);
-  PointBatch batch;
-  auto r1 = source.NextBatch(4, &batch);
-  ASSERT_TRUE(r1.ok());
-  EXPECT_EQ(*r1, 4u);
-  ASSERT_EQ(batch.size(), 4u);
-  EXPECT_EQ(batch.row(3)[0], 3 * 0.1);
-  auto r2 = source.NextBatch(100, &batch);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(*r2, 6u);
-  ASSERT_EQ(batch.size(), 6u);
-  EXPECT_EQ(batch.row(5)[0], 9 * 0.1);
-  auto r3 = source.NextBatch(100, &batch);
-  ASSERT_TRUE(r3.ok());
-  EXPECT_EQ(*r3, 0u);
-  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(*more, 0u);
 }
 
 // The batch source hands out consecutive max_points slices, then the
@@ -179,39 +111,10 @@ TEST(PointSinkTest, BatchSourceOverEmptyBatchEndsAtOnce) {
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(*n, 0u);
     EXPECT_TRUE(slice.empty());
-    Point scratch;
-    auto more = source.Next(&scratch);
-    ASSERT_TRUE(more.ok());
-    EXPECT_FALSE(*more);
   }
   PointBatchSource unbacked(nullptr);
   PointBatch slice;
   EXPECT_TRUE(unbacked.NextBatch(4, &slice).status().IsInvalidArgument());
-}
-
-// Next and NextBatch share one cursor: mixing them neither skips nor
-// repeats a point.
-TEST(PointSinkTest, BatchSourceMixesNextWithNextBatch) {
-  PointBatch data(1);
-  for (int i = 0; i < 7; ++i) data.AppendPoint({i * 0.1});
-  PointBatchSource source(&data);
-  std::vector<Point> seen;
-  Point x;
-  PointBatch slice;
-  for (int round = 0;; ++round) {
-    if (round % 2 == 0) {
-      auto more = source.Next(&x);
-      ASSERT_TRUE(more.ok());
-      if (!*more) break;
-      seen.push_back(x);
-    } else {
-      auto n = source.NextBatch(2, &slice);
-      ASSERT_TRUE(n.ok());
-      if (*n == 0) break;
-      slice.CopyTo(&seen);
-    }
-  }
-  EXPECT_EQ(seen, data.ToPoints());
 }
 
 TEST(PointSinkTest, DrainStopsAtFirstSinkError) {

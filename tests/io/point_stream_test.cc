@@ -78,19 +78,16 @@ TEST(ParseCsvPointTest, AcceptsUnderflowRejectsOverflow) {
   EXPECT_TRUE(ParseCsvPoint("0.5,-1e400", 2, &p).IsInvalidArgument());
 }
 
+// 40000 points span two full reads of kDrainBatchSize rows and a tail;
+// full-precision output reads back bit for bit.
 TEST(CsvRoundTripTest, WriteThenReadPreservesPoints) {
   RandomEngine rng(1);
-  const auto points = GenerateUniform(3, 200, &rng);
+  const auto points = GenerateUniform(3, 40000, &rng);
   const std::string path = TempPath("points_roundtrip.csv");
   ASSERT_TRUE(WritePointsCsv(path, points).ok());
   auto loaded = ReadPointsCsv(path, 3);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ASSERT_EQ(loaded->size(), points.size());
-  for (size_t i = 0; i < points.size(); ++i) {
-    for (int c = 0; c < 3; ++c) {
-      EXPECT_DOUBLE_EQ((*loaded)[i][c], points[i][c]);
-    }
-  }
+  EXPECT_EQ(*loaded, points);
   std::remove(path.c_str());
 }
 
@@ -99,18 +96,18 @@ TEST(CsvPointReaderTest, SkipsCommentsAndBlanks) {
   WriteFile(path, "# header\n0.1,0.2\n\n   \n# mid comment\n0.3,0.4\n");
   auto reader = CsvPointReader::Open(path, 2);
   ASSERT_TRUE(reader.ok());
-  Point p;
-  auto r1 = reader->Next(&p);
+  PointBatch batch;
+  auto r1 = reader->NextBatch(1, &batch);
   ASSERT_TRUE(r1.ok());
-  EXPECT_TRUE(*r1);
-  EXPECT_DOUBLE_EQ(p[0], 0.1);
-  auto r2 = reader->Next(&p);
+  EXPECT_EQ(*r1, 1u);
+  EXPECT_DOUBLE_EQ(batch.row(0)[0], 0.1);
+  auto r2 = reader->NextBatch(1, &batch);
   ASSERT_TRUE(r2.ok());
-  EXPECT_TRUE(*r2);
-  EXPECT_DOUBLE_EQ(p[1], 0.4);
-  auto r3 = reader->Next(&p);
+  EXPECT_EQ(*r2, 1u);
+  EXPECT_DOUBLE_EQ(batch.row(0)[1], 0.4);
+  auto r3 = reader->NextBatch(1, &batch);
   ASSERT_TRUE(r3.ok());
-  EXPECT_FALSE(*r3);  // EOF
+  EXPECT_EQ(*r3, 0u);  // EOF
   std::remove(path.c_str());
 }
 
@@ -144,9 +141,9 @@ TEST(CsvPointReaderTest, ReportsLineNumberOnError) {
   WriteFile(path, "0.1,0.2\nbroken\n");
   auto reader = CsvPointReader::Open(path, 2);
   ASSERT_TRUE(reader.ok());
-  Point p;
-  ASSERT_TRUE(reader->Next(&p).ok());
-  auto bad = reader->Next(&p);
+  PointBatch batch;
+  ASSERT_TRUE(reader->NextBatch(1, &batch).ok());
+  auto bad = reader->NextBatch(1, &batch);
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.status().message().find("line 2"), std::string::npos);
   std::remove(path.c_str());

@@ -121,10 +121,10 @@ TEST(SocketPointStreamTest, SinkToSourceRoundTrip) {
   EXPECT_EQ(source.num_received(), sent.size());
 
   // The source stays at end-of-stream.
-  Point scratch;
-  auto more = source.Next(&scratch);
+  PointBatch batch;
+  auto more = source.NextBatch(8, &batch);
   ASSERT_TRUE(more.ok());
-  EXPECT_FALSE(*more);
+  EXPECT_EQ(*more, 0u);
 }
 
 TEST(SocketPointStreamTest, NextBatchHandsOverWholeFrames) {
@@ -159,39 +159,6 @@ TEST(SocketPointStreamTest, NextBatchHandsOverWholeFrames) {
   // max_points is advisory: a whole 100-point frame comes through as one
   // batch rather than being re-staged into 8-point slices.
   for (size_t n : batch_sizes) EXPECT_EQ(n, 100u);
-}
-
-TEST(SocketPointStreamTest, NextBatchInterleavesWithNext) {
-  auto pair = SocketPair();
-  ASSERT_TRUE(pair.ok());
-  std::vector<Point> sent;
-  for (int i = 0; i < 90; ++i) sent.push_back({i / 90.0});
-
-  std::thread writer([&]() {
-    SocketPointSink sink(SocketSender(&pair->first), /*batch_size=*/40);
-    ASSERT_TRUE(sink.AddAll(PointBatch::FromPoints(sent)).ok());
-    ASSERT_TRUE(sink.FinishStream().ok());
-  });
-
-  SocketPointSource source(SocketReceiver(&pair->second), /*expected_dim=*/1);
-  std::vector<Point> received;
-  // Next() stages a frame internally; NextBatch must serve the staged
-  // remainder first so the stream order is preserved.
-  Point one;
-  auto more = source.Next(&one);
-  ASSERT_TRUE(more.ok());
-  ASSERT_TRUE(*more);
-  received.push_back(one);
-  PointBatch batch;
-  for (;;) {
-    auto n = source.NextBatch(1000, &batch);
-    ASSERT_TRUE(n.ok()) << n.status();
-    if (*n == 0) break;
-    batch.CopyTo(&received);
-  }
-  writer.join();
-  EXPECT_EQ(received, sent);
-  EXPECT_EQ(source.num_received(), sent.size());
 }
 
 TEST(SocketPointStreamTest, NextBatchVerifiesStreamTotal) {
@@ -361,12 +328,12 @@ TEST(SocketPointStreamTest, DimensionMismatchIsAnError) {
   auto pair = SocketPair();
   ASSERT_TRUE(pair.ok());
   SocketPointSink sink(SocketSender(&pair->first), 8);
-  ASSERT_TRUE(sink.Add({0.5, 0.5}).ok());
+  ASSERT_TRUE(sink.AddAll(PointBatch::FromPoints({{0.5, 0.5}})).ok());
   ASSERT_TRUE(sink.Flush().ok());
 
   SocketPointSource source(SocketReceiver(&pair->second), /*expected_dim=*/1);
-  Point scratch;
-  EXPECT_TRUE(source.Next(&scratch).status().IsInvalidArgument());
+  PointBatch batch;
+  EXPECT_TRUE(source.NextBatch(8, &batch).status().IsInvalidArgument());
 }
 
 TEST(SocketPointStreamTest, BatchHeaderBeyondPayloadIsRejected) {
@@ -398,17 +365,17 @@ TEST(SocketPointStreamTest, TruncatedStreamIsAnError) {
   ASSERT_TRUE(pair.ok());
   {
     SocketPointSink sink(SocketSender(&pair->first), 8);
-    ASSERT_TRUE(sink.Add({0.25}).ok());
+    ASSERT_TRUE(sink.AddAll(PointBatch::FromPoints({{0.25}})).ok());
     ASSERT_TRUE(sink.Flush().ok());
     // No end frame: the connection just drops.
     pair->first.Close();
   }
   SocketPointSource source(SocketReceiver(&pair->second), 1);
-  Point scratch;
-  auto first = source.Next(&scratch);
+  PointBatch batch;
+  auto first = source.NextBatch(1, &batch);
   ASSERT_TRUE(first.ok());
-  EXPECT_TRUE(*first);
-  EXPECT_TRUE(source.Next(&scratch).status().IsIOError());
+  EXPECT_EQ(*first, 1u);
+  EXPECT_TRUE(source.NextBatch(1, &batch).status().IsIOError());
 }
 
 TEST(SocketPointStreamTest, EndFrameTotalIsVerified) {
@@ -420,10 +387,9 @@ TEST(SocketPointStreamTest, EndFrameTotalIsVerified) {
   ASSERT_TRUE(WriteFrame(pair->first, EncodePointStreamEnd(5)).ok());
 
   SocketPointSource source(SocketReceiver(&pair->second), 1);
-  Point scratch;
-  EXPECT_TRUE(*source.Next(&scratch));
-  EXPECT_TRUE(*source.Next(&scratch));
-  EXPECT_TRUE(source.Next(&scratch).status().IsIOError());
+  PointBatch batch;
+  EXPECT_EQ(*source.NextBatch(2, &batch), 2u);
+  EXPECT_TRUE(source.NextBatch(2, &batch).status().IsIOError());
 }
 
 TEST(SocketPointStreamTest, FinishedSinkRejectsFurtherPoints) {
@@ -431,7 +397,8 @@ TEST(SocketPointStreamTest, FinishedSinkRejectsFurtherPoints) {
   ASSERT_TRUE(pair.ok());
   SocketPointSink sink(SocketSender(&pair->first), 8);
   ASSERT_TRUE(sink.FinishStream().ok());
-  EXPECT_TRUE(sink.Add({0.5}).IsFailedPrecondition());
+  EXPECT_TRUE(sink.AddAll(PointBatch::FromPoints({{0.5}}))
+                  .IsFailedPrecondition());
   EXPECT_TRUE(sink.FinishStream().IsFailedPrecondition());
 }
 

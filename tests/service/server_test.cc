@@ -414,11 +414,12 @@ TEST_F(ServerTest, LocalSourceFailureMidIngestClosesCleanly) {
   // connection (no end frame — a clean finish would publish a silently
   // truncated artifact) and later calls must fail loudly, not desync.
   struct FailingSource : PointSource {
-    int left = 10;
-    Result<bool> Next(Point* out) override {
-      if (left-- <= 0) return Status::IOError("source exploded");
-      *out = Point{0.5};
-      return true;
+    bool sent = false;
+    Result<size_t> NextBatch(size_t, PointBatch* out) override {
+      if (sent) return Status::IOError("source exploded");
+      sent = true;
+      *out = PointBatch::FromPoints(std::vector<Point>(10, Point{0.5}));
+      return out->size();
     }
   };
   auto client = Connect();

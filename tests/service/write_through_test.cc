@@ -54,10 +54,6 @@ class SlowSource : public PointSource {
   SlowSource(int batches, std::chrono::milliseconds pause)
       : left_(batches), pause_(pause) {}
 
-  Result<bool> Next(Point*) override {
-    return Status::Internal("SlowSource is read by batch");
-  }
-
   Result<size_t> NextBatch(size_t, PointBatch* out) override {
     out->Reset(1);
     if (left_ == 0) return size_t{0};

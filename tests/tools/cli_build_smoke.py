@@ -10,7 +10,10 @@ Writes a seeded 1-D and a seeded 2-D CSV and checks that
     bytes from a tree and from its `privhp pack`ed file (the domain
     comes from the file's header: no --dim);
   * a CSV with a malformed row fails with that row's line number and
-    leaves no output file.
+    leaves no output file;
+  * a flag the command does not read (`--seeed`, `sample --dim`) or a
+    numeric value that does not parse whole (`--k abc`, `--seed 3x`)
+    prints the usage, exits 2 and writes no output file.
 
 Stdlib-only. Usage: cli_build_smoke.py PATH_TO_PRIVHP
 (ctest runs it as cli.build_smoke).
@@ -115,6 +118,27 @@ def main(argv):
                     "(args %s):\n%s" % (extra, proc.stderr))
             if os.path.exists(out):
                 raise AssertionError("failed build left %s behind" % out)
+
+        tree = os.path.join(tmp, "data1.csv.t1.tree")
+        data = os.path.join(tmp, "data1.csv")
+        rejected = os.path.join(tmp, "rejected.out")
+        for args in (["sample", "--tree", tree, "--m", "5", "--out", rejected,
+                      "--seeed", "3"],
+                     ["sample", "--tree", tree, "--m", "5", "--out", rejected,
+                      "--dim", "1"],
+                     ["build", "--in", data, "--dim", "1", "--k", "abc",
+                      "--out", rejected],
+                     ["sample", "--tree", tree, "--m", "5", "--out", rejected,
+                      "--seed", "3x"]):
+            proc = run(privhp, *args)
+            if proc.returncode != 2 or "usage:" not in proc.stderr:
+                raise AssertionError(
+                    "%s exited %d without the usage:\n%s" %
+                    (" ".join(args[:1] + args[-2:]), proc.returncode,
+                     proc.stderr))
+            if os.path.exists(rejected):
+                raise AssertionError("rejected %s wrote %s" %
+                                     (" ".join(args[-2:]), rejected))
     print("cli.build_smoke: OK")
     return 0
 

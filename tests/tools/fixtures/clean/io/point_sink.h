@@ -1,6 +1,8 @@
-// PHL007 clean mirror: PointBatch is the only batch type; single points
-// and non-batch helpers may still use Point and std::vector<Point>.
-// AddAll(const std::vector<Point>&) in a comment is not a declaration.
+// PHL007 clean mirror: PointBatch is the only batch type and the
+// interfaces move points in batches; single points and non-batch
+// helpers may still use Point and std::vector<Point>.
+// AddAll(const std::vector<Point>&) and Next(Point* out) override in a
+// comment are not declarations.
 #include <cstddef>
 #include <vector>
 
@@ -8,14 +10,24 @@ namespace privhp {
 
 class PointSink {
  public:
-  virtual Status Add(const Point& x) = 0;
-  virtual Status AddAll(const PointBatch& batch);
+  virtual Status AddAll(const PointBatch& batch) = 0;
+
+ protected:
+  virtual Status Add(const Point&) { return Status::NotImplemented(""); }
 };
 
 class PointSource {
  public:
-  virtual Result<bool> Next(Point* out) = 0;
-  virtual Result<size_t> NextBatch(size_t max_points, PointBatch* out);
+  virtual Result<size_t> NextBatch(size_t max_points, PointBatch* out) = 0;
+
+ protected:
+  virtual Result<bool> Next(Point*) { return Status::NotImplemented(""); }
+};
+
+class PrivHPShard : public PointSink {
+ public:
+  Status Add(const Point& x) override;
+  Status AddAll(const PointBatch& batch) override;
 };
 
 class Domain {

@@ -103,6 +103,12 @@ class BadFixturesTest(unittest.TestCase):
         self.expect("bad/io/point_sink.h", "PHL007", [11, 17, 24])
         self.expect("bad/core/shard.cc", "PHL007", [7, 11])
 
+    def test_phl007_per_point_surface(self):
+        # A pure and an overriding Next(Point*), an out-of-class
+        # definition split after its '(', and Add(Point&&); not the
+        # NextBatch/AddAll forms beside them.
+        self.expect("bad/io/socket_source.h", "PHL007", [10, 16, 20, 27])
+
     def test_phl008_socket_free_handlers(self):
         # Both includes and all three names, in the .cc and the .h; not
         # the comment or the string that mention them.
@@ -125,6 +131,7 @@ class BadFixturesTest(unittest.TestCase):
                         "bad/service/queue.cc": "PHL004",
                         "bad/common/long_lines.cc": "PHL006",
                         "bad/io/point_sink.h": "PHL007",
+                        "bad/io/socket_source.h": "PHL007",
                         "bad/core/shard.cc": "PHL007",
                         "bad/service/handlers.cc": "PHL008",
                         "bad/service/handlers.h": "PHL008",

@@ -30,18 +30,24 @@
 // `serve` keeps released artifacts resident and answers the same
 // post-processing queries over sockets; `ingest` streams a dataset into a
 // server-side bounded-memory build and publishes the result.
+// A flag the command does not read, or a numeric value that does not
+// parse whole ("abc", "3x"), prints the usage and exits 2.
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <iostream>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/macros.h"
@@ -63,8 +69,54 @@
 namespace privhp {
 namespace {
 
+// What a flag's value must be. Parse checks every value against its
+// flag's kind, so a handler never sees "abc" or "3x" where a number goes.
+enum class Kind { kText, kInt, kUint, kReal, kSwitch };
+
+// Parses all of \p text as a T (int, uint64_t or double): an empty value,
+// trailing characters ("3x"), a sign on an unsigned value or a value out
+// of T's range fails.
+template <typename T>
+bool ParseWhole(const std::string& text, T* out) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  if constexpr (std::is_same_v<T, double>) {
+    *out = std::strtod(begin, &end);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    if (text[0] == '-') return false;
+    *out = std::strtoull(begin, &end, 10);
+  } else {
+    const long long v = std::strtoll(begin, &end, 10);
+    if (v < std::numeric_limits<T>::min() ||
+        v > std::numeric_limits<T>::max()) {
+      return false;
+    }
+    *out = static_cast<T>(v);
+  }
+  return errno == 0 && end == begin + text.size();
+}
+
+bool ValueFits(const std::string& text, Kind kind) {
+  int i = 0;
+  uint64_t u = 0;
+  double d = 0;
+  switch (kind) {
+    case Kind::kInt:
+      return ParseWhole(text, &i);
+    case Kind::kUint:
+      return ParseWhole(text, &u);
+    case Kind::kReal:
+      return ParseWhole(text, &d);
+    default:
+      return true;
+  }
+}
+
 struct Args {
-  std::string command;
   std::map<std::string, std::vector<std::string>> flags;
 
   const std::string* Get(const std::string& key) const {
@@ -76,6 +128,24 @@ struct Args {
       const {
     const std::string* v = Get(key);
     return v ? *v : fallback;
+  }
+  // The value of a numeric flag, or \p fallback when it is absent. Parse
+  // has already checked the value against the flag's kind.
+  template <typename T>
+  T Number(const std::string& key, T fallback) const {
+    const std::string* v = Get(key);
+    if (v != nullptr) PRIVHP_CHECK(ParseWhole(*v, &fallback));
+    return fallback;
+  }
+  // Every value of a repeated numeric flag, in order.
+  std::vector<double> Reals(const std::string& key) const {
+    std::vector<double> values;
+    auto it = flags.find(key);
+    if (it == flags.end()) return values;
+    for (const std::string& text : it->second) {
+      PRIVHP_CHECK(ParseWhole(text, &values.emplace_back()));
+    }
+    return values;
   }
 };
 
@@ -135,38 +205,6 @@ int Usage() {
   return 2;
 }
 
-Result<Args> Parse(int argc, char** argv) {
-  if (argc < 2) return Status::InvalidArgument("missing command");
-  Args args;
-  args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    const char* flag = argv[i];
-    if (std::strncmp(flag, "--", 2) != 0) {
-      return Status::InvalidArgument(std::string("bad flag: ") + flag);
-    }
-    // Only known boolean flags may omit a value; for everything else a
-    // missing value stays a hard error ("--seed --out f" must not parse
-    // as seed = "").
-    const bool is_boolean = std::strcmp(flag, "--list") == 0 ||
-                            std::strcmp(flag, "--raw") == 0;
-    if (is_boolean) {
-      args.flags[flag + 2].push_back("");
-    } else if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
-      return Status::InvalidArgument(std::string("flag needs a value: ") +
-                                     flag);
-    } else {
-      args.flags[flag + 2].push_back(argv[++i]);
-    }
-  }
-  return args;
-}
-
-Result<int> RequireInt(const Args& args, const std::string& key) {
-  const std::string* v = args.Get(key);
-  if (!v) return Status::InvalidArgument("missing --" + key);
-  return std::atoi(v->c_str());
-}
-
 // Counts the points of a CSV file in one O(1)-memory pass that parses
 // nothing, for the stream horizon (expected_n) when --n is absent. A
 // malformed row is reported, with its line number, by the read that
@@ -180,19 +218,18 @@ Result<uint64_t> CountCsvPoints(const std::string& path, int dim) {
 int Build(const Args& args) {
   const std::string* in = args.Get("in");
   const std::string* out = args.Get("out");
-  auto dim = RequireInt(args, "dim");
-  if (!in || !out || !dim.ok()) {
+  if (!in || !out || !args.Get("dim")) {
     std::fprintf(stderr, "build needs --in, --out, --dim\n");
     return 2;
   }
-  HypercubeDomain domain(*dim);
+  const int dim = args.Number("dim", 0);
+  HypercubeDomain domain(dim);
   PrivHPOptions options;
-  options.epsilon = std::atof(args.GetOr("epsilon", "1.0").c_str());
-  options.k = std::strtoull(args.GetOr("k", "32").c_str(), nullptr, 10);
-  options.expected_n =
-      std::strtoull(args.GetOr("n", "0").c_str(), nullptr, 10);
-  options.seed = std::strtoull(args.GetOr("seed", "42").c_str(), nullptr, 10);
-  const int threads = std::atoi(args.GetOr("threads", "1").c_str());
+  options.epsilon = args.Number("epsilon", 1.0);
+  options.k = args.Number<uint64_t>("k", 32);
+  options.expected_n = args.Number<uint64_t>("n", 0);
+  options.seed = args.Number<uint64_t>("seed", 42);
+  const int threads = args.Number("threads", 1);
   if (threads < 1) {
     std::fprintf(stderr, "--threads must be >= 1\n");
     return 2;
@@ -202,10 +239,10 @@ int Build(const Args& args) {
   // bounded whatever the file size.
   Result<PrivHPGenerator> generator = [&]() -> Result<PrivHPGenerator> {
     if (options.expected_n == 0) {
-      PRIVHP_ASSIGN_OR_RETURN(options.expected_n, CountCsvPoints(*in, *dim));
+      PRIVHP_ASSIGN_OR_RETURN(options.expected_n, CountCsvPoints(*in, dim));
     }
     PRIVHP_ASSIGN_OR_RETURN(CsvPointReader reader,
-                            CsvPointReader::Open(*in, *dim));
+                            CsvPointReader::Open(*in, dim));
     return PrivHPBuilder::BuildParallel(&domain, options, &reader, threads);
   }();
   if (!generator.ok()) {
@@ -235,9 +272,8 @@ Result<std::shared_ptr<const ServedArtifact>> LoadArtifact(const Args& args) {
 }
 
 int Sample(const Args& args) {
-  auto m = RequireInt(args, "m");
   const std::string* out = args.Get("out");
-  if (!m.ok() || !out) {
+  if (!args.Get("m") || !out) {
     std::fprintf(stderr, "sample needs --tree, --m, --out\n");
     return 2;
   }
@@ -246,8 +282,8 @@ int Sample(const Args& args) {
     std::fprintf(stderr, "%s\n", artifact.status().ToString().c_str());
     return 1;
   }
-  RandomEngine rng(
-      std::strtoull(args.GetOr("seed", "1").c_str(), nullptr, 10));
+  const uint64_t m = args.Number<uint64_t>("m", 0);
+  RandomEngine rng(args.Number<uint64_t>("seed", 1));
   // Stream points straight into the CSV sink through the artifact's
   // alias sampler: the serve side is bounded memory in m, just like the
   // build side is in n.
@@ -256,21 +292,20 @@ int Sample(const Args& args) {
     std::fprintf(stderr, "%s\n", writer.status().ToString().c_str());
     return 1;
   }
-  Status written = (*artifact)->GenerateTo(static_cast<size_t>(*m), &rng,
-                                           &*writer);
+  Status written = (*artifact)->GenerateTo(m, &rng, &*writer);
   if (written.ok()) written = writer->Close();
   if (!written.ok()) {
     std::fprintf(stderr, "%s\n", written.ToString().c_str());
     return 1;
   }
-  std::fprintf(stderr, "wrote %d synthetic points to %s\n", *m,
-               out->c_str());
+  std::fprintf(stderr, "wrote %llu synthetic points to %s\n",
+               static_cast<unsigned long long>(m), out->c_str());
   return 0;
 }
 
 int Quantile(const Args& args) {
-  auto it = args.flags.find("q");
-  if (it == args.flags.end()) {
+  const std::vector<double> qs = args.Reals("q");
+  if (qs.empty()) {
     std::fprintf(stderr, "quantile needs at least one --q\n");
     return 2;
   }
@@ -279,8 +314,6 @@ int Quantile(const Args& args) {
     std::fprintf(stderr, "%s\n", artifact.status().ToString().c_str());
     return 1;
   }
-  std::vector<double> qs;
-  for (const std::string& q : it->second) qs.push_back(std::atof(q.c_str()));
   auto values = (*artifact)->Quantiles(qs);
   if (!values.ok()) {
     std::fprintf(stderr, "%s\n", values.status().ToString().c_str());
@@ -298,9 +331,7 @@ int Heavy(const Args& args) {
     std::fprintf(stderr, "%s\n", artifact.status().ToString().c_str());
     return 1;
   }
-  const double threshold =
-      std::atof(args.GetOr("threshold", "0.05").c_str());
-  auto heavy = (*artifact)->Heavy(threshold);
+  auto heavy = (*artifact)->Heavy(args.Number("threshold", 0.05));
   if (!heavy.ok()) {
     std::fprintf(stderr, "%s\n", heavy.status().ToString().c_str());
     return 1;
@@ -314,28 +345,28 @@ int Heavy(const Args& args) {
 }
 
 int W1(const Args& args) {
-  auto dim = RequireInt(args, "dim");
   const std::string* a = args.Get("a");
   const std::string* b = args.Get("b");
-  if (!dim.ok() || !a || !b) {
+  if (!args.Get("dim") || !a || !b) {
     std::fprintf(stderr, "w1 needs --a, --b, --dim\n");
     return 2;
   }
-  auto pa = ReadPointsCsv(*a, *dim);
-  auto pb = ReadPointsCsv(*b, *dim);
+  const int dim = args.Number("dim", 0);
+  auto pa = ReadPointsCsv(*a, dim);
+  auto pb = ReadPointsCsv(*b, dim);
   if (!pa.ok() || !pb.ok()) {
     std::fprintf(stderr, "%s\n",
                  (!pa.ok() ? pa.status() : pb.status()).ToString().c_str());
     return 1;
   }
   double w1;
-  if (*dim == 1) {
+  if (dim == 1) {
     w1 = Wasserstein1DPoints(*pa, *pb);
   } else {
     RandomEngine rng(7);
     w1 = SlicedW1(*pa, *pb, 64, &rng);
   }
-  std::printf("W1 = %.6f%s\n", w1, *dim == 1 ? "" : " (sliced estimate)");
+  std::printf("W1 = %.6f%s\n", w1, dim == 1 ? "" : " (sliced estimate)");
   return 0;
 }
 
@@ -347,10 +378,8 @@ int Pack(const Args& args) {
     return 2;
   }
   storage::PackOptions options;
-  if (const std::string* page_size = args.Get("page-size")) {
-    options.page_size =
-        static_cast<uint32_t>(std::strtoul(page_size->c_str(), nullptr, 10));
-  }
+  options.page_size = static_cast<uint32_t>(
+      args.Number<uint64_t>("page-size", options.page_size));
   const Status packed = storage::PackTreeFile(*tree, *out, options);
   if (!packed.ok()) {
     std::fprintf(stderr, "%s\n", packed.ToString().c_str());
@@ -373,10 +402,10 @@ int Serve(const Args& args) {
   ServerOptions options;
   options.unix_path = args.GetOr("unix", "");
   const std::string* port = args.Get("port");
-  if (port) options.tcp_port = std::atoi(port->c_str());
+  options.tcp_port = args.Number("port", options.tcp_port);
   options.tcp_host = args.GetOr("host", "127.0.0.1");
-  options.num_workers = std::atoi(args.GetOr("workers", "4").c_str());
-  options.seed = std::strtoull(args.GetOr("seed", "1").c_str(), nullptr, 10);
+  options.num_workers = args.Number("workers", 4);
+  options.seed = args.Number<uint64_t>("seed", 1);
   options.auth_token = args.GetOr("auth-token", "");
   if (options.unix_path.empty() && !port) {
     std::fprintf(stderr, "serve needs --unix PATH and/or --port P\n");
@@ -385,9 +414,7 @@ int Serve(const Args& args) {
 
   RegistryOptions registry_options;
   registry_options.memory_budget_bytes =
-      std::strtoull(args.GetOr("memory-budget-mb", "0").c_str(), nullptr,
-                    10) *
-      (size_t{1} << 20);
+      args.Number<uint64_t>("memory-budget-mb", 0) * (size_t{1} << 20);
   ArtifactRegistry registry(registry_options);
   auto it = args.flags.find("load");
   if (it != args.flags.end()) {
@@ -449,15 +476,14 @@ int Serve(const Args& args) {
 Result<PrivHPClient> ConnectFromArgs(const Args& args) {
   const std::string* unix_path = args.Get("unix");
   if (unix_path) return PrivHPClient::ConnectUnix(*unix_path);
-  const std::string* port = args.Get("port");
-  if (!port) {
+  if (!args.Get("port")) {
     return Status::InvalidArgument("need --unix PATH or --host/--port");
   }
   // A server started with --auth-token demands the handshake as the TCP
   // connection's first frame; ConnectTcp runs it when given the token.
   return PrivHPClient::ConnectTcp(
       args.GetOr("host", "127.0.0.1"),
-      static_cast<uint16_t>(std::atoi(port->c_str())),
+      static_cast<uint16_t>(args.Number("port", 0)),
       args.GetOr("auth-token", ""));
 }
 
@@ -481,7 +507,7 @@ int Query(const Args& args) {
     std::fprintf(stderr, "query needs --artifact (or --list)\n");
     return 2;
   }
-  if (const std::string* m = args.Get("sample")) {
+  if (args.Get("sample")) {
     const std::string* out = args.Get("out");
     if (!out) {
       std::fprintf(stderr, "query --sample needs --out F\n");
@@ -492,24 +518,21 @@ int Query(const Args& args) {
       std::fprintf(stderr, "%s\n", writer.status().ToString().c_str());
       return 1;
     }
-    const uint64_t seed =
-        std::strtoull(args.GetOr("seed", "0").c_str(), nullptr, 10);
-    Status sampled = client->Sample(
-        *artifact, std::strtoull(m->c_str(), nullptr, 10), seed, &*writer);
+    const uint64_t m = args.Number<uint64_t>("sample", 0);
+    Status sampled = client->Sample(*artifact, m,
+                                    args.Number<uint64_t>("seed", 0),
+                                    &*writer);
     if (sampled.ok()) sampled = writer->Close();
     if (!sampled.ok()) {
       std::fprintf(stderr, "%s\n", sampled.ToString().c_str());
       return 1;
     }
-    std::fprintf(stderr, "wrote %s synthetic points to %s\n", m->c_str(),
-                 out->c_str());
+    std::fprintf(stderr, "wrote %llu synthetic points to %s\n",
+                 static_cast<unsigned long long>(m), out->c_str());
     return 0;
   }
   if (args.flags.count("quantile")) {
-    std::vector<double> qs;
-    for (const std::string& q : args.flags.at("quantile")) {
-      qs.push_back(std::atof(q.c_str()));
-    }
+    const std::vector<double> qs = args.Reals("quantile");
     auto values = client->Quantiles(*artifact, qs);
     if (!values.ok()) {
       std::fprintf(stderr, "%s\n", values.status().ToString().c_str());
@@ -520,8 +543,8 @@ int Query(const Args& args) {
     }
     return 0;
   }
-  if (const std::string* threshold = args.Get("heavy")) {
-    auto heavy = client->Heavy(*artifact, std::atof(threshold->c_str()));
+  if (args.Get("heavy")) {
+    auto heavy = client->Heavy(*artifact, args.Number("heavy", 0.0));
     if (!heavy.ok()) {
       std::fprintf(stderr, "%s\n", heavy.status().ToString().c_str());
       return 1;
@@ -535,8 +558,8 @@ int Query(const Args& args) {
   }
   if (args.Get("level") && args.Get("index")) {
     CellId cell;
-    cell.level = std::atoi(args.Get("level")->c_str());
-    cell.index = std::strtoull(args.Get("index")->c_str(), nullptr, 10);
+    cell.level = args.Number("level", 0);
+    cell.index = args.Number<uint64_t>("index", 0);
     auto mass = client->RangeMass(*artifact, cell);
     if (!mass.ok()) {
       std::fprintf(stderr, "%s\n", mass.status().ToString().c_str());
@@ -579,8 +602,7 @@ int Query(const Args& args) {
 int Ingest(const Args& args) {
   const std::string* artifact = args.Get("artifact");
   const std::string* in = args.Get("in");
-  auto dim = RequireInt(args, "dim");
-  if (!artifact || !in || !dim.ok()) {
+  if (!artifact || !in || !args.Get("dim")) {
     std::fprintf(stderr, "ingest needs --artifact, --in, --dim\n");
     return 2;
   }
@@ -589,25 +611,25 @@ int Ingest(const Args& args) {
     std::fprintf(stderr, "%s\n", client.status().ToString().c_str());
     return 1;
   }
+  const int dim = args.Number("dim", 0);
   PrivHPClient::IngestSpec spec;
-  spec.dim = static_cast<uint32_t>(*dim);
-  spec.epsilon = std::atof(args.GetOr("epsilon", "1.0").c_str());
-  spec.k = std::strtoull(args.GetOr("k", "32").c_str(), nullptr, 10);
-  spec.n = std::strtoull(args.GetOr("n", "0").c_str(), nullptr, 10);
-  spec.seed = std::strtoull(args.GetOr("seed", "42").c_str(), nullptr, 10);
-  spec.threads =
-      static_cast<uint32_t>(std::atoi(args.GetOr("threads", "1").c_str()));
+  spec.dim = static_cast<uint32_t>(dim);
+  spec.epsilon = args.Number("epsilon", 1.0);
+  spec.k = args.Number<uint64_t>("k", 32);
+  spec.n = args.Number<uint64_t>("n", 0);
+  spec.seed = args.Number<uint64_t>("seed", 42);
+  spec.threads = static_cast<uint32_t>(args.Number("threads", 1));
   if (spec.n == 0) {
     // The streaming horizon is required; for a file source, count points
     // in a pre-pass instead of demanding --n.
-    auto count = CountCsvPoints(*in, *dim);
+    auto count = CountCsvPoints(*in, dim);
     if (!count.ok()) {
       std::fprintf(stderr, "%s\n", count.status().ToString().c_str());
       return 1;
     }
     spec.n = *count;
   }
-  auto reader = CsvPointReader::Open(*in, *dim);
+  auto reader = CsvPointReader::Open(*in, dim);
   if (!reader.ok()) {
     std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
     return 1;
@@ -783,11 +805,9 @@ int Top(const Args& args) {
     std::fprintf(stderr, "%s\n", client.status().ToString().c_str());
     return 1;
   }
-  const int interval_ms =
-      std::max(1, std::atoi(args.GetOr("interval-ms", "1000").c_str()));
+  const int interval_ms = std::max(1, args.Number("interval-ms", 1000));
   // 0 = refresh until interrupted; a bound makes `top` scriptable.
-  const long iterations =
-      std::atol(args.GetOr("iterations", "0").c_str());
+  const uint64_t iterations = args.Number<uint64_t>("iterations", 0);
   // The first snapshot is the baseline; every displayed frame is the
   // interval since the previous one.
   auto prev = client->Stats();
@@ -796,7 +816,7 @@ int Top(const Args& args) {
     return 1;
   }
   auto prev_time = std::chrono::steady_clock::now();
-  for (long frame = 0; iterations == 0 || frame < iterations; ++frame) {
+  for (uint64_t frame = 0; iterations == 0 || frame < iterations; ++frame) {
     std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
     auto snap = client->Stats();
     if (!snap.ok()) {
@@ -819,20 +839,128 @@ int Top(const Args& args) {
   return 0;
 }
 
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  // The flags the command reads; any other is a usage error.
+  std::map<std::string, Kind> flags;
+};
+
+// Where a server listens (serve) or a client reaches it
+// (ConnectFromArgs).
+const std::map<std::string, Kind> kConnectFlags = {
+    {"unix", Kind::kText},
+    {"host", Kind::kText},
+    {"port", Kind::kInt},
+    {"auth-token", Kind::kText}};
+
+std::map<std::string, Kind> WithConnectFlags(
+    std::map<std::string, Kind> flags) {
+  flags.insert(kConnectFlags.begin(), kConnectFlags.end());
+  return flags;
+}
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = {
+      {"build", Build,
+       {{"in", Kind::kText},
+        {"out", Kind::kText},
+        {"dim", Kind::kInt},
+        {"epsilon", Kind::kReal},
+        {"k", Kind::kUint},
+        {"n", Kind::kUint},
+        {"seed", Kind::kUint},
+        {"threads", Kind::kInt}}},
+      {"sample", Sample,
+       {{"tree", Kind::kText},
+        {"m", Kind::kUint},
+        {"out", Kind::kText},
+        {"seed", Kind::kUint}}},
+      {"quantile", Quantile, {{"tree", Kind::kText}, {"q", Kind::kReal}}},
+      {"heavy", Heavy, {{"tree", Kind::kText}, {"threshold", Kind::kReal}}},
+      {"w1", W1,
+       {{"a", Kind::kText}, {"b", Kind::kText}, {"dim", Kind::kInt}}},
+      {"pack", Pack,
+       {{"tree", Kind::kText},
+        {"out", Kind::kText},
+        {"page-size", Kind::kUint}}},
+      {"serve", Serve,
+       WithConnectFlags({{"load", Kind::kText},
+                         {"workers", Kind::kInt},
+                         {"seed", Kind::kUint},
+                         {"memory-budget-mb", Kind::kUint}})},
+      {"query", Query,
+       WithConnectFlags({{"artifact", Kind::kText},
+                         {"list", Kind::kSwitch},
+                         {"sample", Kind::kUint},
+                         {"seed", Kind::kUint},
+                         {"out", Kind::kText},
+                         {"quantile", Kind::kReal},
+                         {"heavy", Kind::kReal},
+                         {"level", Kind::kInt},
+                         {"index", Kind::kUint},
+                         {"export", Kind::kText}})},
+      {"ingest", Ingest,
+       WithConnectFlags({{"artifact", Kind::kText},
+                         {"in", Kind::kText},
+                         {"dim", Kind::kInt},
+                         {"epsilon", Kind::kReal},
+                         {"k", Kind::kUint},
+                         {"n", Kind::kUint},
+                         {"seed", Kind::kUint},
+                         {"threads", Kind::kInt}})},
+      {"stats", StatsCmd, WithConnectFlags({{"raw", Kind::kSwitch}})},
+      {"top", Top,
+       WithConnectFlags({{"interval-ms", Kind::kInt},
+                         {"iterations", Kind::kUint}})},
+  };
+  return commands;
+}
+
+// Reads argv[2..] against \p command's flags: every flag must be one the
+// command reads, every value must fit its flag's kind, and only switches
+// may omit a value ("--seed --out f" must not parse as seed = "").
+Result<Args> Parse(const Command& command, int argc, char** argv) {
+  Args args;
+  for (int i = 2; i < argc; ++i) {
+    const char* flag = argv[i];
+    if (std::strncmp(flag, "--", 2) != 0) {
+      return Status::InvalidArgument(std::string("bad flag: ") + flag);
+    }
+    auto spec = command.flags.find(flag + 2);
+    if (spec == command.flags.end()) {
+      return Status::InvalidArgument(std::string(command.name) +
+                                     " does not take " + flag);
+    }
+    if (spec->second == Kind::kSwitch) {
+      args.flags[spec->first].push_back("");
+      continue;
+    }
+    if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+      return Status::InvalidArgument(std::string("flag needs a value: ") +
+                                     flag);
+    }
+    const char* value = argv[++i];
+    if (!ValueFits(value, spec->second)) {
+      return Status::InvalidArgument(std::string("bad value for ") + flag +
+                                     ": '" + value + "'");
+    }
+    args.flags[spec->first].push_back(value);
+  }
+  return args;
+}
+
 int Run(int argc, char** argv) {
-  auto args = Parse(argc, argv);
-  if (!args.ok()) return Usage();
-  if (args->command == "build") return Build(*args);
-  if (args->command == "sample") return Sample(*args);
-  if (args->command == "quantile") return Quantile(*args);
-  if (args->command == "heavy") return Heavy(*args);
-  if (args->command == "w1") return W1(*args);
-  if (args->command == "pack") return Pack(*args);
-  if (args->command == "serve") return Serve(*args);
-  if (args->command == "query") return Query(*args);
-  if (args->command == "ingest") return Ingest(*args);
-  if (args->command == "stats") return StatsCmd(*args);
-  if (args->command == "top") return Top(*args);
+  if (argc < 2) return Usage();
+  for (const Command& command : Commands()) {
+    if (command.name != std::string(argv[1])) continue;
+    auto args = Parse(command, argc, argv);
+    if (!args.ok()) {
+      std::fprintf(stderr, "%s\n", args.status().message().c_str());
+      return Usage();
+    }
+    return command.run(*args);
+  }
   return Usage();
 }
 

@@ -53,9 +53,16 @@ extend it):
           In the ingest layers (io/, domain/, core/), no AddAll,
           AddBatch, AddRange, NextBatch or ValidateBatch may take a
           std::vector<Point> or a const Point* batch: PointBatch is the
-          only batch type there, and single-point Add(const Point&) the
-          scalar reference. Code that holds vectors of points (eval/,
-          baselines/) converts with PointBatch::FromPoints/ToPoints.
+          only batch type there. Code that holds vectors of points
+          (eval/, baselines/) converts with PointBatch::FromPoints/
+          ToPoints. Nor may the per-point stream surface come back:
+          points travel through PointSource::NextBatch and
+          PointSink::AddAll only, so no Add(Point&&) is declared, and
+          no Next(Point*) is an override, a pure virtual or an
+          out-of-class definition (PointSource's protected default,
+          kept while perfbench/ still overrides it, is none of these).
+          Add(const Point&) is PrivHPShard's and PrivHPBuilder's scalar
+          reference, not part of either interface.
 
   PHL008  socket-free handlers
           service/handlers.{h,cc} may not include io/frame_socket.h or
@@ -382,8 +389,28 @@ POINT_BATCH_PARAM_RE = re.compile(
     r"std::vector\s*<\s*Point\s*>|\bconst\s+Point\s*\*")
 
 
+PER_POINT_NEXT_RE = re.compile(r"(::\s*)?\bNext\s*\(\s*Point\s*\*")
+PER_POINT_MOVE_ADD_RE = re.compile(r"\bAdd\s*\(\s*Point\s*&&")
+# What follows a declaration's parameter list when it overrides or
+# requires the method: `override`, `final` or a pure `= 0`.
+OVERRIDE_OR_PURE_RE = re.compile(
+    r"^[^;{]*?\b(override|final)\b|^[^;{]*=\s*0\b")
+
+
 def check_point_currency(path, text):
     violations = []
+    for m in PER_POINT_NEXT_RE.finditer(text):
+        _, end = extract_call_arg(text, text.index("(", m.start()))
+        if m.group(1) or OVERRIDE_OR_PURE_RE.search(text[end + 1:]):
+            violations.append(Violation(
+                path, line_of(text, m.start()), "PHL007",
+                "per-point Next(Point*); sources hand out points through "
+                "NextBatch(PointBatch*)"))
+    for m in PER_POINT_MOVE_ADD_RE.finditer(text):
+        violations.append(Violation(
+            path, line_of(text, m.start()), "PHL007",
+            "per-point Add(Point&&); sinks take points through "
+            "AddAll(const PointBatch&)"))
     for m in BATCH_ENTRY_RE.finditer(text):
         params, _ = extract_call_arg(text, m.end() - 1)
         p = POINT_BATCH_PARAM_RE.search(params)
