@@ -15,6 +15,8 @@ namespace privhp {
 namespace {
 
 // Adapts the per-level private sketches to GrowPartition's interface.
+// Queries only read the sketches, so GrowPartition may run them from
+// several threads at once.
 class SketchLevelSource : public LevelFrequencySource {
  public:
   SketchLevelSource(const std::vector<PrivateCountMinSketch>* sketches,
@@ -117,9 +119,12 @@ Status PrivHPBuilder::AbsorbShard(PrivHPShard&& shard) {
   return Status::OK();
 }
 
-Result<PrivHPGenerator> PrivHPBuilder::Finish() && {
+Result<PrivHPGenerator> PrivHPBuilder::Finish(int num_threads) && {
   if (finished_) {
     return Status::FailedPrecondition("builder already finished");
+  }
+  if (num_threads < 1) {
+    return Status::InvalidArgument("num_threads must be >= 1");
   }
   finished_ = true;
   const ResolvedPlan& p = plan_;
@@ -130,8 +135,10 @@ Result<PrivHPGenerator> PrivHPBuilder::Finish() && {
   // exactly once over the merged exact state. Draw order (counter levels
   // in index order, then sketch cells row-major per level) is fixed by
   // the plan seed alone, so the release is deterministic in the seed and
-  // independent of how many shards fed the build. The counters are in
-  // breadth-first order, so level l's draws fill one contiguous run.
+  // independent of how many shards or threads fed the build. The draws
+  // stay on this thread: their order defines the release. The counters
+  // are in breadth-first order, so level l's draws fill one contiguous
+  // run.
   if (!p.privacy_disabled) {
     for (int l = 0; l <= p.l_star; ++l) {
       const double scale = 1.0 / p.budget.sigma[l];
@@ -156,7 +163,8 @@ Result<PrivHPGenerator> PrivHPBuilder::Finish() && {
 
   // Line 16: grow the partition from the sketches (Algorithm 2). The
   // release tree is built once from the noisy counters, with its arena
-  // already at the size growing ends at.
+  // already at the size growing ends at. The sketches are read-only from
+  // here on, so GrowPartition may query them from num_threads threads.
   GrowOptions grow;
   grow.k = p.k;
   grow.l_star = p.l_star;
@@ -168,7 +176,7 @@ Result<PrivHPGenerator> PrivHPBuilder::Finish() && {
                               GrownNodeCount(grow)));
   counts = std::vector<double>();
   SketchLevelSource source(&sketches, p.l_star);
-  PRIVHP_RETURN_NOT_OK(GrowPartition(&tree, source, grow));
+  PRIVHP_RETURN_NOT_OK(GrowPartition(&tree, source, grow, num_threads));
   return PrivHPGenerator(std::move(tree), plan_);
 }
 
@@ -288,7 +296,7 @@ Result<PrivHPGenerator> PrivHPBuilder::BuildParallel(
   for (PrivHPShard& shard : shards) {
     PRIVHP_RETURN_NOT_OK(builder.AbsorbShard(std::move(shard)));
   }
-  return std::move(builder).Finish();
+  return std::move(builder).Finish(num_threads);
 }
 
 }  // namespace privhp

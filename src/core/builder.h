@@ -81,12 +81,20 @@ class PrivHPBuilder : public PointSink {
   /// \brief Runs GrowPartition and releases the generator (Line 16),
   /// applying the per-level Laplace noise exactly once first.
   /// The builder must not be used afterwards.
-  Result<PrivHPGenerator> Finish() &&;
+  ///
+  /// The noise is drawn on the calling thread, in the order that defines
+  /// the release (counter levels, then each sketch's cells). GrowPartition
+  /// then runs on \p num_threads threads: the sketches are read-only by
+  /// then, so the first level below L* is queried, made consistent and
+  /// ranked by subtree in parallel. The release is byte-identical for
+  /// every \p num_threads; with 1 no thread is started.
+  Result<PrivHPGenerator> Finish(int num_threads = 1) &&;
 
   /// \brief One-call parallel build: drains \p source, dispatching
   /// window-sized batches (PrivHPShard::kWindow points) through a
   /// one-window queue to \p num_threads worker threads each owning one
-  /// shard, then absorbs (and frees) the shards one by one and finishes.
+  /// shard, then absorbs (and frees) the shards one by one and finishes
+  /// on the same \p num_threads threads (Finish).
   /// Deterministic: the result is bit-for-bit identical to a sequential
   /// build with the same options. An in-memory dataset streams through
   /// a PointBatchSource.

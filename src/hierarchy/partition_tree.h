@@ -75,11 +75,6 @@ class PartitionTree {
   /// \brief Nodes the arena holds room for without reallocating.
   size_t capacity() const { return nodes_.capacity(); }
 
-  /// \brief Makes room for \p num_nodes nodes in total, so that growing
-  /// the tree to that size never reallocates (node ids are stable
-  /// anyway; only the copies and the slack are saved).
-  void Reserve(size_t num_nodes) { nodes_.reserve(num_nodes); }
-
   TreeNode& node(NodeId id) { return nodes_[id]; }
   const TreeNode& node(NodeId id) const { return nodes_[id]; }
 
@@ -90,12 +85,26 @@ class PartitionTree {
   /// leaf. Returns the left child id (right child is the next id).
   NodeId AddChildren(NodeId id);
 
+  /// \brief Appends level d + 1 to a tree complete to depth d in
+  /// breadth-first order (as Complete builds it, d read off num_nodes()).
+  /// Once laid out, the level holds the nodes AddChildren over level d in
+  /// index order would append, in the same order. Until
+  /// LayoutCompleteRange has covered the level, its nodes are blank:
+  /// count 0, no children, cell (0, 0), parents unlinked.
+  void AppendCompleteLevel();
+
+  /// \brief Lays out cells [\p begin, \p end) of \p level in a
+  /// breadth-first complete arena whose nodes there are still blank:
+  /// node CompleteNodeId(level, i) gets cell (level, i) and becomes its
+  /// parent's left or right child (slots 2p + 1 and 2p + 2 of parent p).
+  /// \p begin and \p end are even. It writes only those nodes and their
+  /// parents' links, so disjoint ranges can be laid out from different
+  /// threads at once.
+  void LayoutCompleteRange(int level, uint64_t begin, uint64_t end);
+
   /// \brief Walks from the root along the bit path of \p cell; returns the
   /// node id or kInvalidNode if the path leaves the tree.
   NodeId Find(CellId cell) const;
-
-  /// \brief Ids of all nodes at \p level, in index order of creation.
-  std::vector<NodeId> NodesAtLevel(int level) const;
 
   /// \brief Ids of all leaves (pre-order).
   std::vector<NodeId> Leaves() const;

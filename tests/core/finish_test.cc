@@ -1,13 +1,15 @@
 // PrivHPBuilder::Finish's batched growth. GrowPartition asks the
-// builder's sketch source for each level's children in one QueryBatch
-// (CountMinSketch::EstimateBatch) and reserves the tree's final node
-// count up front. Neither may change a byte of the release, and the
-// reserve must be exact. AbsorbShard must free the absorbed shard, and
-// only once it has been merged; an absorbed shard cannot be absorbed
-// again.
+// builder's sketch source for each level's children in chunked
+// QueryBatch calls (CountMinSketch::EstimateBatch), Finish builds the
+// tree at its final node count up front, and Finish(num_threads) splits
+// the first level below L* over threads. None of it may change a byte of
+// the release, and the arena must be sized exactly. AbsorbShard must
+// free the absorbed shard, and only once it has been merged; an absorbed
+// shard cannot be absorbed again.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -131,6 +133,84 @@ TEST(FinishTest, ShippedPlanTreeIsReservedExactly) {
   ASSERT_TRUE(released.ok()) << released.status().ToString();
   EXPECT_EQ(released->tree().num_nodes(), 131455u);
   EXPECT_EQ(released->tree().capacity(), released->tree().num_nodes());
+}
+
+// A plan for the thread-count gate: -1 leaves a level to the planner.
+struct ThreadPlan {
+  const char* name;
+  int dim;
+  int l_star;
+  int grow_to;
+  uint64_t k;
+  bool consistency;
+  bool privacy;
+};
+
+// Finish(T) releases the same arena and the same serialized tree as
+// Finish(1), including where 2^L* < T, where T is not a power of two,
+// and on the ablation plans.
+TEST(FinishTest, ReleaseIsTheSameAtEveryThreadCount) {
+  const ThreadPlan plans[] = {
+      {"lstar0", 1, 0, -1, 4, true, true},
+      {"lstar1", 1, 1, -1, 4, true, true},
+      {"lstar2", 1, 2, -1, 4, true, true},
+      {"grow_to_lstar", 1, 3, 3, 4, true, true},
+      {"k_covers_level", 1, 2, -1, 64, true, true},
+      {"k1", 1, 5, -1, 1, true, true},
+      {"no_consistency", 1, 5, -1, 8, false, true},
+      {"no_privacy", 1, 5, -1, 8, true, false},
+      {"two_d", 2, -1, -1, 8, true, true},
+      {"shipped", 1, -1, -1, 32, true, true},
+  };
+  const PointBatch data = SkewedPoints(1, 5000, 21);
+  const PointBatch data2 = SkewedPoints(2, 5000, 22);
+  for (const ThreadPlan& plan : plans) {
+    HypercubeDomain domain(plan.dim);
+    PrivHPOptions options;
+    options.k = plan.k;
+    options.expected_n = size_t{1} << 14;
+    options.l_star = plan.l_star;
+    options.grow_to = plan.grow_to;
+    options.enforce_consistency = plan.consistency;
+    options.disable_privacy_for_ablation = !plan.privacy;
+    options.seed = 17;
+    std::string arena;
+    std::string serialized;
+    for (int threads : {1, 2, 3, 4, 8}) {
+      auto builder = PrivHPBuilder::Make(&domain, options);
+      ASSERT_TRUE(builder.ok()) << plan.name << ": " << builder.status();
+      if (plan.l_star >= 0) {
+        ASSERT_EQ(builder->plan().l_star, plan.l_star) << plan.name;
+      }
+      ASSERT_TRUE(builder->AddAll(plan.dim == 1 ? data : data2).ok());
+      auto released = std::move(*builder).Finish(threads);
+      ASSERT_TRUE(released.ok()) << plan.name << ": " << released.status();
+      const PartitionTree& tree = released->tree();
+      EXPECT_EQ(tree.capacity(), tree.num_nodes()) << plan.name;
+      const size_t bytes = tree.num_nodes() * sizeof(TreeNode);
+      if (threads == 1) {
+        arena.assign(reinterpret_cast<const char*>(tree.arena()), bytes);
+        serialized = TreeBytes(tree);
+        continue;
+      }
+      ASSERT_EQ(bytes, arena.size()) << plan.name << " T=" << threads;
+      EXPECT_EQ(std::memcmp(tree.arena(), arena.data(), bytes), 0)
+          << plan.name << " T=" << threads;
+      EXPECT_EQ(TreeBytes(tree), serialized) << plan.name << " T=" << threads;
+    }
+  }
+}
+
+TEST(FinishTest, RejectsZeroThreadsAndStaysUsable) {
+  HypercubeDomain domain(1);
+  PrivHPOptions options;
+  options.expected_n = size_t{1} << 12;
+  auto builder = PrivHPBuilder::Make(&domain, options);
+  ASSERT_TRUE(builder.ok());
+  ASSERT_TRUE(builder->AddAll(SkewedPoints(1, 100, 4)).ok());
+  EXPECT_TRUE(std::move(*builder).Finish(0).status().IsInvalidArgument());
+  // NOLINTNEXTLINE(bugprone-use-after-move): a refused Finish keeps it.
+  EXPECT_TRUE(std::move(*builder).Finish(2).ok());
 }
 
 TEST(FinishTest, AbsorbShardFreesTheShard) {

@@ -312,7 +312,7 @@ TEST(ShardTest, BuildParallelMatchesSequentialBitwise) {
   ASSERT_TRUE(gen_scalar.ok());
 
   const auto staged = PointBatch::FromPoints(data);
-  for (int threads : {1, 2, 4}) {
+  for (int threads : {1, 2, 3, 4, 7}) {
     PointBatchSource source(&staged);
     auto gen_par =
         PrivHPBuilder::BuildParallel(&domain, options, &source, threads);

@@ -21,14 +21,13 @@ PartitionTree TreeWithLeafMasses(const Domain* domain, int depth,
                                  const std::vector<double>& leaf_masses) {
   auto tree = PartitionTree::Complete(domain, depth);
   PartitionTree t = std::move(tree).ValueOrDie();
-  const auto leaves = t.NodesAtLevel(depth);
-  EXPECT_EQ(leaves.size(), leaf_masses.size());
-  for (size_t i = 0; i < leaves.size(); ++i) {
-    t.node(leaves[i]).count = leaf_masses[i];
+  EXPECT_EQ(size_t{1} << depth, leaf_masses.size());
+  for (size_t i = 0; i < leaf_masses.size(); ++i) {
+    t.node(CompleteNodeId(depth, i)).count = leaf_masses[i];
   }
   for (int l = depth - 1; l >= 0; --l) {
-    for (NodeId id : t.NodesAtLevel(l)) {
-      TreeNode& n = t.node(id);
+    for (uint64_t i = 0; i < (uint64_t{1} << l); ++i) {
+      TreeNode& n = t.node(CompleteNodeId(l, i));
       n.count = t.node(n.left).count + t.node(n.right).count;
     }
   }

@@ -129,8 +129,8 @@ TEST(GrowPartitionTest, GrowToEqualLStarOnlyAppliesConsistency) {
   auto tree = PartitionTree::Complete(&domain, 2);
   ASSERT_TRUE(tree.ok());
   tree->node(0).count = 8.0;
-  for (NodeId id : tree->NodesAtLevel(1)) tree->node(id).count = 5.0;
-  for (NodeId id : tree->NodesAtLevel(2)) tree->node(id).count = 3.0;
+  for (NodeId id = 1; id < 3; ++id) tree->node(id).count = 5.0;
+  for (NodeId id = 3; id < 7; ++id) tree->node(id).count = 3.0;
   MapSource source;
   GrowOptions options;
   options.k = 4;
@@ -160,7 +160,9 @@ TEST(GrowPartitionTest, KeepsAllNodesWhenKExceedsLevelWidth) {
   options.grow_to = 3;
   ASSERT_TRUE(GrowPartition(&(*tree), source, options).ok());
   // With k >= width nothing is pruned: the tree is complete to level 3.
-  EXPECT_EQ(tree->NodesAtLevel(3).size(), 8u);
+  EXPECT_EQ(tree->num_nodes(), 15u);
+  EXPECT_EQ(tree->MaxDepth(), 3);
+  EXPECT_EQ(tree->Leaves().size(), 8u);
 }
 
 TEST(GrowPartitionTest, ConsistencyCanBeDisabledForAblation) {

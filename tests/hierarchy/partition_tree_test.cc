@@ -25,7 +25,8 @@ TEST(PartitionTreeTest, CompleteTreeHasExpectedShape) {
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->num_nodes(), 15u);  // 2^4 - 1
   EXPECT_EQ(tree->MaxDepth(), 3);
-  EXPECT_EQ(tree->NodesAtLevel(3).size(), 8u);
+  EXPECT_EQ(tree->node(CompleteNodeId(3, 0)).cell, (CellId{3, 0}));
+  EXPECT_EQ(tree->node(CompleteNodeId(3, 7)).cell, (CellId{3, 7}));
   EXPECT_EQ(tree->Leaves().size(), 8u);
 }
 

@@ -5,12 +5,17 @@
 //    rejected with a clean Status (never a crash or a silently-wrong
 //    tree);
 //  * GrowPartition + consistency keep every invariant for arbitrary
-//    noisy inputs across domains.
+//    noisy inputs across domains;
+//  * GrowPartition's arithmetic level L*+1, at every thread count,
+//    grows the same arena, node for node, as AddChildren does.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <vector>
 
 #include "common/macros.h"
 #include "common/random.h"
@@ -32,12 +37,12 @@ PartitionTree RandomConsistentTree(const Domain* domain, uint64_t seed) {
   auto tree = PartitionTree::Complete(domain, 4);
   PartitionTree t = std::move(tree).ValueOrDie();
   RandomEngine rng(seed);
-  for (NodeId id : t.NodesAtLevel(4)) {
-    t.node(id).count = rng.UniformDouble(0.0, 10.0);
+  for (uint64_t i = 0; i < 16; ++i) {
+    t.node(CompleteNodeId(4, i)).count = rng.UniformDouble(0.0, 10.0);
   }
   for (int l = 3; l >= 0; --l) {
-    for (NodeId id : t.NodesAtLevel(l)) {
-      TreeNode& n = t.node(id);
+    for (uint64_t i = 0; i < (uint64_t{1} << l); ++i) {
+      TreeNode& n = t.node(CompleteNodeId(l, i));
       n.count = t.node(n.left).count + t.node(n.right).count;
     }
   }
@@ -59,8 +64,8 @@ TEST_P(SamplerChiSquareTest, LeafFrequenciesMatchMasses) {
   for (int i = 0; i < draws; ++i) {
     hits[sampler.SampleLeafCell(&rng).index] += 1.0;
   }
-  for (NodeId id : tree.NodesAtLevel(4)) {
-    const TreeNode& n = tree.node(id);
+  for (uint64_t i = 0; i < 16; ++i) {
+    const TreeNode& n = tree.node(CompleteNodeId(4, i));
     expected[n.cell.index] = draws * n.count / total;
   }
   int dof = 0;
@@ -178,6 +183,159 @@ TEST(GrowMassConservationTest, RootMassInvariantUnderGrowth) {
   double leaf_mass = 0.0;
   for (NodeId id : tree->Leaves()) leaf_mass += tree->node(id).count;
   EXPECT_NEAR(leaf_mass, root_before, 1e-6 * root_before);
+}
+
+// A stateless source with the same mix of negative, zero, huge and
+// ordinary estimates as ChaosSource, keyed by (level, index), so it can
+// be queried from several threads at once.
+class KeyedChaosSource : public LevelFrequencySource {
+ public:
+  explicit KeyedChaosSource(uint64_t seed) : seed_(seed) {}
+  double Query(int level, uint64_t index) const override {
+    const uint64_t h =
+        Mix64(seed_ ^ Mix64((static_cast<uint64_t>(level) << 48) ^ index));
+    const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
+    const double v = static_cast<double>(h & 0x7ff) / 2048.0;
+    if (u < 0.2) return -50.0 * v;
+    if (u < 0.4) return 0.0;
+    if (u < 0.6) return 1e6 * v;
+    if (u < 0.7) return 7.0;  // ties, broken by cell index
+    return 20.0 * v;
+  }
+
+ private:
+  uint64_t seed_;
+};
+
+// Algorithm 2 grown one AddChildren call per hot node, the whole level
+// queried in one call, pre-order consistency over the initial tree and a
+// full sort for the top-k: the construction the arithmetic layout of
+// level L*+1 replaces.
+void ReferenceGrow(PartitionTree* tree, const LevelFrequencySource& source,
+                   const GrowOptions& options) {
+  if (options.enforce_consistency) EnforceConsistencyTree(tree);
+  std::vector<NodeId> hot;
+  for (uint64_t i = 0; i < (uint64_t{1} << options.l_star); ++i) {
+    hot.push_back(CompleteNodeId(options.l_star, i));
+  }
+  for (int level = options.l_star + 1; level <= options.grow_to; ++level) {
+    std::vector<NodeId> added;
+    std::vector<uint64_t> indices;
+    for (NodeId id : hot) {
+      const NodeId left = tree->AddChildren(id);
+      for (NodeId child : {left, left + 1}) {
+        added.push_back(child);
+        indices.push_back(tree->node(child).cell.index);
+      }
+    }
+    std::vector<double> counts(indices.size());
+    source.QueryBatch(level, indices.data(), indices.size(), counts.data());
+    for (size_t i = 0; i < added.size(); ++i) {
+      tree->node(added[i]).count = counts[i];
+    }
+    if (options.enforce_consistency) {
+      for (NodeId id : hot) EnforceConsistencyAt(tree, id);
+    }
+    std::sort(added.begin(), added.end(), [&](NodeId a, NodeId b) {
+      const TreeNode& na = tree->node(a);
+      const TreeNode& nb = tree->node(b);
+      if (na.count != nb.count) return na.count > nb.count;
+      return na.cell.index < nb.cell.index;
+    });
+    added.resize(std::min<size_t>(added.size(), options.k));
+    hot = added;
+  }
+}
+
+// A complete tree of depth l_star with noisy counts drawn from \p seed.
+PartitionTree NoisyCompleteTree(const Domain* domain, int l_star,
+                                uint64_t seed) {
+  PartitionTree tree = PartitionTree::Complete(domain, l_star).ValueOrDie();
+  RandomEngine rng(seed);
+  for (size_t i = 0; i < tree.num_nodes(); ++i) {
+    tree.node(static_cast<NodeId>(i)).count = rng.Laplace(30.0) + 50.0;
+  }
+  return tree;
+}
+
+bool SameArena(const PartitionTree& a, const PartitionTree& b) {
+  return a.num_nodes() == b.num_nodes() &&
+         std::memcmp(a.arena(), b.arena(),
+                     a.num_nodes() * sizeof(TreeNode)) == 0;
+}
+
+struct GrowCase {
+  int dim;
+  int l_star;
+  int grow_to;
+  size_t k;
+  bool consistency;
+};
+
+const GrowCase kGrowCases[] = {
+    {1, 0, 6, 2, true},    // one subtree: no thread can take a part
+    {1, 1, 6, 3, true},    // 2^L* < threads
+    {2, 2, 7, 4, true},
+    {3, 3, 8, 4, true},
+    {1, 4, 9, 5, true},
+    {2, 3, 3, 4, true},    // grow_to == l_star
+    {1, 3, 4, 4, true},    // grows level L*+1 only
+    {1, 2, 6, 64, true},   // k >= 2^(L*+1): every candidate survives
+    {2, 4, 8, 1, true},    // k = 1
+    {1, 4, 8, 4, false},   // consistency off (EXP-CONS ablation)
+};
+
+TEST(GrowLayoutTest, MatchesAddChildrenGrowthAtEveryThreadCount) {
+  for (const GrowCase& c : kGrowCases) {
+    HypercubeDomain domain(c.dim);
+    GrowOptions options;
+    options.k = c.k;
+    options.l_star = c.l_star;
+    options.grow_to = c.grow_to;
+    options.enforce_consistency = c.consistency;
+    const KeyedChaosSource source(c.l_star * 7 + c.dim);
+    PartitionTree reference = NoisyCompleteTree(&domain, c.l_star, c.k);
+    ReferenceGrow(&reference, source, options);
+    ASSERT_EQ(reference.num_nodes(), GrownNodeCount(options));
+    for (int threads : {1, 2, 3, 4, 8}) {
+      PartitionTree tree = NoisyCompleteTree(&domain, c.l_star, c.k);
+      ASSERT_TRUE(GrowPartition(&tree, source, options, threads).ok());
+      EXPECT_TRUE(SameArena(tree, reference))
+          << "d=" << c.dim << " L*=" << c.l_star << " grow_to=" << c.grow_to
+          << " k=" << c.k << " threads=" << threads;
+    }
+  }
+}
+
+// ChaosSource draws from one generator in call order, so it must see
+// the same queries in the same order as the AddChildren growth did.
+TEST(GrowLayoutTest, MatchesAddChildrenGrowthOverChaosSource) {
+  for (const GrowCase& c : kGrowCases) {
+    HypercubeDomain domain(c.dim);
+    GrowOptions options;
+    options.k = c.k;
+    options.l_star = c.l_star;
+    options.grow_to = c.grow_to;
+    options.enforce_consistency = c.consistency;
+    PartitionTree reference = NoisyCompleteTree(&domain, c.l_star, 3);
+    ReferenceGrow(&reference, ChaosSource(c.k), options);
+    PartitionTree tree = NoisyCompleteTree(&domain, c.l_star, 3);
+    ASSERT_TRUE(GrowPartition(&tree, ChaosSource(c.k), options).ok());
+    EXPECT_TRUE(SameArena(tree, reference))
+        << "d=" << c.dim << " L*=" << c.l_star << " k=" << c.k;
+    EXPECT_TRUE(tree.Validate(1e-6).ok() || !c.consistency);
+  }
+}
+
+TEST(GrowLayoutTest, RejectsZeroThreads) {
+  IntervalDomain domain;
+  PartitionTree tree = NoisyCompleteTree(&domain, 2, 1);
+  GrowOptions options;
+  options.l_star = 2;
+  options.grow_to = 4;
+  EXPECT_TRUE(GrowPartition(&tree, KeyedChaosSource(1), options, 0)
+                  .IsInvalidArgument());
+  EXPECT_EQ(tree.num_nodes(), 7u);
 }
 
 }  // namespace

@@ -145,8 +145,8 @@ TEST(TreeSamplerTest, DeterministicGivenSeed) {
   }
   // Make counts consistent: parent = sum of children.
   for (int l = 2; l >= 0; --l) {
-    for (NodeId id : tree->NodesAtLevel(l)) {
-      TreeNode& n = tree->node(id);
+    for (uint64_t i = 0; i < (uint64_t{1} << l); ++i) {
+      TreeNode& n = tree->node(CompleteNodeId(l, i));
       n.count = tree->node(n.left).count + tree->node(n.right).count;
     }
   }

@@ -29,9 +29,9 @@ PartitionTree GrownTree(const Domain* domain) {
   PartitionTree t = std::move(tree).ValueOrDie();
   RandomEngine rng(5);
   t.node(t.root()).count = 100.0;
-  for (NodeId id : t.NodesAtLevel(1)) t.node(id).count = 50.0;
-  for (NodeId id : t.NodesAtLevel(2)) {
-    t.node(id).count = 25.0 + rng.UniformDouble();
+  for (uint64_t i = 0; i < 2; ++i) t.node(CompleteNodeId(1, i)).count = 50.0;
+  for (uint64_t i = 0; i < 4; ++i) {
+    t.node(CompleteNodeId(2, i)).count = 25.0 + rng.UniformDouble();
   }
   ConstSource source;
   GrowOptions options;

@@ -3,8 +3,9 @@
 
 Writes a seeded 1-D and a seeded 2-D CSV and checks that
 
-  * `privhp build` at --threads 1 and --threads 4 writes byte-identical
-    trees for both (the CSV streams through the sharded build);
+  * `privhp build` at --threads 1, 3 and 4 writes byte-identical trees
+    for both (the CSV streams through the sharded build, and Finish
+    grows the tree on the same threads);
   * `privhp quantile` answers on the 1-D tree;
   * `privhp sample` (seeded), `quantile` and `heavy` print the same
     bytes from a tree and from its `privhp pack`ed file (the domain
@@ -13,7 +14,10 @@ Writes a seeded 1-D and a seeded 2-D CSV and checks that
     leaves no output file;
   * a flag the command does not read (`--seeed`, `sample --dim`) or a
     numeric value that does not parse whole (`--k abc`, `--seed 3x`)
-    prints the usage, exits 2 and writes no output file.
+    prints the usage, exits 2 and writes no output file;
+  * a `--port` outside 1..65535 (0..65535 for `serve`, where 0 asks for
+    an ephemeral port) prints the usage and exits 2 before any socket
+    is opened, for `serve`, `query`, `ingest`, `stats` and `top`.
 
 Stdlib-only. Usage: cli_build_smoke.py PATH_TO_PRIVHP
 (ctest runs it as cli.build_smoke).
@@ -61,10 +65,13 @@ def main(argv):
             csv = os.path.join(tmp, "data%d.csv" % dim)
             write_csv(csv, dim, n, seed=dim)
             one = build(privhp, csv, dim, csv + ".t1.tree", 1)
-            four = build(privhp, csv, dim, csv + ".t4.tree", 4)
-            if one != four:
-                raise AssertionError(
-                    "%d-D tree differs between --threads 1 and 4" % dim)
+            for threads in (3, 4):
+                other = build(privhp, csv, dim,
+                              csv + ".t%d.tree" % threads, threads)
+                if one != other:
+                    raise AssertionError(
+                        "%d-D tree differs between --threads 1 and %d" %
+                        (dim, threads))
 
         proc = run(privhp, "quantile", "--tree",
                    os.path.join(tmp, "data1.csv.t1.tree"), "--q", "0.5")
@@ -139,6 +146,26 @@ def main(argv):
             if os.path.exists(rejected):
                 raise AssertionError("rejected %s wrote %s" %
                                      (" ".join(args[-2:]), rejected))
+
+        # Out-of-range ports: before this check --port 70000 connected to
+        # 4464 and --port -1 to 65535.
+        ingest_csv = ["--artifact", "a", "--in", data, "--dim", "1"]
+        for command, extra in (("query", ["--list"]),
+                               ("ingest", ingest_csv),
+                               ("stats", []),
+                               ("top", ["--iterations", "1"]),
+                               ("serve", [])):
+            for port in ("70000", "-1", "65536"):
+                args = [command, "--host", "127.0.0.1", "--port", port]
+                proc = run(privhp, *(args + extra))
+                if proc.returncode != 2 or "usage:" not in proc.stderr:
+                    raise AssertionError(
+                        "%s --port %s exited %d without the usage:\n%s" %
+                        (command, port, proc.returncode, proc.stderr))
+        proc = run(privhp, "query", "--port", "0", "--list")
+        if proc.returncode != 2 or "usage:" not in proc.stderr:
+            raise AssertionError("query --port 0 exited %d:\n%s" %
+                                 (proc.returncode, proc.stderr))
     print("cli.build_smoke: OK")
     return 0
 

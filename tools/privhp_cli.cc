@@ -70,8 +70,10 @@ namespace privhp {
 namespace {
 
 // What a flag's value must be. Parse checks every value against its
-// flag's kind, so a handler never sees "abc" or "3x" where a number goes.
-enum class Kind { kText, kInt, kUint, kReal, kSwitch };
+// flag's kind, so a handler never sees "abc" or "3x" where a number goes,
+// nor a port outside 1..65535 (0..65535 where 0 asks for an ephemeral
+// listening port).
+enum class Kind { kText, kInt, kUint, kReal, kSwitch, kPort, kListenPort };
 
 // Parses all of \p text as a T (int, uint64_t or double): an empty value,
 // trailing characters ("3x"), a sign on an unsigned value or a value out
@@ -111,6 +113,10 @@ bool ValueFits(const std::string& text, Kind kind) {
       return ParseWhole(text, &u);
     case Kind::kReal:
       return ParseWhole(text, &d);
+    case Kind::kPort:
+    case Kind::kListenPort:
+      return ParseWhole(text, &i) && i >= (kind == Kind::kPort ? 1 : 0) &&
+             i <= std::numeric_limits<uint16_t>::max();
     default:
       return true;
   }
@@ -481,6 +487,7 @@ Result<PrivHPClient> ConnectFromArgs(const Args& args) {
   }
   // A server started with --auth-token demands the handshake as the TCP
   // connection's first frame; ConnectTcp runs it when given the token.
+  // Parse has checked that the port lies in 1..65535.
   return PrivHPClient::ConnectTcp(
       args.GetOr("host", "127.0.0.1"),
       static_cast<uint16_t>(args.Number("port", 0)),
@@ -846,17 +853,14 @@ struct Command {
   std::map<std::string, Kind> flags;
 };
 
-// Where a server listens (serve) or a client reaches it
-// (ConnectFromArgs).
-const std::map<std::string, Kind> kConnectFlags = {
-    {"unix", Kind::kText},
-    {"host", Kind::kText},
-    {"port", Kind::kInt},
-    {"auth-token", Kind::kText}};
-
-std::map<std::string, Kind> WithConnectFlags(
-    std::map<std::string, Kind> flags) {
-  flags.insert(kConnectFlags.begin(), kConnectFlags.end());
+// Where a server listens (serve, \p port = kListenPort) or a client
+// reaches it (ConnectFromArgs, kPort).
+std::map<std::string, Kind> WithConnectFlags(std::map<std::string, Kind> flags,
+                                             Kind port = Kind::kPort) {
+  flags.insert({{"unix", Kind::kText},
+                {"host", Kind::kText},
+                {"port", port},
+                {"auth-token", Kind::kText}});
   return flags;
 }
 
@@ -888,7 +892,8 @@ const std::vector<Command>& Commands() {
        WithConnectFlags({{"load", Kind::kText},
                          {"workers", Kind::kInt},
                          {"seed", Kind::kUint},
-                         {"memory-budget-mb", Kind::kUint}})},
+                         {"memory-budget-mb", Kind::kUint}},
+                        Kind::kListenPort)},
       {"query", Query,
        WithConnectFlags({{"artifact", Kind::kText},
                          {"list", Kind::kSwitch},
