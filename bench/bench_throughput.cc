@@ -3,6 +3,8 @@
 //                                     claimed O(log(eps n)) per update)
 //   * AddBatch cost vs batch size    (zipf and uniform streams, sorted
 //                                     and per-point windows)
+//   * AddBatch at the shipped plan   (ns per point and per Count-Min
+//                                     row update)
 //   * sharded parallel ingestion     (--threads sweep; the merged build
 //                                     is bit-identical to 1 thread)
 //   * generator build (Finish)       (claimed O(M log n))
@@ -30,6 +32,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "baselines/pmm.h"
@@ -253,6 +256,71 @@ void BatchSizeSweep(int repeats, bool smoke) {
       table.Cell(stats.sorted_share, 3);
       table.Cell(stats.sketch_updates_per_point, 3);
     }
+  }
+  table.Print(std::cout);
+  std::cout << "\n";
+}
+
+// Single-thread AddBatch at the shipped plan (eps = 1, k = 32,
+// n = 2^23: L* = 15, L = 23 and the automatic 23 x 64 sketch), fed in
+// whole windows, on a Zipf and a uniform stream: the sketch levels'
+// Count-Min row updates are most of its cost. "row upd/pt" is sketch
+// updates per point times the sketch depth; "ns/row upd" divides the
+// whole AddBatch time by it.
+void ShippedPlanSweep(int repeats, bool smoke) {
+  constexpr size_t kWindow = PrivHPShard::kWindow;
+  const size_t n = smoke ? kWindow : size_t{1} << 21;
+  HypercubeDomain domain(1);
+  PrivHPOptions options;
+  options.epsilon = 1.0;
+  options.k = 32;
+  options.expected_n = size_t{1} << 23;
+  options.seed = 42;
+  auto plan = PlanParameters(domain, options);
+  PRIVHP_CHECK(plan.ok());
+  TablePrinter table(
+      "AddBatch at the shipped plan (1 thread, one shard, " +
+          plan->ToString() + ", " + std::to_string(kWindow) +
+          "-point batches)",
+      {"stream", "n", "sorted", "row upd/pt", "ns/point", "ns/row upd"});
+  RandomEngine rng(5);
+  const PointBatch zipf =
+      PointBatch::FromPoints(GenerateZipfCells(1, n, 16, 1.1, &rng));
+  const PointBatch uniform =
+      PointBatch::FromPoints(GenerateUniform(1, n, &rng));
+  const std::pair<const char*, const PointBatch*> streams[] = {
+      {"zipf", &zipf}, {"uniform", &uniform}};
+  for (const auto& [name, data] : streams) {
+    std::vector<PointBatch> batches;
+    for (size_t base = 0; base < n; base += kWindow) {
+      PointBatch b(1);
+      b.AppendFlat(data->row(base), std::min(kWindow, n - base));
+      batches.push_back(std::move(b));
+    }
+    const double secs = TimedMedian(repeats, [&] {
+      auto builder = PrivHPBuilder::Make(&domain, options);
+      PRIVHP_CHECK(builder.ok());
+      auto shard = builder->NewShard();
+      PRIVHP_CHECK(shard.ok());
+      bench::Stopwatch watch;
+      for (const PointBatch& b : batches) {
+        PRIVHP_CHECK(shard->AddBatch(b).ok());
+      }
+      return watch.Seconds();
+    });
+    const WindowStats stats =
+        AddBatchWindowStats(domain, *data, *plan, kWindow);
+    const double row_updates =
+        stats.sketch_updates_per_point *
+        static_cast<double>(plan->sketch_depth);
+    const double ns_per_point = secs / static_cast<double>(n) * 1e9;
+    table.BeginRow();
+    table.Cell(std::string(name));
+    table.Cell(static_cast<uint64_t>(n));
+    table.Cell(stats.sorted_share, 3);
+    table.Cell(row_updates);
+    table.Cell(ns_per_point);
+    table.Cell(ns_per_point / row_updates, 3);
   }
   table.Print(std::cout);
   std::cout << "\n";
@@ -612,6 +680,7 @@ int Run(int argc, char** argv) {
   }
   StreamUpdateSweep(repeats, smoke);
   BatchSizeSweep(repeats, smoke);
+  ShippedPlanSweep(repeats, smoke);
   ThreadSweep(size_t{1} << log2n, threads, repeats);
   FinishAndSample(repeats);
   PmmContrast(repeats);

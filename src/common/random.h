@@ -4,8 +4,7 @@
 // explicitly, so experiments are reproducible run-to-run. The engine is
 // xoshiro256++ (fast, 256-bit state, passes BigCrush) seeded via SplitMix64,
 // with samplers for the distributions the DP machinery needs: uniform,
-// Laplace, exponential, Gaussian, and the two-sided geometric (discrete
-// Laplace).
+// Bernoulli, Laplace, exponential and Gaussian.
 
 #ifndef PRIVHP_COMMON_RANDOM_H_
 #define PRIVHP_COMMON_RANDOM_H_

@@ -92,12 +92,15 @@ void ScaledCutPositions(const double* x, size_t n, const double* lo_pat,
 size_t FindOutOfBounds(const double* x, size_t n, const double* lo_pat,
                        const double* hi_pat, size_t tile);
 
-/// \brief Count-Min row buckets for a run of keys (UpdateBatch hot path).
+/// \brief Count-Min row buckets for a run of keys (the sketch's batched
+/// update and estimate).
 ///
 /// out[i] = (multiplier * Mix64(keys[i] ^ salt)) & mask, with wrapping
 /// 64-bit arithmetic — the value CompactHash::Hash(keys[i]) & mask for
 /// the CompactHash holding (multiplier, salt). \p mask must be below
-/// 2^32 so every bucket fits its uint32_t slot.
+/// 2^32 so every bucket fits its uint32_t slot. On AVX-512 hosts with
+/// AVX512-IFMA, masks below 2^21 take a kernel that computes Mix64's
+/// second product on 52 bits, all such a bucket reads.
 void HashBuckets(const uint64_t* keys, size_t n, uint64_t multiplier,
                  uint64_t salt, uint64_t mask, uint32_t* out);
 

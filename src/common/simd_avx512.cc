@@ -1,6 +1,8 @@
 // AVX-512 kernel set (compiled with -mavx512f -mavx512dq
 // -ffp-contract=off; see simd.h). Same bit-identity discipline as the
-// AVX2 set: explicit correctly-rounded intrinsics only.
+// AVX2 set: explicit correctly-rounded intrinsics only. One kernel,
+// HashBucketsIfma, also uses AVX512-IFMA through a function-level target
+// and runs only where CPUID reports it.
 
 #include "common/simd_kernels.h"
 
@@ -33,41 +35,79 @@ inline __m512i XorShiftRight(__m512i z, unsigned shift) {
   return _mm512_xor_si512(z, _mm512_maskz_srli_epi64(0xFF, z, shift));
 }
 
-// Eight lanes of (multiplier * Mix64(key ^ salt)) & mask: Mix64 is the
-// SplitMix64 finalizer of common/random.h, step for step, and
-// vpmullq (AVX-512DQ) gives the low 64 bits of each product, as the
-// scalar wrapping multiply does. mask < 2^32 keeps only bits the low
-// 32 bits of both factors determine, so the last product is a 1-uop
-// 32x32->64 vpmuludq instead of a 3-uop vpmullq (zero-masked for the
-// same warning as XorShiftRight).
-inline __m512i HashBuckets8(__m512i key, __m512i salt, __m512i multiplier,
-                            __m512i mask) {
-  __m512i z = _mm512_add_epi64(_mm512_xor_si512(key, salt),
-                               Set1U64(0x9e3779b97f4a7c15ULL));
-  z = _mm512_mullo_epi64(XorShiftRight(z, 30),
-                         Set1U64(0xbf58476d1ce4e5b9ULL));
-  z = _mm512_mullo_epi64(XorShiftRight(z, 27),
-                         Set1U64(0x94d049bb133111ebULL));
-  z = XorShiftRight(z, 31);
-  return _mm512_and_si512(_mm512_maskz_mul_epu32(0xFF, z, multiplier), mask);
+// Mix64(key ^ salt) up to its second multiply, by 0x94d049bb133111eb:
+// the factor that multiply takes. Mix64 is the SplitMix64 finalizer of
+// common/random.h, step for step, and vpmullq (AVX-512DQ) gives the low
+// 64 bits of each product, as the scalar wrapping multiply does.
+inline __m512i SecondFactor(__m512i key, __m512i salt) {
+  const __m512i z = _mm512_add_epi64(_mm512_xor_si512(key, salt),
+                                     Set1U64(0x9e3779b97f4a7c15ULL));
+  const __m512i y = _mm512_mullo_epi64(XorShiftRight(z, 30),
+                                       Set1U64(0xbf58476d1ce4e5b9ULL));
+  return XorShiftRight(y, 27);
+}
+
+// (multiplier * (z ^ (z >> 31))) & mask for the second product z: the
+// bucket. mask < 2^32 keeps only bits the low 32 bits of both factors
+// determine, so the product is a 1-uop 32x32->64 vpmuludq instead of a
+// 3-uop vpmullq (zero-masked for the same warning as XorShiftRight).
+// For a b-bit mask the bucket reads only bits 0..b-1 of z ^ (z >> 31),
+// so it needs z only modulo 2^(31+b).
+inline __m512i BucketOf(__m512i z, __m512i multiplier, __m512i mask) {
+  return _mm512_and_si512(
+      _mm512_maskz_mul_epu32(0xFF, XorShiftRight(z, 31), multiplier), mask);
+}
+
+// Lanes of keys[i..n) an eight-key step loads and stores; lanes past n
+// are neither loaded nor stored.
+inline __mmask8 LanesFrom(size_t i, size_t n) {
+  return n - i >= 8 ? static_cast<__mmask8>(0xFF)
+                    : static_cast<__mmask8>((1u << (n - i)) - 1);
+}
+
+// HashBucketsAvx512 for masks below 2^21. vpmadd52luq (AVX512-IFMA)
+// gives the low 52 bits of the product of its operands' low 52 bits:
+// the second product modulo 2^52, which covers the 2^(31+21) BucketOf
+// needs, in one uop where vpmullq takes three.
+__attribute__((target("avx512ifma"))) void HashBucketsIfma(
+    const uint64_t* keys, size_t n, uint64_t multiplier, uint64_t salt,
+    uint64_t mask, uint32_t* out) {
+  const __m512i vsalt = Set1U64(salt);
+  const __m512i vmult = Set1U64(multiplier);
+  const __m512i vmask = Set1U64(mask);
+  const __m512i second = Set1U64(0x94d049bb133111ebULL);
+  for (size_t i = 0; i < n; i += 8) {
+    const __mmask8 lanes = LanesFrom(i, n);
+    const __m512i factor =
+        SecondFactor(_mm512_maskz_loadu_epi64(lanes, keys + i), vsalt);
+    const __m512i z =
+        _mm512_madd52lo_epu64(_mm512_setzero_si512(), factor, second);
+    _mm512_mask_cvtepi64_storeu_epi32(out + i, lanes,
+                                      BucketOf(z, vmult, vmask));
+  }
 }
 
 }  // namespace
 
 void HashBucketsAvx512(const uint64_t* keys, size_t n, uint64_t multiplier,
                        uint64_t salt, uint64_t mask, uint32_t* out) {
+  static const bool ifma = __builtin_cpu_supports("avx512ifma");
+  if (ifma && mask < (uint64_t{1} << 21)) {
+    HashBucketsIfma(keys, n, multiplier, salt, mask, out);
+    return;
+  }
   const __m512i vsalt = Set1U64(salt);
   const __m512i vmult = Set1U64(multiplier);
   const __m512i vmask = Set1U64(mask);
+  const __m512i second = Set1U64(0x94d049bb133111ebULL);
   for (size_t i = 0; i < n; i += 8) {
-    // Lanes past n are neither loaded nor stored.
-    const __mmask8 lanes = n - i >= 8
-                               ? static_cast<__mmask8>(0xFF)
-                               : static_cast<__mmask8>((1u << (n - i)) - 1);
-    const __m512i b = HashBuckets8(_mm512_maskz_loadu_epi64(lanes, keys + i),
-                                   vsalt, vmult, vmask);
+    const __mmask8 lanes = LanesFrom(i, n);
+    const __m512i factor =
+        SecondFactor(_mm512_maskz_loadu_epi64(lanes, keys + i), vsalt);
+    const __m512i z = _mm512_mullo_epi64(factor, second);
     // mask < 2^32, so narrowing each lane to 32 bits is exact.
-    _mm512_mask_cvtepi64_storeu_epi32(out + i, lanes, b);
+    _mm512_mask_cvtepi64_storeu_epi32(out + i, lanes,
+                                      BucketOf(z, vmult, vmask));
   }
 }
 

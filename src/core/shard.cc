@@ -95,13 +95,13 @@ uint64_t* RadixSortKeys(uint64_t* keys, uint64_t* tmp, size_t n, int bits) {
 // never passes the read index. Branch-free, because whether a key starts
 // a new run is a coin flip at the middle levels.
 size_t MergeRuns(const uint64_t* in, int shift, size_t m, uint64_t* out,
-                 double* runs) {
+                 uint32_t* runs) {
   uint64_t key = in[0] >> shift;
-  double run = runs[0];
+  uint32_t run = runs[0];
   size_t last = 0;
   for (size_t i = 1; i < m; ++i) {
     const uint64_t next = in[i] >> shift;
-    const double next_run = runs[i];
+    const uint32_t next_run = runs[i];
     out[last] = key;
     runs[last] = run;
     const bool starts = next != key;
@@ -150,13 +150,16 @@ bool PrivHPShard::SortsWindow(const ResolvedPlan& plan,
 void PrivHPShard::AddWindow(const double* flat, size_t n) {
   PRIVHP_DCHECK(n >= 1 && n <= keys_.size());
   uint64_t* keys = keys_.data();
+  uint32_t* runs = runs_.data();
   domain_->LocateBatch(flat, domain_->dimension(), n, plan_.l_max, keys);
+  std::fill(runs, runs + n, 1u);
   if (!SortsWindow(plan_, keys, n)) {
     // Update every level once per point, as Add() does, shifting the
     // keys up one level at a time.
     for (int l = plan_.l_max;; --l) {
       if (l > plan_.l_star) {
-        sketches_[l - plan_.l_star - 1].UpdateBatch(keys, n, 1.0);
+        sketches_[l - plan_.l_star - 1].AddCounts(keys, runs, n,
+                                                  lanes_.data());
       } else {
         for (size_t i = 0; i < n; ++i) {
           counts_[CompleteNodeId(l, keys[i])] += 1.0;
@@ -173,14 +176,13 @@ void PrivHPShard::AddWindow(const double* flat, size_t n) {
   // next level's distinct keys. The order only groups: each run still
   // carries its exact count, so an unmerged repeat would cost an extra
   // update, never a wrong one.
-  double* runs = runs_.data();
-  std::fill(runs, runs + n, 1.0);
   const uint64_t* sorted =
       RadixSortKeys(keys, sort_scratch_.data(), n, plan_.l_max);
   size_t m = MergeRuns(sorted, 0, n, keys, runs);
   for (int l = plan_.l_max;; --l) {
     if (l > plan_.l_star) {
-      sketches_[l - plan_.l_star - 1].AddCounts(keys, runs, m);
+      sketches_[l - plan_.l_star - 1].AddCounts(keys, runs, m,
+                                                lanes_.data());
     } else {
       for (size_t i = 0; i < m; ++i) {
         counts_[CompleteNodeId(l, keys[i])] += runs[i];
@@ -204,6 +206,9 @@ Status PrivHPShard::AddBatch(const PointBatch& batch) {
     keys_.resize(window);
     sort_scratch_.resize(window);
     runs_.resize(window);
+  }
+  if (lanes_.empty() && !sketches_.empty()) {
+    lanes_.resize(sketches_.front().LaneCount());
   }
   const size_t d = static_cast<size_t>(batch.dim());
   for (size_t base = 0; base < count; base += kWindow) {

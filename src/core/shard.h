@@ -54,7 +54,9 @@ class PrivHPShard : public PointSink {
   /// frames). Large enough that keys repeat within a window under skew
   /// (the Zipf bench stream keeps 45% of its deep-level (level, key)
   /// updates distinct at 16384 points, 56% at 4096), small enough that
-  /// the window scratch stays bounded (about 384 KiB per shard).
+  /// the window scratch stays bounded: 320 KiB per shard, plus 16 w
+  /// bytes of sketch lanes for a sketch width w. It also keeps one
+  /// window's run lengths, summed, below AddCounts' 2^32 limit.
   static constexpr size_t kWindow = 16384;
 
   /// \brief Smallest window AddBatch sorts. Below it sorting saves
@@ -94,8 +96,9 @@ class PrivHPShard : public PointSink {
   /// each level is updated once per distinct key in the window: a
   /// counter bump of the run length, or one CountMinSketch::AddCounts
   /// over the level's runs. Any other window updates each level once per
-  /// point. By the integer invariant in the file comment both are
-  /// bit-identical to calling Add() per point.
+  /// point: a counter bump of one, or one AddCounts with every count 1.
+  /// By the integer invariant in the file comment both are bit-identical
+  /// to calling Add() per point.
   Status AddBatch(const PointBatch& batch);
 
   /// \brief Sink form of AddBatch (same all-or-nothing semantics), so
@@ -145,10 +148,13 @@ class PrivHPShard : public PointSink {
   std::vector<uint64_t> path_scratch_;
   // Window scratch, at most kWindow entries each whatever the batch size:
   // the located leaf keys and the radix sort's second buffer, then the
-  // distinct keys of the current level with their run lengths.
+  // distinct keys of the current level with their run lengths (all ones
+  // in a window that is not sorted). Then the four zeroed row copies
+  // CountMinSketch::AddCounts may scatter into, shared by every level.
   std::vector<uint64_t> keys_;
   std::vector<uint64_t> sort_scratch_;
-  std::vector<double> runs_;
+  std::vector<uint32_t> runs_;
+  std::vector<uint32_t> lanes_;
   uint64_t num_processed_ = 0;
 };
 

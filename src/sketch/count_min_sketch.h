@@ -26,7 +26,7 @@ namespace privhp {
 /// \brief Count-Min sketch over 64-bit keys with double-valued counters.
 class CountMinSketch {
  public:
-  /// \param width Buckets per row (w).
+  /// \param width Buckets per row (w), at most 2^32.
   /// \param depth Rows (j).
   /// \param seed Seed for the per-row hash functions.
   CountMinSketch(size_t width, size_t depth, uint64_t seed);
@@ -36,41 +36,49 @@ class CountMinSketch {
                                      uint64_t seed);
 
   /// \brief Adds \p delta to \p key's cell in every row. Hashes one key at
-  /// a time; it is the per-key reference UpdateBatch must match.
+  /// a time; it is the per-key reference the batched forms must match.
   void Update(uint64_t key, double delta);
 
-  /// \brief Adds \p delta for each of \p count keys, one hash row at a
-  /// time. With a power-of-two width the keys go in runs of at most 256:
-  /// per row, one simd::HashBuckets call computes the run's buckets
-  /// (eight keys per vpmullq on AVX-512; x86 has no 64-bit vector
-  /// multiply below AVX-512DQ, so the compiler cannot vectorize the hash
-  /// at the baseline ISA and the AVX2 kernel emulates it), then a scalar
-  /// loop adds \p delta to each bucket in key order. Every cell thus
-  /// receives the same additions in the same order as per-key Update()
-  /// calls, so the cells are bit-identical to them for any \p delta.
-  /// Other widths reduce each hash with `%`.
+  /// \brief Adds \p delta for each of \p count keys, one row at a time:
+  /// per row, the keys' buckets come in runs of at most 256 (RowBuckets)
+  /// and a scalar loop adds \p delta to each bucket in key order. Every
+  /// cell thus receives the same additions in the same order as per-key
+  /// Update() calls, so the cells are bit-identical to them for any
+  /// \p delta. No ingest path calls it (shards use AddCounts); it stays
+  /// as the per-point sketch cost that perfbench's layer probe times.
   void UpdateBatch(const uint64_t* keys, size_t count, double delta);
 
   /// \brief Adds counts[i] to keys[i]'s cell in every row, for \p m
-  /// (key, count) pairs: the run-aggregated form of UpdateBatch, with the
-  /// same hash runs and key-order scatter. The counts are doubles so the
-  /// scatter adds them without a per-row conversion. For an integer
-  /// count c, one add of c equals c adds of 1.0 bit for bit while every
-  /// cell holds an integer below 2^53, so on such a sketch (a shard's
-  /// plain, un-noised sketches) this matches counts[i]
-  /// Update(keys[i], 1.0) calls cell for cell. On a noised sketch the
-  /// grouped sums round differently.
-  void AddCounts(const uint64_t* keys, const double* counts, size_t m);
+  /// (key, count) pairs; the shard's ingest path. The counts of one call
+  /// must sum to less than 2^32 (a shard window of at most 16384 points
+  /// does). \p lanes is caller scratch of LaneCount() uint32_t entries,
+  /// all zero on entry, and left zero on return.
+  ///
+  /// With at least 8 keys per cell (m >= 8 w), each row's 256-key runs
+  /// of buckets scatter into four uint32_t copies of the row, key i into
+  /// copy i % 4, so a repeated bucket does not chain one add's store into
+  /// the next add; at the end of the row each cell takes one add of its
+  /// four copies' sum. With fewer keys per cell the O(w) fold costs more
+  /// than the copies save, and each count is added to its cell directly.
+  /// Either way each cell gains the exact integer its counts sum to, so
+  /// while every cell holds an integer below 2^53 (a shard's plain,
+  /// un-noised sketches) the cells are bit-identical to counts[i]
+  /// Update(keys[i], 1.0) calls. On a noised sketch the grouped sums
+  /// round differently.
+  void AddCounts(const uint64_t* keys, const uint32_t* counts, size_t m,
+                 uint32_t* lanes);
+
+  /// \brief Scratch entries AddCounts needs: four copies of one row.
+  size_t LaneCount() const { return 4 * width_; }
 
   /// \brief Point estimate of \p key's count: the minimum over rows.
   double Estimate(uint64_t key) const;
 
   /// \brief Writes Estimate(keys[i]) to out[i] for \p count keys, one
-  /// hash row at a time: with a power-of-two width, per run of at most
-  /// 256 keys and per row, one simd::HashBuckets call and a running
-  /// std::min in row order. A Count-Min estimate is a per-row minimum
-  /// taken in the same row order as Estimate(), so every out[i] equals
-  /// it bit for bit, noised or not. Other widths call Estimate() per key.
+  /// row at a time: per row, the keys' buckets in runs of at most 256
+  /// (RowBuckets) and a running std::min. A Count-Min estimate is a
+  /// per-row minimum taken in the same row order as Estimate(), so every
+  /// out[i] equals it bit for bit, noised or not.
   void EstimateBatch(const uint64_t* keys, size_t count, double* out) const;
 
   /// \brief Total bytes held by the sketch (counters + hash seeds).
@@ -105,30 +113,30 @@ class CountMinSketch {
 
  private:
   // Bucket of \p key in \p row, one key at a time: the reduction
-  // UpdateBatch applies to whole key runs.
+  // RowBuckets applies to whole key runs.
   uint64_t Column(size_t row, uint64_t key) const {
     const uint64_t hash = hashes_[row].Hash(key);
     return width_pow2_ ? hash & (width_ - 1) : hash % width_;
   }
 
-  // The power-of-two run loop AddToRows and EstimateBatch share: hashes
-  // runs of keys row by row with simd::HashBuckets and hands each run to
-  // fn(row, base, n, buckets), buckets[i] being keys[base + i]'s bucket.
+  // The run loop of the batched forms: hands \p row's buckets of
+  // keys[0..count) to fn(base, n, buckets) in runs of at most 256,
+  // buckets[i] being keys[base + i]'s bucket. A power-of-two width hashes
+  // each run with one simd::HashBuckets call (eight keys per vector on
+  // AVX-512; x86 has no 64-bit vector multiply below AVX-512DQ, so the
+  // compiler cannot vectorize the hash at the baseline ISA); other widths
+  // reduce each hash with `%`.
   template <typename RunFn>
-  void ForEachBucketRun(const uint64_t* keys, size_t count, RunFn fn) const;
-
-  // The loop UpdateBatch and AddCounts share: adds delta(i) to keys[i]'s
-  // bucket in every row, row by row, in key order.
-  template <typename DeltaFn>
-  void AddToRows(const uint64_t* keys, size_t count, DeltaFn delta);
+  void RowBuckets(size_t row, const uint64_t* keys, size_t count,
+                  RunFn fn) const;
 
   size_t width_;
   size_t depth_;
   uint64_t seed_;
-  // True when width_ is a power of two no larger than 2^32: bucket
-  // reduction is then `hash & (width_ - 1)`, which equals `hash % width_`
-  // bit-for-bit, costs one AND instead of a 64-bit divide, and yields
-  // buckets that fit simd::HashBuckets' uint32_t output.
+  // True when width_ is a power of two: bucket reduction is then
+  // `hash & (width_ - 1)`, which equals `hash % width_` bit-for-bit and
+  // costs one AND instead of a 64-bit divide. Every width is at most
+  // 2^32, so every bucket fits RowBuckets' uint32_t slots.
   bool width_pow2_;
   std::vector<CompactHash> hashes_;
   std::vector<double> cells_;  // row-major depth_ x width_

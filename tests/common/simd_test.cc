@@ -246,6 +246,34 @@ TEST(SimdKernelTest, HashBucketsBitIdenticalAcrossLevels) {
   }
 }
 
+// Every mask width a row can have, 2^b - 1 for b = 0..32, at every
+// level: on AVX-512 hosts with IFMA the kernel computes the hash's
+// second product on 52 bits for b <= 21 and in 64 bits above, so both
+// sides of that bound are checked against CompactHash::Hash itself.
+TEST(SimdKernelTest, HashBucketsMatchesCompactHashForEveryMaskWidth) {
+  const CompactHash hash(0x5eed);
+  RandomEngine rng(31);
+  std::vector<uint64_t> keys(1001);
+  for (uint64_t& key : keys) key = rng.NextUint64();
+  keys[0] = 0;
+  keys[1] = UINT64_MAX;
+  for (int b = 0; b <= 32; ++b) {
+    const uint64_t mask = (uint64_t{1} << b) - 1;
+    std::vector<uint32_t> reference(keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      reference[i] = static_cast<uint32_t>(hash.Hash(keys[i]) & mask);
+    }
+    for (SimdLevel level : RunnableLevels()) {
+      ScopedSimdLevel force(level);
+      std::vector<uint32_t> out(keys.size());
+      simd::HashBuckets(keys.data(), keys.size(), hash.multiplier(),
+                        hash.salt(), mask, out.data());
+      ASSERT_EQ(out, reference) << "level " << SimdLevelName(level)
+                                << ", mask bits " << b;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Distribution gate: the batched sampling path (slot draw + SIMD in-cell
 // transform) must still be uniform WITHIN each cell. Bit-equality above

@@ -9,8 +9,9 @@
 // one run spanning a whole window, skewed points beside pairwise
 // distinct ones, points on the domain's upper bound (the locate clamp),
 // and plans with no sketch levels, only the root counter, a
-// non-power-of-two sketch width, keys wider than 32 bits, or a probe
-// level deep enough that distinct points fill a window unsorted.
+// non-power-of-two or a wide (4096) sketch width, keys wider than 32
+// bits, or a probe level deep enough that distinct points fill a window
+// unsorted.
 
 #include <gtest/gtest.h>
 
@@ -42,6 +43,7 @@ const PlanCase kPlans[] = {
     {"no_sketch_levels", 9, 9, 0},
     {"root_only", 0, 12, 0},
     {"width48", 4, 16, 48},
+    {"width4096", 4, 16, 4096},
     {"wide_keys", 6, 40, 0},
     {"deep_probe", 15, 23, 0},
 };

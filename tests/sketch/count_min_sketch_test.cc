@@ -23,6 +23,11 @@ TEST(CountMinTest, MakeRejectsZeroDimensions) {
   EXPECT_TRUE(CountMinSketch::Make(16, 4, 1).ok());
 }
 
+// Buckets are uint32_t, so a row holds at most 2^32 cells.
+TEST(CountMinTest, MakeRejectsWidthAbove2To32) {
+  EXPECT_FALSE(CountMinSketch::Make((uint64_t{1} << 32) + 1, 1, 1).ok());
+}
+
 TEST(CountMinTest, ExactForFewDistinctKeys) {
   CountMinSketch sketch(1024, 4, 7);
   sketch.Update(1, 5.0);
@@ -201,33 +206,39 @@ TEST(CountMinSketchTest, UpdateBatchMatchesPerKeyUpdateAtEverySimdLevel) {
   }
 }
 
-// AddCounts is UpdateBatch's run-aggregated form: on an integer-valued
+// AddCounts is the run-aggregated form of Update: on an integer-valued
 // sketch one add of c equals c adds of 1.0, so it must match counts[i]
-// repeated Update(keys[i], 1.0) calls cell for cell. Widths 64 (hash
-// runs + AND) and 48 (the `%` path); counts span 1..4096; keys repeat
-// within the input, as merged runs of different leaves do.
+// repeated Update(keys[i], 1.0) calls cell for cell, and leave its lanes
+// zeroed. Widths 64 (hash runs + AND; the IFMA kernel where the CPU has
+// it) and 48 (the `%` path) get 700 keys, enough for the lane copies;
+// width 4096 gets too few per cell and takes the direct scatter. Counts
+// span 1..4096; keys repeat within the input, as merged runs of
+// different leaves do.
 TEST(CountMinSketchTest, AddCountsMatchesRepeatedUpdate) {
   RandomEngine rng(33);
   std::vector<uint64_t> keys(700);  // several 256-key runs plus a tail
-  std::vector<double> counts(keys.size());
+  std::vector<uint32_t> counts(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     keys[i] = Mix64(rng.UniformInt(200));
-    counts[i] = static_cast<double>(1 + rng.UniformInt(4096));
+    counts[i] = static_cast<uint32_t>(1 + rng.UniformInt(4096));
   }
   counts[0] = 1;
   counts[1] = 4096;
   keys[1] = keys[0];
-  for (size_t width : {size_t{64}, size_t{48}}) {
+  for (size_t width : {size_t{64}, size_t{48}, size_t{4096}}) {
     CountMinSketch reference(width, 5, 23);
     for (size_t i = 0; i < keys.size(); ++i) {
-      for (double c = 0; c < counts[i]; ++c) reference.Update(keys[i], 1.0);
+      for (uint32_t c = 0; c < counts[i]; ++c) reference.Update(keys[i], 1.0);
     }
     for (int level = 0; level <= static_cast<int>(DetectedSimdLevel());
          ++level) {
       ForceSimdLevel(static_cast<SimdLevel>(level));
       CountMinSketch grouped(width, 5, 23);
-      grouped.AddCounts(keys.data(), counts.data(), keys.size());
+      std::vector<uint32_t> lanes(grouped.LaneCount());
+      grouped.AddCounts(keys.data(), counts.data(), keys.size(),
+                        lanes.data());
       ClearForcedSimdLevel();
+      EXPECT_EQ(lanes, std::vector<uint32_t>(lanes.size()));
       for (size_t row = 0; row < 5; ++row) {
         for (size_t col = 0; col < width; ++col) {
           ASSERT_EQ(grouped.CellValue(row, col), reference.CellValue(row, col))
@@ -235,6 +246,31 @@ TEST(CountMinSketchTest, AddCountsMatchesRepeatedUpdate) {
               << ", width " << width << ", cell (" << row << ", " << col
               << ")";
         }
+      }
+    }
+  }
+}
+
+// AddCounts sums a call's counts per bucket in uint32_t lanes, which
+// hold any total below 2^32: 2^31 and 2^31 - 1 on one key land as
+// 2^32 - 1 in its cell of every row. At width 1 the eight keys take the
+// lane copies and both counts go to one copy; at width 64 they are too
+// few per cell and take the direct scatter.
+TEST(CountMinSketchTest, AddCountsHoldsATotalJustBelowTwoToThe32) {
+  const uint64_t key = 12345;
+  const std::vector<uint64_t> keys(8, key);
+  const std::vector<uint32_t> counts = {
+      uint32_t{1} << 31, 0, 0, 0, (uint32_t{1} << 31) - 1, 0, 0, 0};
+  for (size_t width : {size_t{1}, size_t{64}}) {
+    CountMinSketch reference(width, 4, 5);
+    reference.Update(key, 4294967295.0);
+    CountMinSketch grouped(width, 4, 5);
+    std::vector<uint32_t> lanes(grouped.LaneCount());
+    grouped.AddCounts(keys.data(), counts.data(), keys.size(), lanes.data());
+    for (size_t row = 0; row < 4; ++row) {
+      for (size_t col = 0; col < width; ++col) {
+        ASSERT_EQ(grouped.CellValue(row, col), reference.CellValue(row, col))
+            << "width " << width << ", cell (" << row << ", " << col << ")";
       }
     }
   }
