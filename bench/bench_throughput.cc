@@ -1,8 +1,7 @@
 // EXP-PERF — Corollary 1's cost model, self-timed (bench_util.h):
 //   * stream update cost vs n        (scalar Add vs columnar AddBatch;
 //                                     claimed O(log(eps n)) per update)
-//   * AddBatch cost vs batch size    (zipf and uniform streams, sorted
-//                                     and per-point windows)
+//   * AddBatch cost vs batch size    (zipf and uniform streams)
 //   * AddBatch at the shipped plan   (ns per point and per Count-Min
 //                                     row update)
 //   * sharded parallel ingestion     (--threads sweep; the merged build
@@ -14,8 +13,8 @@
 // Always-on correctness gate (sized for --smoke): the columnar ingest
 // path must leave tree counters and sketch cells bit-identical to the
 // scalar path, also for a batch of one repeated point, a batch one point
-// past the AddBatch window, one just below its sort threshold and an
-// unsorted window of distinct points, and the released artifacts
+// past the AddBatch window, a small (511-point) window and a window of
+// distinct points, and the released artifacts
 // (scalar / columnar / BuildParallel streamed at 1, 2 and 4 threads)
 // must serialize byte-identically —
 // a perf regression fix can't silently fork the two paths. --smoke
@@ -68,36 +67,21 @@ double TimedMedian(int repeats, const std::function<double()>& fn) {
   return times[times.size() / 2];
 }
 
-// What AddBatch does with \p data fed in batches of \p batch points: the
-// sketch-level updates it makes per point, and the share of its windows
-// it sorts. A sorted window (PrivHPShard::SortsWindow) makes one update
-// per distinct (level, key) pair at levels L*+1..L; any other window
-// makes L - L* per point, as per-point Add does. Each update costs j row
-// hashes.
-struct WindowStats {
-  double sketch_updates_per_point = 0;
-  double sorted_share = 0;
-};
-
-WindowStats AddBatchWindowStats(const Domain& domain, const PointBatch& data,
-                                const ResolvedPlan& plan, size_t batch) {
+// The sketch-level updates per point AddBatch makes on \p data fed in
+// batches of \p batch points: it sorts every window and makes one update
+// per distinct (level, key) pair at levels L*+1..L. Each update costs j
+// row hashes.
+double SketchUpdatesPerPoint(const Domain& domain, const PointBatch& data,
+                             const ResolvedPlan& plan, size_t batch) {
   const int levels = plan.l_max - plan.l_star;
   std::vector<uint64_t> keys(PrivHPShard::kWindow);
   size_t updates = 0;
-  size_t windows = 0;
-  size_t sorted = 0;
   for (size_t start = 0; start < data.size(); start += batch) {
     const size_t end = std::min(data.size(), start + batch);
     for (size_t base = start; base < end; base += keys.size()) {
       const size_t n = std::min(keys.size(), end - base);
       domain.LocateBatch(data.row(base), data.dim(), n, plan.l_max,
                          keys.data());
-      ++windows;
-      if (!PrivHPShard::SortsWindow(plan, keys.data(), n)) {
-        updates += n * static_cast<size_t>(levels);
-        continue;
-      }
-      ++sorted;
       std::sort(keys.begin(), keys.begin() + n);
       for (int shift = 0; shift < levels; ++shift) {
         for (size_t i = 0; i < n; ++i) {
@@ -106,12 +90,7 @@ WindowStats AddBatchWindowStats(const Domain& domain, const PointBatch& data,
       }
     }
   }
-  WindowStats stats;
-  stats.sketch_updates_per_point =
-      static_cast<double>(updates) / static_cast<double>(data.size());
-  stats.sorted_share =
-      static_cast<double>(sorted) / static_cast<double>(windows);
-  return stats;
+  return static_cast<double>(updates) / static_cast<double>(data.size());
 }
 
 void StreamUpdateSweep(int repeats, bool smoke) {
@@ -170,9 +149,8 @@ void StreamUpdateSweep(int repeats, bool smoke) {
     auto plan = PlanParameters(domain, BenchOptions(c.n));
     PRIVHP_CHECK(plan.ok());
     const double scalar_updates = plan->l_max - plan->l_star;
-    const WindowStats batch_stats =
-        AddBatchWindowStats(domain, staged, *plan, staged.size());
-    const double batch_updates = batch_stats.sketch_updates_per_point;
+    const double batch_updates =
+        SketchUpdatesPerPoint(domain, staged, *plan, staged.size());
     const double secs_for[2] = {scalar_secs, columnar_secs};
     const double updates_for[2] = {scalar_updates, batch_updates};
     const char* path_name[2] = {"scalar", "columnar"};
@@ -195,20 +173,15 @@ void StreamUpdateSweep(int repeats, bool smoke) {
 }
 
 // Single-thread columnar AddBatch against batch size, on a skewed and a
-// uniform stream, up to one full window (16384 points). A window is
-// sorted only if it has at least PrivHPShard::kMinSortedWindow points
-// and its keys repeat (PrivHPShard::SortsWindow), so the table covers
-// both sides of that choice: small batches, and large ones of keys that
-// repeat and of keys that do not.
+// uniform stream, up to one full window (16384 points). Every window is
+// sorted, so small batches pay the sort with few keys to merge.
 void BatchSizeSweep(int repeats, bool smoke) {
   constexpr size_t kWindow = PrivHPShard::kWindow;
-  constexpr size_t kSorted = PrivHPShard::kMinSortedWindow;
   const size_t n = smoke ? size_t{1} << 14 : size_t{1} << 20;
   TablePrinter table(
-      "AddBatch against batch size (1 thread, one shard, interval; share "
-      "of windows sorted, sketch updates per point after run aggregation)",
-      {"stream", "n", "batch", "Mpts/s", "ns/point", "sorted",
-       "sketch upd/pt"});
+      "AddBatch against batch size (1 thread, one shard, interval; "
+      "sketch updates per point after run aggregation)",
+      {"stream", "n", "batch", "Mpts/s", "ns/point", "sketch upd/pt"});
   IntervalDomain domain;
   auto plan = PlanParameters(domain, BenchOptions(n));
   PRIVHP_CHECK(plan.ok());
@@ -224,8 +197,7 @@ void BatchSizeSweep(int repeats, bool smoke) {
   const Stream streams[] = {{"zipf", &zipf}, {"uniform", &uniform}};
   const std::vector<size_t> batch_sizes =
       smoke ? std::vector<size_t>{64, kWindow}
-            : std::vector<size_t>{64,   kSorted - 1, kSorted,
-                                  1024, 4096,        kWindow};
+            : std::vector<size_t>{64, 1024, 4096, kWindow};
   for (const Stream& stream : streams) {
     for (size_t batch : batch_sizes) {
       std::vector<PointBatch> batches;
@@ -245,16 +217,15 @@ void BatchSizeSweep(int repeats, bool smoke) {
         }
         return watch.Seconds();
       });
-      const WindowStats stats =
-          AddBatchWindowStats(domain, *stream.data, *plan, batch);
+      const double updates =
+          SketchUpdatesPerPoint(domain, *stream.data, *plan, batch);
       table.BeginRow();
       table.Cell(std::string(stream.name));
       table.Cell(static_cast<uint64_t>(n));
       table.Cell(static_cast<uint64_t>(batch));
       table.Cell(n / secs / 1e6);
       table.Cell(secs / n * 1e9);
-      table.Cell(stats.sorted_share, 3);
-      table.Cell(stats.sketch_updates_per_point, 3);
+      table.Cell(updates, 3);
     }
   }
   table.Print(std::cout);
@@ -282,7 +253,7 @@ void ShippedPlanSweep(int repeats, bool smoke) {
       "AddBatch at the shipped plan (1 thread, one shard, " +
           plan->ToString() + ", " + std::to_string(kWindow) +
           "-point batches)",
-      {"stream", "n", "sorted", "row upd/pt", "ns/point", "ns/row upd"});
+      {"stream", "n", "row upd/pt", "ns/point", "ns/row upd"});
   RandomEngine rng(5);
   const PointBatch zipf =
       PointBatch::FromPoints(GenerateZipfCells(1, n, 16, 1.1, &rng));
@@ -308,16 +279,13 @@ void ShippedPlanSweep(int repeats, bool smoke) {
       }
       return watch.Seconds();
     });
-    const WindowStats stats =
-        AddBatchWindowStats(domain, *data, *plan, kWindow);
     const double row_updates =
-        stats.sketch_updates_per_point *
+        SketchUpdatesPerPoint(domain, *data, *plan, kWindow) *
         static_cast<double>(plan->sketch_depth);
     const double ns_per_point = secs / static_cast<double>(n) * 1e9;
     table.BeginRow();
     table.Cell(std::string(name));
     table.Cell(static_cast<uint64_t>(n));
-    table.Cell(stats.sorted_share, 3);
     table.Cell(row_updates);
     table.Cell(ns_per_point);
     table.Cell(ns_per_point / row_updates, 3);
@@ -386,12 +354,11 @@ bool BatchedEqualsScalarGate() {
   }
   // Window edges of the columnar path: one repeated point, so a single
   // run carries the whole window; a batch one point past a window
-  // (cycling the data); one point short of the sort threshold, which
-  // takes the per-point path; and a full window plus a part of pairwise
-  // distinct points, which takes it too. Distinct points stay distinct
-  // only under a plan with a deep probe level, so that edge uses the
-  // shipped plan at n = 2^23 (L* = 15), and the gate checks that its
-  // window really is left unsorted.
+  // (cycling the data); a small window, like a stream's tail; and a full
+  // window plus a part of pairwise distinct points, which leave the
+  // sort's run merge nothing to merge. Distinct points stay distinct
+  // only under a plan with deep levels, so that edge uses the shipped
+  // plan at n = 2^23 (L* = 15).
   const PointBatch repeated = PointBatch::FromPoints(
       std::vector<Point>(PrivHPShard::kWindow, data.front()));
   PointBatch past_window(staged.dim());
@@ -399,8 +366,8 @@ bool BatchedEqualsScalarGate() {
     const size_t left = PrivHPShard::kWindow + 1 - past_window.size();
     past_window.AppendFlat(staged.data(), std::min(staged.size(), left));
   }
-  PointBatch below_sort(staged.dim());
-  below_sort.AppendFlat(staged.data(), PrivHPShard::kMinSortedWindow - 1);
+  PointBatch small(staged.dim());
+  small.AppendFlat(staged.data(), 511);
   PointBatch distinct(2);
   for (size_t i = 1; i <= PrivHPShard::kWindow + 100; ++i) {
     const double v = static_cast<double>(i) * 0.6180339887498949;
@@ -412,18 +379,6 @@ bool BatchedEqualsScalarGate() {
   deep.k = 32;
   deep.expected_n = size_t{1} << 23;
   deep.sketch_depth = 0;
-  {
-    auto plan = PlanParameters(domain, deep);
-    PRIVHP_CHECK(plan.ok());
-    std::vector<uint64_t> keys(PrivHPShard::kWindow);
-    domain.LocateBatch(distinct.data(), 2, keys.size(), plan->l_max,
-                       keys.data());
-    if (PrivHPShard::SortsWindow(*plan, keys.data(), keys.size())) {
-      std::cerr << "gate: the distinct window no longer takes the "
-                   "per-point path\n";
-      return false;
-    }
-  }
   struct Edge {
     const PointBatch* batch;
     const PrivHPOptions* options;
@@ -432,8 +387,8 @@ bool BatchedEqualsScalarGate() {
   const Edge edges[] = {
       {&repeated, &options, "columnar (repeated point)"},
       {&past_window, &options, "columnar (window + 1)"},
-      {&below_sort, &options, "columnar (sort threshold - 1)"},
-      {&distinct, &deep, "columnar (unsorted window + part)"}};
+      {&small, &options, "columnar (511-point window)"},
+      {&distinct, &deep, "columnar (distinct window + part)"}};
   for (const Edge& edge : edges) {
     auto builder = PrivHPBuilder::Make(&domain, *edge.options);
     PRIVHP_CHECK(builder.ok());
@@ -481,9 +436,9 @@ bool BatchedEqualsScalarGate() {
   std::cout << "checks: batched-vs-scalar equality OK (shard state + "
             << "released artifact, scalar/columnar/parallel, n="
             << n << "; window edges: repeated point, "
-            << PrivHPShard::kWindow + 1 << " and "
-            << PrivHPShard::kMinSortedWindow - 1 << " points, "
-            << PrivHPShard::kWindow + 100 << " unsorted points)\n\n";
+            << PrivHPShard::kWindow + 1 << " and " << small.size()
+            << " points, " << PrivHPShard::kWindow + 100
+            << " distinct points)\n\n";
   return true;
 }
 

@@ -15,9 +15,6 @@ inline int CountLeadingZeros64(uint64_t x) {
   return x == 0 ? 64 : __builtin_clzll(x);
 }
 
-/// \brief Number of set bits in \p x. (C++17 stand-in for std::popcount.)
-inline int PopCount64(uint64_t x) { return __builtin_popcountll(x); }
-
 /// \brief floor(log2(x)); requires x >= 1.
 inline int FloorLog2(uint64_t x) {
   PRIVHP_DCHECK(x >= 1);

@@ -1,12 +1,11 @@
 #include "core/shard.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <utility>
 
-#include "common/bits.h"
 #include "common/macros.h"
+#include "common/random.h"
 
 namespace privhp {
 
@@ -116,60 +115,12 @@ size_t MergeRuns(const uint64_t* in, int shift, size_t m, uint64_t* out,
 
 }  // namespace
 
-bool PrivHPShard::SortsWindow(const ResolvedPlan& plan,
-                              const uint64_t* leaf_keys, size_t n) {
-  PRIVHP_DCHECK(n <= kWindow);
-  if (n < kMinSortedWindow) return false;
-  // Probe the shallowest sketch level: it repeats most among the levels
-  // whose updates are expensive (with no sketch levels, the deepest
-  // counters). Linear counting: each key at that level sets one bit of a
-  // bitmap, and with Z of its B bits still clear, -B ln(Z / B) estimates
-  // the number of distinct keys. The bit comes from Mix64, not from a
-  // multiplicative hash: the latter spreads a dense key range evenly
-  // over the bitmap, so it collides less than at random and inflated
-  // the estimate of a uniform 16K window from 79% to 96% distinct.
-  // Sorting a full window paid at 79% distinct and lost at 89%.
-  constexpr double kMaxDistinctShare = 0.85;
-  constexpr int kLogBits = 14;
-  constexpr size_t kBits = size_t{1} << kLogBits;
-  const int shift = std::max(0, plan.l_max - plan.l_star - 1);
-  uint64_t bitmap[kBits / 64] = {};
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t bit = Mix64(leaf_keys[i] >> shift) >> (64 - kLogBits);
-    bitmap[bit / 64] |= uint64_t{1} << (bit % 64);
-  }
-  size_t set = 0;
-  for (uint64_t word : bitmap) set += static_cast<size_t>(PopCount64(word));
-  // Distinct < share * n  <=>  Z > B exp(-share * n / B).
-  const double bits = static_cast<double>(kBits);
-  const double clear = static_cast<double>(kBits - set);
-  const double max_distinct = kMaxDistinctShare * static_cast<double>(n);
-  return clear > bits * std::exp(-max_distinct / bits);
-}
-
 void PrivHPShard::AddWindow(const double* flat, size_t n) {
   PRIVHP_DCHECK(n >= 1 && n <= keys_.size());
   uint64_t* keys = keys_.data();
   uint32_t* runs = runs_.data();
   domain_->LocateBatch(flat, domain_->dimension(), n, plan_.l_max, keys);
   std::fill(runs, runs + n, 1u);
-  if (!SortsWindow(plan_, keys, n)) {
-    // Update every level once per point, as Add() does, shifting the
-    // keys up one level at a time.
-    for (int l = plan_.l_max;; --l) {
-      if (l > plan_.l_star) {
-        sketches_[l - plan_.l_star - 1].AddCounts(keys, runs, n,
-                                                  lanes_.data());
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          counts_[CompleteNodeId(l, keys[i])] += 1.0;
-        }
-      }
-      if (l == 0) break;
-      for (size_t i = 0; i < n; ++i) keys[i] >>= 1;
-    }
-    return;
-  }
   // Sort and run-length encode the leaf keys, then walk up the levels:
   // each distinct (level, key) gets one update of its run length. Keys
   // stay sorted under the shift, so merging equal neighbours yields the

@@ -51,28 +51,15 @@ class PrivHPShard : public PointSink {
  public:
   /// \brief Points per AddBatch window, and the batch every feeder
   /// hands a shard (Drain, BuildParallel's reader, coalesced INGEST
-  /// frames). Large enough that keys repeat within a window under skew
-  /// (the Zipf bench stream keeps 45% of its deep-level (level, key)
-  /// updates distinct at 16384 points, 56% at 4096), small enough that
-  /// the window scratch stays bounded: 320 KiB per shard, plus 16 w
-  /// bytes of sketch lanes for a sketch width w. It also keeps one
-  /// window's run lengths, summed, below AddCounts' 2^32 limit.
+  /// frames), so only a stream's last window is shorter. Every window is
+  /// sorted, and the larger it is, the more of its keys repeat and merge
+  /// into one update under skew (the Zipf bench stream keeps 45% of its
+  /// deep-level (level, key) updates distinct at 16384 points, 56% at
+  /// 4096). Small enough that the window scratch stays bounded: 320 KiB
+  /// per shard, plus 16 w bytes of sketch lanes for a sketch width w. It
+  /// also keeps one window's run lengths, summed, below AddCounts' 2^32
+  /// limit.
   static constexpr size_t kWindow = 16384;
-
-  /// \brief Smallest window AddBatch sorts. Below it sorting saves
-  /// little or nothing even on skewed streams: too few keys repeat to
-  /// pay for the sort's fixed cost.
-  static constexpr size_t kMinSortedWindow = 512;
-
-  /// \brief Whether AddBatch sorts a window whose points have the
-  /// \p n <= kWindow leaf keys (level plan.l_max) \p leaf_keys, under
-  /// \p plan. Sorting pays only when keys repeat, so it sorts when the
-  /// window has at least kMinSortedWindow points and an estimated fewer
-  /// than 85% of its keys at the shallowest sketch level are distinct.
-  /// The estimate is one hashed bit per key in a 2 KiB bitmap (linear
-  /// counting), a few ns per point.
-  static bool SortsWindow(const ResolvedPlan& plan, const uint64_t* leaf_keys,
-                          size_t n);
 
   /// \brief Allocates zeroed accumulation state for \p plan. \p domain
   /// must outlive the shard. Prefer PrivHPBuilder::NewShard(), which
@@ -90,15 +77,13 @@ class PrivHPShard : public PointSink {
   /// leaves tree counts, sketches and num_processed() exactly as they
   /// were. The arena is then applied in windows of up to kWindow points.
   /// Per window, one Domain::LocateBatch call yields each point's leaf
-  /// key (level l_max), and a walk from l_max up to 0 shifts the keys
-  /// right one bit per level. A window whose keys repeat (SortsWindow)
-  /// is radix-sorted first, and the walk merges equal neighbours, so
-  /// each level is updated once per distinct key in the window: a
-  /// counter bump of the run length, or one CountMinSketch::AddCounts
-  /// over the level's runs. Any other window updates each level once per
-  /// point: a counter bump of one, or one AddCounts with every count 1.
-  /// By the integer invariant in the file comment both are bit-identical
-  /// to calling Add() per point.
+  /// key (level l_max), the keys are radix-sorted, and a walk from l_max
+  /// up to 0 shifts them right one bit per level and merges equal
+  /// neighbours. So each level is updated once per distinct key in the
+  /// window: a counter bump of the run length, or one
+  /// CountMinSketch::AddCounts over the level's runs. By the integer
+  /// invariant in the file comment this is bit-identical to calling
+  /// Add() per point.
   Status AddBatch(const PointBatch& batch);
 
   /// \brief Sink form of AddBatch (same all-or-nothing semantics), so
@@ -148,9 +133,9 @@ class PrivHPShard : public PointSink {
   std::vector<uint64_t> path_scratch_;
   // Window scratch, at most kWindow entries each whatever the batch size:
   // the located leaf keys and the radix sort's second buffer, then the
-  // distinct keys of the current level with their run lengths (all ones
-  // in a window that is not sorted). Then the four zeroed row copies
-  // CountMinSketch::AddCounts may scatter into, shared by every level.
+  // distinct keys of the current level with their run lengths. Then the
+  // four zeroed row copies CountMinSketch::AddCounts may scatter into,
+  // shared by every level.
   std::vector<uint64_t> keys_;
   std::vector<uint64_t> sort_scratch_;
   std::vector<uint32_t> runs_;

@@ -1,20 +1,20 @@
 // Window-boundary identity for PrivHPShard::AddBatch. The columnar path
-// applies a batch in 16384-point windows. A window of at least
-// kMinSortedWindow points whose keys repeat has its leaf keys sorted, and
-// every level is updated once per distinct key with the run length; any
-// other window updates every level once per point. Either way the
-// result must equal per-point Add() bit for bit, in every tree counter
-// and every sketch cell. The cases aim at the edges of that scheme:
-// batch sizes on either side of the window and of the sort threshold,
+// applies a batch in 16384-point windows. Every window has its leaf keys
+// radix-sorted, and every level is updated once per distinct key with
+// the run length. The result must equal per-point Add() bit for bit, in
+// every tree counter and every sketch cell. The cases aim at the edges of
+// that scheme: batch sizes on either side of the window and small ones,
 // one run spanning a whole window, skewed points beside pairwise
 // distinct ones, points on the domain's upper bound (the locate clamp),
 // and plans with no sketch levels, only the root counter, a
 // non-power-of-two or a wide (4096) sketch width, keys wider than 32
-// bits, or a probe level deep enough that distinct points fill a window
-// unsorted.
+// bits, keys of 62 bits (all 8 radix passes), or a probe level deep
+// enough (deep_probe) that distinct points leave a window nothing to
+// merge.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
 #include <string>
 #include <tuple>
@@ -46,6 +46,7 @@ const PlanCase kPlans[] = {
     {"width4096", 4, 16, 4096},
     {"wide_keys", 6, 40, 0},
     {"deep_probe", 15, 23, 0},
+    {"deepest_keys", 6, 62, 0},
 };
 
 PrivHPOptions WindowOptions(const PlanCase& plan) {
@@ -142,13 +143,17 @@ class ShardWindowTest
   void ExpectAddBatchMatchesAdd(const PointBatch& batch,
                                 const std::string& label) {
     const auto& [dim, plan] = GetParam();
-    HypercubeDomain domain(dim);
+    HypercubeDomain domain(dim, std::max(plan.l_max, 40));
     auto builder = PrivHPBuilder::Make(&domain, WindowOptions(plan));
     ASSERT_TRUE(builder.ok()) << builder.status().ToString();
     auto scalar = builder->NewShard();
     auto batched = builder->NewShard();
     ASSERT_TRUE(scalar.ok() && batched.ok());
     const ResolvedPlan& resolved = builder->plan();
+    if (plan.l_max >= 0) {
+      ASSERT_EQ(resolved.l_star, plan.l_star);
+      ASSERT_EQ(resolved.l_max, plan.l_max);
+    }
     ASSERT_EQ(scalar->sketches().size(),
               static_cast<size_t>(resolved.l_max - resolved.l_star));
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -162,12 +167,11 @@ class ShardWindowTest
 };
 
 constexpr size_t kWindow = PrivHPShard::kWindow;
-constexpr size_t kSorted = PrivHPShard::kMinSortedWindow;
 
 TEST_P(ShardWindowTest, AddBatchEqualsAddAcrossWindowBoundaries) {
   const int dim = std::get<0>(GetParam());
-  for (size_t n : {size_t{1}, size_t{255}, kSorted - 1, kSorted, kWindow - 1,
-                   kWindow, kWindow + 1, kWindow + kSorted - 1,
+  for (size_t n : {size_t{1}, size_t{255}, size_t{511}, size_t{512},
+                   kWindow - 1, kWindow, kWindow + 1, kWindow + 511,
                    3 * kWindow + 17}) {
     ExpectAddBatchMatchesAdd(Skewed(dim, n, n), "skewed");
     ExpectAddBatchMatchesAdd(Distinct(dim, n), "distinct");
@@ -179,56 +183,7 @@ TEST_P(ShardWindowTest, OneRunCarriesTheWholeWindow) {
   const int dim = std::get<0>(GetParam());
   ExpectAddBatchMatchesAdd(Repeated(dim, kWindow), "repeated");
   ExpectAddBatchMatchesAdd(Repeated(dim, kWindow + 1), "repeated");
-  ExpectAddBatchMatchesAdd(Repeated(dim, kSorted - 1), "repeated");
-}
-
-// The sort decision: only windows of at least kMinSortedWindow points
-// whose keys repeat are sorted. Under the perfbench build plan (k = 32,
-// n = 2^23: L* = 15, L = 23) pairwise distinct keys never repeat, and
-// uniform keys at the shallowest sketch level, 16, are about 89%
-// distinct in a full window and 97% in a 4096-point one; skewed and
-// repeated ones far fewer. Under the mixed plan (n = 2^18: L* = 14,
-// L = 18) a uniform full window is about 79% distinct at level 15, and
-// is sorted. A multiplicative hash of the probe keys once estimated
-// these at 99% and 96%.
-TEST(ShardSortsWindowTest, SortsLargeWindowsOfRepeatingKeysOnly) {
-  HypercubeDomain domain(1);
-  PrivHPOptions options = WindowOptions(kPlans[0]);
-  options.k = 32;
-  options.expected_n = size_t{1} << 23;
-  auto plan = PlanParameters(domain, options);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  ASSERT_EQ(plan->l_star, 15);
-  ASSERT_EQ(plan->l_max, 23);
-  options.expected_n = size_t{1} << 18;
-  auto mixed_plan = PlanParameters(domain, options);
-  ASSERT_TRUE(mixed_plan.ok()) << mixed_plan.status().ToString();
-  ASSERT_EQ(mixed_plan->l_star, 14);
-  ASSERT_EQ(mixed_plan->l_max, 18);
-  RandomEngine rng(5);
-  PointBatch uniform(1);
-  for (size_t i = 0; i < kWindow; ++i) {
-    uniform.AppendPoint(Point{rng.UniformDouble()});
-  }
-  const PointBatch distinct = Distinct(1, kWindow);
-  const PointBatch skewed = Skewed(1, kWindow, 6);
-  const PointBatch repeated = Repeated(1, kWindow);
-  std::vector<uint64_t> keys(kWindow);
-  auto sorts = [&](const ResolvedPlan& p, const PointBatch& batch, size_t n) {
-    domain.LocateBatch(batch.data(), 1, n, p.l_max, keys.data());
-    return PrivHPShard::SortsWindow(p, keys.data(), n);
-  };
-  EXPECT_FALSE(sorts(*plan, distinct, kWindow));
-  EXPECT_FALSE(sorts(*plan, uniform, kWindow));
-  EXPECT_FALSE(sorts(*plan, uniform, kWindow / 4));
-  EXPECT_FALSE(sorts(*plan, uniform, kSorted));
-  EXPECT_TRUE(sorts(*mixed_plan, uniform, kWindow));
-  EXPECT_TRUE(sorts(*plan, skewed, kWindow));
-  EXPECT_TRUE(sorts(*plan, skewed, kSorted));
-  EXPECT_TRUE(sorts(*plan, repeated, kWindow));
-  EXPECT_TRUE(sorts(*plan, repeated, kSorted));
-  EXPECT_FALSE(sorts(*plan, repeated, kSorted - 1));
-  EXPECT_FALSE(sorts(*plan, skewed, kSorted - 1));
+  ExpectAddBatchMatchesAdd(Repeated(dim, 511), "repeated");
 }
 
 INSTANTIATE_TEST_SUITE_P(
